@@ -26,7 +26,7 @@ sigma = Permutation(rng.permutation(d_ff).astype(np.int64))
 shuffled = apply_permutation(base, sigma)
 
 # the two parameterizations are different numbers ...
-print(f"w_in rows moved: {int((base.w_in != shuffled.w_in).any(axis=1).sum())}"
+print(f"w_in rows moved: {int((base['w_in'] != shuffled['w_in']).any(axis=1).sum())}"
       f" of {d_ff}")
 
 # ... but the same function
@@ -50,4 +50,4 @@ restored = apply_permutation(shuffled, recovered)
 print(f"recovered == planted inverse: "
       f"{np.array_equal(recovered.mapping, sigma.inverse().mapping)}")
 print(f"restored w_in identical: "
-      f"{np.array_equal(restored.w_in, base.w_in)}")
+      f"{np.array_equal(restored['w_in'], base['w_in'])}")

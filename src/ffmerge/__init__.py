@@ -9,8 +9,8 @@ format that stores tied tensors once.
 """
 
 from .alignment import (CorrelationMatrix, Permutation, align_units,
-                        apply_permutation, apply_permutation_swiglu,
-                        cross_correlation, matched_score, solve_assignment)
+                        apply_permutation, cross_correlation, matched_score,
+                        solve_assignment)
 from .analysis import CkaMatrix, cka_matrix, linear_cka
 from .checkpoint import (CheckpointFormatError, ParameterStore, TieReport,
                          read_checkpoint, read_container, tie_report,
@@ -18,17 +18,15 @@ from .checkpoint import (CheckpointFormatError, ParameterStore, TieReport,
 from .config import ModelConfig
 from .datasets import (Dataset, load_dataset, read_label_file, read_token_file,
                        write_label_file, write_token_file)
-from .engine import (ActivationSet, EvalMetric, FFParams, SwigluFFParams,
-                     TransformerModel, capture_activations, evaluate,
-                     ff_forward, ff_params, load_model, read_activations,
-                     save_model, set_ff_params, swiglu_forward,
-                     write_activations)
+from .engine import (ActivationSet, EvalMetric, FFParams, TransformerModel,
+                     capture_activations, evaluate, ff_forward, ff_params,
+                     load_model, read_activations, save_model, set_ff_params,
+                     swiglu_forward, write_activations)
 from .fixtures import (PermutedCopyFixture, default_config, duplicate_model,
                        gen_fixture, greedy_sequences, noisy_permuted_pair,
                        permuted_copy_model, random_model, token_sequences,
                        zeroed_layer_model)
-from .merging import (MergeDiagnostics, MergeSpec, merge_ff, merge_swiglu,
-                      merge_window)
+from .merging import MergeDiagnostics, MergeSpec, merge_ff, merge_window
 from .selection import (SelectionReport, WindowCandidate, compare_merge_and_drop,
                         drop_layers, enumerate_drop_starts, enumerate_windows,
                         select_best_drop, select_best_window)
@@ -39,14 +37,13 @@ __all__ = [
     "ActivationSet", "CheckpointFormatError", "CkaMatrix", "CorrelationMatrix",
     "Dataset", "EvalMetric", "FFParams", "MergeDiagnostics", "MergeSpec",
     "ModelConfig", "ParameterStore", "Permutation", "PermutedCopyFixture",
-    "SelectionReport", "SwigluFFParams", "TieReport", "TransformerModel",
-    "WindowCandidate", "align_units", "apply_permutation",
-    "apply_permutation_swiglu", "capture_activations", "cka_matrix",
+    "SelectionReport", "TieReport", "TransformerModel", "WindowCandidate",
+    "align_units", "apply_permutation", "capture_activations", "cka_matrix",
     "compare_merge_and_drop", "cross_correlation", "default_config",
     "drop_layers", "duplicate_model", "enumerate_drop_starts",
     "enumerate_windows", "evaluate", "ff_forward", "ff_params", "gen_fixture",
     "greedy_sequences", "linear_cka", "load_dataset", "load_model",
-    "matched_score", "merge_ff", "merge_swiglu", "merge_window",
+    "matched_score", "merge_ff", "merge_window",
     "noisy_permuted_pair", "permuted_copy_model", "random_model",
     "read_activations", "read_checkpoint", "read_container", "read_label_file",
     "read_token_file", "save_model", "select_best_drop",

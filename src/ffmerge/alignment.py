@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .engine import FFParams, SwigluFFParams
+from .config import FF_HIDDEN_AXIS
+from .engine import FFParams
 from .linalg import column_stats
 
 
@@ -149,33 +150,22 @@ def matched_score(corr: CorrelationMatrix | np.ndarray, perm: Permutation) -> fl
 
 
 def apply_permutation(params: FFParams, perm: Permutation) -> FFParams:
-    """Reorder a relu/gelu sublayer's hidden units; function is preserved.
+    """Reorder a sublayer's hidden units; function is preserved.
 
-    Rows of W_in and entries of b_in move together with the matching
-    columns of W_out, so phi(W_in x + b_in) permutes and W_out undoes it.
+    Every tensor is gathered along its hidden axis (``FF_HIDDEN_AXIS``), so
+    the rows that make each hidden unit move together with the matching
+    columns of the output matrix, which undoes the reordering; b_out has no
+    hidden axis and is copied unchanged.
     """
     if perm.size != params.d_ff:
         raise ValueError(
             f"permutation size {perm.size} does not match d_ff {params.d_ff}"
         )
-    m = perm.mapping
-    return FFParams(w_in=params.w_in[m].copy(), b_in=params.b_in[m].copy(),
-                    w_out=params.w_out[:, m].copy(), b_out=params.b_out.copy())
-
-
-def apply_permutation_swiglu(params: SwigluFFParams, perm: Permutation) -> SwigluFFParams:
-    """Reorder a SwiGLU sublayer's hidden units; function is preserved.
-
-    W_up and V_gate rows move together so the gated product permutes the
-    same way, and W_down columns follow.
-    """
-    if perm.size != params.d_ff:
-        raise ValueError(
-            f"permutation size {perm.size} does not match d_ff {params.d_ff}"
-        )
-    m = perm.mapping
-    return SwigluFFParams(w_up=params.w_up[m].copy(), v_gate=params.v_gate[m].copy(),
-                          w_down=params.w_down[:, m].copy())
+    gathered = FFParams()
+    for base, arr in params.items():
+        axis = FF_HIDDEN_AXIS[base]
+        gathered[base] = arr.copy() if axis is None else np.take(arr, perm.mapping, axis=axis)
+    return gathered
 
 
 def align_units(ref_acts: np.ndarray, other_acts: np.ndarray) -> Permutation:

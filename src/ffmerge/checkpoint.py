@@ -34,6 +34,8 @@ import numpy as np
 from .config import ModelConfig
 
 MAGIC = b"FFMCKPT1"
+OWNER_FIELDS = {"dtype", "shape", "offset", "length"}
+ALIAS_FIELDS = {"alias_of", "shape"}
 
 
 class CheckpointFormatError(ValueError):
@@ -95,6 +97,22 @@ class ParameterStore:
         self._check_alias_target(name, target)
         self._alias[name] = target
         self._order.append(name)
+
+    @classmethod
+    def from_entries(cls, names, owners: dict,
+                     aliases: dict[str, str]) -> "ParameterStore":
+        """A store listing ``names`` in order, each either an owner in
+        ``owners`` (name -> array) or an alias in ``aliases`` (name ->
+        target), with the same checks as ``add`` and ``add_alias``."""
+        store = cls()
+        for name, array in owners.items():
+            store.add(name, array)
+        for name, target in aliases.items():
+            store.add_alias(name, target)
+        if sorted(names) != sorted(store._order):
+            raise ValueError("entry order must list every owner and alias once")
+        store._order = list(names)
+        return store
 
     def _check_alias_target(self, name: str, target: str) -> None:
         if name == target:
@@ -160,17 +178,8 @@ class ParameterStore:
 
     def copy(self) -> "ParameterStore":
         """Deep copy: fresh arrays, same names, same alias structure."""
-        out = ParameterStore()
-        pending = []
-        for name in self._order:
-            if name in self._alias:
-                pending.append((name, self._alias[name]))
-            else:
-                out.add(name, self._arrays[name].copy())
-        for name, target in pending:
-            out.add_alias(name, target)
-        out._order = list(self._order)
-        return out
+        return ParameterStore.from_entries(
+            self._order, {n: a.copy() for n, a in self._arrays.items()}, self._alias)
 
     # -- parameter accounting ---------------------------------------------
 
@@ -250,8 +259,21 @@ def write_container(store: ParameterStore, meta: dict, path) -> None:
     atomic_write_bytes(path, serialize_container(store, meta))
 
 
+def _entry_shape(name: str, value) -> tuple[int, ...]:
+    if (not isinstance(value, list) or not value
+            or any(type(s) is not int or s < 0 for s in value)):
+        raise EntryMismatchError(f"entry {name!r} has invalid shape {value!r}",
+                                 offset=16)
+    return tuple(value)
+
+
 def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
-    """Decode FFMC-v1 bytes into a store and its metadata object."""
+    """Decode FFMC-v1 bytes into a store and its metadata object.
+
+    Only canonical files parse: every entry has exactly its kind's fields,
+    and owner spans tile the data region in header order, with no gap,
+    overlap or trailing bytes.
+    """
     if len(data) < 16:
         raise TruncatedFileError("file shorter than the fixed 16-byte prefix",
                                  offset=len(data))
@@ -264,7 +286,7 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
             f"header claims {header_len} bytes but file ends early", offset=16)
     try:
         header = json.loads(data[16:data_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"header is not valid JSON: {exc}",
                                     offset=16) from exc
     if not isinstance(header, dict) or "__config__" not in header:
@@ -275,45 +297,55 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
     owners: dict[str, np.ndarray] = {}
     aliases: dict[str, dict] = {}
     order: list[str] = []
+    end = data_start  # where the next owner span must start
     for name, entry in header.items():
         if name == "__config__":
             continue
         order.append(name)
         if not isinstance(entry, dict):
             raise CheckpointFormatError(f"entry {name!r} is not an object", offset=16)
+        fields = ALIAS_FIELDS if "alias_of" in entry else OWNER_FIELDS
+        if entry.keys() != fields:
+            raise CheckpointFormatError(
+                f"entry {name!r} has fields {sorted(entry)}, expected "
+                f"{sorted(fields)}", offset=16)
         if "alias_of" in entry:
             aliases[name] = entry
             continue
-        for field in ("dtype", "shape", "offset", "length"):
-            if field not in entry:
-                raise CheckpointFormatError(
-                    f"entry {name!r} missing field {field!r}", offset=16)
         if entry["dtype"] != "f32":
             raise CheckpointFormatError(
                 f"entry {name!r} has unsupported dtype {entry['dtype']!r}", offset=16)
-        shape = tuple(entry["shape"])
-        if not shape or any((not isinstance(s, int)) or s < 0 for s in shape):
-            raise EntryMismatchError(f"entry {name!r} has invalid shape {shape}",
-                                     offset=16)
-        count = math.prod(shape)
-        if entry["length"] != 4 * count:
+        shape = _entry_shape(name, entry["shape"])
+        offset, length = entry["offset"], entry["length"]
+        if type(offset) is not int or type(length) is not int:
             raise EntryMismatchError(
-                f"entry {name!r} length {entry['length']} does not match "
+                f"entry {name!r} offset and length must be integers", offset=16)
+        count = math.prod(shape)
+        if length != 4 * count:
+            raise EntryMismatchError(
+                f"entry {name!r} length {length} does not match "
                 f"shape {shape} (expected {4 * count})", offset=16)
-        start = data_start + entry["offset"]
-        end = start + entry["length"]
-        if entry["offset"] < 0 or end > len(data):
+        start = data_start + offset
+        if start != end:
+            raise EntryMismatchError(
+                f"entry {name!r} data starts at {start}, expected {end}: spans "
+                f"must tile the data region in header order", offset=start)
+        end = start + length
+        if end > len(data):
             raise TruncatedFileError(
                 f"entry {name!r} data region [{start}, {end}) exceeds file size "
                 f"{len(data)}", offset=start)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
         owners[name] = arr.reshape(shape).copy()
+    if end != len(data):
+        raise CheckpointFormatError(
+            f"{len(data) - end} trailing bytes after the last tensor", offset=end)
 
-    store = ParameterStore()
-    for name, arr in owners.items():
-        store.add(name, arr)
+    targets: dict[str, str] = {}
     for name, entry in aliases.items():
         target = entry["alias_of"]
+        if not isinstance(target, str):
+            raise AliasError(f"alias {name!r} target must be a string", offset=16)
         if target in aliases:
             raise AliasError(
                 f"alias {name!r} points at alias {target!r}; chains must have depth 1",
@@ -321,14 +353,16 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
         if target not in owners:
             raise AliasError(f"alias {name!r} points at missing entry {target!r}",
                              offset=16)
-        declared = tuple(entry.get("shape", ()))
+        declared = _entry_shape(name, entry["shape"])
         if declared != owners[target].shape:
             raise EntryMismatchError(
                 f"alias {name!r} declares shape {declared} but target has "
                 f"shape {owners[target].shape}", offset=16)
-        store.add_alias(name, target)
-    store._order = order
-    return store, meta
+        targets[name] = target
+    try:
+        return ParameterStore.from_entries(order, owners, targets), meta
+    except ValueError as exc:  # a non-finite value in the data region
+        raise CheckpointFormatError(str(exc), offset=data_start) from exc
 
 
 def read_container(path) -> tuple[ParameterStore, dict]:

@@ -134,7 +134,7 @@ def _cmd_select(args) -> int:
     report, best = select_best_window(
         model, acts, args.k, data, EvalMetric.from_name(args.metric),
         anchor_position=args.anchor, use_permutation=not args.no_permute,
-        include_final_window=args.include_final_window, jobs=args.jobs)
+        include_final_window=args.include_final_window)
     save_model(best, args.out)
     atomic_write_text(args.report, report.to_json())
     print(format_report(report, kind="merge"))
@@ -146,8 +146,7 @@ def _cmd_drop(args) -> int:
     model = load_model(args.model)
     data = _load_eval_data(model, args.eval_data)
     report, best = select_best_drop(model, args.count, data,
-                                    EvalMetric.from_name(args.metric),
-                                    jobs=args.jobs)
+                                    EvalMetric.from_name(args.metric))
     save_model(best, args.out)
     atomic_write_text(args.report, report.to_json())
     print(format_report(report, kind="drop"))
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", default="first", choices=ANCHOR_POSITIONS)
     p.add_argument("--no-permute", action="store_true")
     p.add_argument("--include-final-window", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
 
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--eval-data", required=True)
     p.add_argument("--metric", required=True, choices=METRIC_FLAGS)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
 

@@ -19,6 +19,11 @@ POOLINGS = ("cls", "mean")
 
 ATTN_PARAM_NAMES = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
 
+# The axis of each feed-forward tensor that indexes hidden units; permuting
+# the units gathers every tensor along this axis. b_out has none.
+FF_HIDDEN_AXIS = {"w_in": 0, "b_in": 0, "w_up": 0, "v_gate": 0,
+                  "w_out": 1, "w_down": 1, "b_out": None}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -117,6 +122,13 @@ def ff_param_basenames(config: ModelConfig) -> tuple[str, ...]:
     return ("w_in", "w_out")
 
 
+def ff_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every feed-forward basename at this config's widths."""
+    d, f = config.d_model, config.d_ff
+    return {"w_in": (f, d), "b_in": (f,), "w_out": (d, f), "b_out": (d,),
+            "w_up": (f, d), "v_gate": (f, d), "w_down": (d, f)}
+
+
 def ff_tensor_names(config: ModelConfig, layer: int) -> list[str]:
     return [f"layer{layer}.ff.{base}" for base in ff_param_basenames(config)]
 
@@ -142,7 +154,7 @@ def model_tensor_names(config: ModelConfig) -> list[str]:
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Map every required tensor name to its shape."""
-    d, f = config.d_model, config.d_ff
+    d = config.d_model
     shapes: dict[str, tuple[int, ...]] = {
         "embed.tok": (config.vocab_size, d),
         "embed.pos": (config.max_seq_len, d),
@@ -152,17 +164,14 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     if config.norm_placement == "pre_ln":
         shapes["final_ln.gain"] = (d,)
         shapes["final_ln.bias"] = (d,)
-    ff_shapes = {
-        "w_in": (f, d), "b_in": (f,), "w_out": (d, f), "b_out": (d,),
-        "w_up": (f, d), "v_gate": (f, d), "w_down": (d, f),
-    }
+    ff = ff_shapes(config)
     for i in range(config.n_layers):
         for p in ("wq", "wk", "wv", "wo"):
             shapes[f"layer{i}.attn.{p}"] = (d, d)
         for p in ("bq", "bk", "bv", "bo"):
             shapes[f"layer{i}.attn.{p}"] = (d,)
         for base in ff_param_basenames(config):
-            shapes[f"layer{i}.ff.{base}"] = ff_shapes[base]
+            shapes[f"layer{i}.ff.{base}"] = ff[base]
         for ln in ("ln1", "ln2"):
             shapes[f"layer{i}.{ln}.gain"] = (d,)
             shapes[f"layer{i}.{ln}.bias"] = (d,)

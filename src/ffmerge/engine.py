@@ -14,12 +14,13 @@ GELU is pinned to the tanh approximation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import ParameterStore, read_container, write_container
-from .config import ModelConfig, expected_shapes, ff_tensor_names, model_tensor_names
+from .config import (FF_HIDDEN_AXIS, ModelConfig, expected_shapes,
+                     ff_param_basenames, model_tensor_names)
 from .datasets import Dataset
 
 TAPS = ("ff_pre_act", "ff_out", "attn_out")
@@ -29,34 +30,25 @@ METRIC_ALIASES = {"xent": "cross_entropy", "ppl": "perplexity", "acc": "accuracy
 LN_EPS = 1e-5
 
 
-# -- feed-forward parameter bundles -----------------------------------------
+# -- feed-forward parameter tables -------------------------------------------
 
 
-@dataclass
-class FFParams:
-    """One relu/gelu feed-forward sublayer: y = W_out phi(W_in x + b_in) + b_out."""
+class FFParams(dict):
+    """One feed-forward sublayer as {basename: array}, holding exactly the
+    tensors the layer has (``config.ff_param_basenames``).
 
-    w_in: np.ndarray
-    b_in: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    @property
-    def d_ff(self) -> int:
-        return self.w_in.shape[0]
-
-
-@dataclass
-class SwigluFFParams:
-    """One SwiGLU sublayer: y = W_down (Swish1(W_up x) * V_gate x)."""
-
-    w_up: np.ndarray
-    v_gate: np.ndarray
-    w_down: np.ndarray
+    relu/gelu: y = W_out phi(W_in x + b_in) + b_out, each bias optional.
+    swiglu: y = W_down (Swish1(W_up x) * V_gate x).
+    """
 
     @property
     def d_ff(self) -> int:
-        return self.w_up.shape[0]
+        base = next(b for b in self if FF_HIDDEN_AXIS[b] is not None)
+        return self[base].shape[FF_HIDDEN_AXIS[base]]
+
+
+# the name swiglu callers construct; the table is the same for every kind
+SwigluFFParams = FFParams
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -75,19 +67,23 @@ def swish1(z: np.ndarray) -> np.ndarray:
 _ACTIVATIONS = {"relu": relu, "gelu": gelu}
 
 
-def _ff_apply(params: FFParams, x64: np.ndarray, activation: str):
-    phi = _ACTIVATIONS[activation]
-    pre = x64 @ params.w_in.T.astype(np.float64) + params.b_in.astype(np.float64)
-    y = phi(pre) @ params.w_out.T.astype(np.float64) + params.b_out.astype(np.float64)
-    return pre, y
+def _ff_apply(params: FFParams, x64: np.ndarray, kind: str):
+    """One feed-forward in float64; returns (hidden tap, output).
 
-
-def _swiglu_apply(params: SwigluFFParams, x64: np.ndarray):
-    up = x64 @ params.w_up.T.astype(np.float64)
-    gate = x64 @ params.v_gate.T.astype(np.float64)
-    gated = swish1(up) * gate
-    y = gated @ params.w_down.T.astype(np.float64)
-    return gated, y
+    The hidden tap is the pre-activation for relu/gelu and the gated
+    product for swiglu. A bias is added only when the layer has one.
+    """
+    w = lambda base: params[base].T.astype(np.float64)
+    if kind == "swiglu":
+        hidden = swish1(x64 @ w("w_up")) * (x64 @ w("v_gate"))
+        return hidden, hidden @ w("w_down")
+    hidden = x64 @ w("w_in")
+    if "b_in" in params:
+        hidden = hidden + w("b_in")
+    y = _ACTIVATIONS[kind](hidden) @ w("w_out")
+    if "b_out" in params:
+        y = y + w("b_out")
+    return hidden, y
 
 
 def _check_ff_input(x, d_model: int) -> np.ndarray:
@@ -104,19 +100,19 @@ def ff_forward(params: FFParams, x, activation: str = "gelu"):
     """
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be one of {tuple(_ACTIVATIONS)}")
-    x64 = _check_ff_input(x, params.w_in.shape[1])
+    x64 = _check_ff_input(x, params["w_in"].shape[1])
     pre, y = _ff_apply(params, x64, activation)
     return pre.astype(np.float32), y.astype(np.float32)
 
 
-def swiglu_forward(params: SwigluFFParams, x):
+def swiglu_forward(params: FFParams, x):
     """Run one SwiGLU sublayer; returns (gated product, output).
 
     The gated product (after the component-wise multiply) is the tap point
     used for alignment.
     """
-    x64 = _check_ff_input(x, params.w_up.shape[1])
-    gated, y = _swiglu_apply(params, x64)
+    x64 = _check_ff_input(x, params["w_up"].shape[1])
+    gated, y = _ff_apply(params, x64, "swiglu")
     return gated.astype(np.float32), y.astype(np.float32)
 
 
@@ -158,39 +154,23 @@ class TransformerModel:
         return self.store.get(name).astype(np.float64)
 
 
-def ff_params(model: TransformerModel, layer: int):
-    """The feed-forward parameter bundle of one layer (arrays shared, not copied)."""
-    cfg = model.config
-    pick = lambda base: model.store.get(f"layer{layer}.ff.{base}")
-    if cfg.ff_kind == "swiglu":
-        return SwigluFFParams(w_up=pick("w_up"), v_gate=pick("v_gate"),
-                              w_down=pick("w_down"))
-    if cfg.has_ff_biases:
-        return FFParams(w_in=pick("w_in"), b_in=pick("b_in"),
-                        w_out=pick("w_out"), b_out=pick("b_out"))
-    zeros = lambda n: np.zeros(n, dtype=np.float32)
-    return FFParams(w_in=pick("w_in"), b_in=zeros(cfg.d_ff),
-                    w_out=pick("w_out"), b_out=zeros(cfg.d_model))
+def ff_params(model: TransformerModel, layer: int) -> FFParams:
+    """The feed-forward table of one layer (arrays shared, not copied)."""
+    return FFParams({base: model.store.get(f"layer{layer}.ff.{base}")
+                     for base in ff_param_basenames(model.config)})
 
 
-def set_ff_params(model: TransformerModel, layer: int, params) -> None:
-    """Install a feed-forward bundle under the layer's canonical names.
+def set_ff_params(model: TransformerModel, layer: int, params: FFParams) -> None:
+    """Install a feed-forward table under the layer's canonical names.
 
     If the layer's tensors are tied, the whole tied group observes the
     new values.
     """
-    cfg = model.config
-    names = ff_tensor_names(cfg, layer)
-    if cfg.ff_kind == "swiglu":
-        arrays = [params.w_up, params.v_gate, params.w_down]
-    elif cfg.has_ff_biases:
-        arrays = [params.w_in, params.b_in, params.w_out, params.b_out]
-    else:
-        arrays = [params.w_in, params.w_out]
-    for name, arr in zip(names, arrays):
+    for base in ff_param_basenames(model.config):
+        name = f"layer{layer}.ff.{base}"
         target = model.store.alias_target(name)
         model.store.set_owner(target if target is not None else name,
-                              np.asarray(arr, dtype=np.float32))
+                              np.asarray(params[base], dtype=np.float32))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -256,10 +236,7 @@ def _run(model: TransformerModel, tokens, tap: str | None = None):
             collected[i] = a
         params = ff_params(model, i)
         ff_in = _layer_norm(x, *ln2) if cfg.norm_placement == "pre_ln" else x
-        if cfg.ff_kind == "swiglu":
-            hidden, y = _swiglu_apply(params, ff_in)
-        else:
-            hidden, y = _ff_apply(params, ff_in, cfg.ff_kind)
+        hidden, y = _ff_apply(params, ff_in, cfg.ff_kind)
         if tap == "ff_pre_act":
             collected[i] = hidden
         elif tap == "ff_out":
@@ -273,10 +250,6 @@ def _run(model: TransformerModel, tokens, tap: str | None = None):
     else:
         logits = x @ p("head.w").T + p("head.b")
     return logits, collected
-
-
-def forward(model: TransformerModel, tokens) -> np.ndarray:
-    return model.forward(tokens)
 
 
 # -- activation capture -------------------------------------------------------
@@ -398,8 +371,8 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric) -> f
 
     LM mode scores next-token prediction over every position; classifier
     mode scores one pooled prediction per sequence against its label.
-    Cross-entropy is the mean in nats, perplexity its exp, accuracy the
-    top-1 hit rate.
+    Cross-entropy is the mean in nats, perplexity its exp (``math.inf``
+    once that overflows a float), accuracy the top-1 hit rate.
     """
     if not dataset.sequences:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -432,7 +405,12 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric) -> f
     if metric.kind == "accuracy":
         return correct / count
     ce = ce_sum / count
-    return math.exp(ce) if metric.kind == "perplexity" else ce
+    if metric.kind == "cross_entropy":
+        return ce
+    try:
+        return math.exp(ce)
+    except OverflowError:
+        return math.inf
 
 
 # -- model checkpoints --------------------------------------------------------

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import Permutation, apply_permutation, apply_permutation_swiglu
+from .alignment import Permutation, apply_permutation
 from .checkpoint import ParameterStore
-from .config import ATTN_PARAM_NAMES, ModelConfig, model_tensor_names
+from .config import (ATTN_PARAM_NAMES, ModelConfig, ff_param_basenames, ff_shapes,
+                     model_tensor_names)
 from .datasets import Dataset
-from .engine import FFParams, SwigluFFParams, TransformerModel, set_ff_params
+from .engine import FFParams, TransformerModel, set_ff_params
 
 FIXTURE_KINDS = ("duplicate", "permuted-copy", "random")
 
@@ -71,21 +72,35 @@ def _base_tensors(cfg: ModelConfig, rng: np.random.Generator,
     return t
 
 
-def _random_ff(cfg: ModelConfig, rng: np.random.Generator):
-    d, f = cfg.d_model, cfg.d_ff
+def _drawn_basenames(cfg: ModelConfig) -> tuple[str, ...]:
+    """The feed-forward tensors a fixture draws, in draw order.
+
+    relu/gelu fixtures draw both biases even for a layer without them, so
+    the random stream does not depend on ``has_ff_biases``; installing
+    keeps only the layer's own tensors.
+    """
     if cfg.ff_kind == "swiglu":
-        return SwigluFFParams(
-            w_up=rng.normal(0.0, 1.0 / np.sqrt(d), (f, d)).astype(np.float32),
-            v_gate=rng.normal(0.0, 1.0 / np.sqrt(d), (f, d)).astype(np.float32),
-            w_down=rng.normal(0.0, 1.0 / np.sqrt(f), (d, f)).astype(np.float32))
-    return FFParams(
-        w_in=rng.normal(0.0, 1.0 / np.sqrt(d), (f, d)).astype(np.float32),
-        b_in=rng.normal(0.0, 0.1, f).astype(np.float32),
-        w_out=rng.normal(0.0, 1.0 / np.sqrt(f), (d, f)).astype(np.float32),
-        b_out=rng.normal(0.0, 0.01, d).astype(np.float32))
+        return ff_param_basenames(cfg)
+    return ("w_in", "b_in", "w_out", "b_out")
 
 
-def _uniform_output_ff(cfg: ModelConfig, rng: np.random.Generator):
+def _random_ff(cfg: ModelConfig, rng: np.random.Generator,
+               fixed: dict[str, np.ndarray] | None = None) -> FFParams:
+    """Gaussian feed-forward tensors, except those given in ``fixed``."""
+    fixed = fixed or {}
+    d, f = cfg.d_model, cfg.d_ff
+    scales = {"w_in": 1.0 / np.sqrt(d), "w_up": 1.0 / np.sqrt(d),
+              "v_gate": 1.0 / np.sqrt(d), "b_in": 0.1,
+              "w_out": 1.0 / np.sqrt(f), "w_down": 1.0 / np.sqrt(f), "b_out": 0.01}
+    shapes = ff_shapes(cfg)
+    params = FFParams()
+    for base in _drawn_basenames(cfg):
+        arr = fixed[base] if base in fixed else rng.normal(0.0, scales[base], shapes[base])
+        params[base] = arr.astype(np.float32)
+    return params
+
+
+def _uniform_output_ff(cfg: ModelConfig, rng: np.random.Generator) -> FFParams:
     """A feed-forward whose output matrix has equal rows (rank 1).
 
     Its output is the same value in every model dimension, which LayerNorm
@@ -94,32 +109,16 @@ def _uniform_output_ff(cfg: ModelConfig, rng: np.random.Generator):
     """
     d, f = cfg.d_model, cfg.d_ff
     v = rng.normal(0.0, 1.0 / np.sqrt(f), f)
-    w_out = np.outer(np.ones(d), v).astype(np.float32)
-    if cfg.ff_kind == "swiglu":
-        return SwigluFFParams(
-            w_up=rng.normal(0.0, 1.0 / np.sqrt(d), (f, d)).astype(np.float32),
-            v_gate=rng.normal(0.0, 1.0 / np.sqrt(d), (f, d)).astype(np.float32),
-            w_down=w_out)
-    return FFParams(
-        w_in=rng.normal(0.0, 1.0 / np.sqrt(d), (f, d)).astype(np.float32),
-        b_in=rng.normal(0.0, 0.1, f).astype(np.float32),
-        w_out=w_out, b_out=np.zeros(d, dtype=np.float32))
+    w_out = np.outer(np.ones(d), v)
+    return _random_ff(cfg, rng, {"w_out": w_out, "w_down": w_out,
+                                 "b_out": np.zeros(d)})
 
 
 def _install_ff(tensors: dict[str, np.ndarray], cfg: ModelConfig, layer: int,
-                params) -> None:
+                params: FFParams) -> None:
     # copies keep reused parameter sets independent across layers
-    prefix = f"layer{layer}.ff."
-    if cfg.ff_kind == "swiglu":
-        tensors[prefix + "w_up"] = params.w_up.copy()
-        tensors[prefix + "v_gate"] = params.v_gate.copy()
-        tensors[prefix + "w_down"] = params.w_down.copy()
-        return
-    tensors[prefix + "w_in"] = params.w_in.copy()
-    tensors[prefix + "w_out"] = params.w_out.copy()
-    if cfg.has_ff_biases:
-        tensors[prefix + "b_in"] = params.b_in.copy()
-        tensors[prefix + "b_out"] = params.b_out.copy()
+    for base in ff_param_basenames(cfg):
+        tensors[f"layer{layer}.ff.{base}"] = params[base].copy()
 
 
 def _zero_attention(tensors: dict[str, np.ndarray], cfg: ModelConfig,
@@ -201,8 +200,6 @@ def permuted_copy_model(cfg: ModelConfig, seed: int,
     tensors = _base_tensors(cfg, rng, ln_noise=0.0)
     _identity_norms(tensors, cfg)
     base = _uniform_output_ff(cfg, rng)
-    apply = (apply_permutation_swiglu if cfg.ff_kind == "swiglu"
-             else apply_permutation)
     planted: dict[int, Permutation] = {}
     for i in range(cfg.n_layers):
         _zero_attention(tensors, cfg, i)
@@ -212,7 +209,7 @@ def permuted_copy_model(cfg: ModelConfig, seed: int,
             else:
                 perm = Permutation(rng.permutation(cfg.d_ff).astype(np.int64))
             planted[i] = perm
-            _install_ff(tensors, cfg, i, apply(base, perm))
+            _install_ff(tensors, cfg, i, apply_permutation(base, perm))
         else:
             _install_ff(tensors, cfg, i, _random_ff(cfg, rng))
     return PermutedCopyFixture(model=_build(cfg, tensors),
@@ -233,16 +230,9 @@ def zeroed_layer_model(cfg: ModelConfig, zero_layer: int,
         raise ValueError(f"zero_layer {zero_layer} out of range")
     model = random_model(cfg, seed)
     _zero_attention_store(model, zero_layer)
-    d, f = cfg.d_model, cfg.d_ff
-    if cfg.ff_kind == "swiglu":
-        zeroed = SwigluFFParams(w_up=np.zeros((f, d), dtype=np.float32),
-                                v_gate=np.zeros((f, d), dtype=np.float32),
-                                w_down=np.zeros((d, f), dtype=np.float32))
-    else:
-        zeroed = FFParams(w_in=np.zeros((f, d), dtype=np.float32),
-                          b_in=np.zeros(f, dtype=np.float32),
-                          w_out=np.zeros((d, f), dtype=np.float32),
-                          b_out=np.zeros(d, dtype=np.float32))
+    shapes = ff_shapes(cfg)
+    zeroed = FFParams({base: np.zeros(shapes[base], dtype=np.float32)
+                       for base in ff_param_basenames(cfg)})
     set_ff_params(model, zero_layer, zeroed)
     return model
 
@@ -270,16 +260,11 @@ def noisy_permuted_pair(cfg: ModelConfig, seed: int, noise_scale: float = 0.01):
         noise = rng.normal(0.0, noise_scale * scale, arr.shape)
         return (arr.astype(np.float64) + noise).astype(np.float32)
 
-    if cfg.ff_kind == "swiglu":
-        moved = apply_permutation_swiglu(base, perm)
-        noisy = SwigluFFParams(w_up=jitter(moved.w_up),
-                               v_gate=jitter(moved.v_gate),
-                               w_down=jitter(moved.w_down))
-    else:
-        moved = apply_permutation(base, perm)
-        noisy = FFParams(w_in=jitter(moved.w_in), b_in=jitter(moved.b_in),
-                         w_out=jitter(moved.w_out), b_out=jitter(moved.b_out))
-    return base, noisy, perm
+    # jitter every drawn tensor so the noise does not depend on has_ff_biases
+    noisy = {b: jitter(arr) for b, arr in apply_permutation(base, perm).items()}
+    kept = ff_param_basenames(cfg)
+    return (FFParams({b: base[b] for b in kept}),
+            FFParams({b: noisy[b] for b in kept}), perm)
 
 
 def token_sequences(cfg: ModelConfig, n_sequences: int, seq_len: int,

@@ -1,9 +1,8 @@
-"""Dense float32 matrix helpers shared by every other module.
+"""Column statistics of dense float32 matrices, used by alignment.
 
-Storage is always float32, row-major. Reductions (matrix products, sums
-of squares, column statistics) accumulate in float64 before rounding the
-result back, which keeps correlation and CKA numbers stable across
-permutations of the summation order.
+Storage is always float32, row-major. Statistics accumulate in float64,
+which keeps correlation numbers stable across permutations of the
+summation order.
 """
 
 from __future__ import annotations
@@ -23,16 +22,6 @@ def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(values, *, name: str = "vector") -> np.ndarray:
-    """Coerce ``values`` to a finite float32 1-D array."""
-    v = np.ascontiguousarray(values, dtype=np.float32)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains NaN or Inf")
-    return v
-
-
 @dataclass(frozen=True)
 class ColumnStats:
     """Per-column mean and population standard deviation of a matrix.
@@ -45,18 +34,6 @@ class ColumnStats:
     stds: np.ndarray
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, returned as float32."""
-    a = as_matrix(a, name="a")
-    b = as_matrix(b, name="b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    out = a.astype(np.float64) @ b.astype(np.float64)
-    return out.astype(np.float32)
-
-
 def column_stats(x: np.ndarray) -> ColumnStats:
     """Column means and population standard deviations (divide by n)."""
     x = as_matrix(x, name="x")
@@ -67,9 +44,3 @@ def column_stats(x: np.ndarray) -> ColumnStats:
     # E[x^2] - mean^2 can go slightly negative from rounding; clamp.
     variances = np.maximum(x64.var(axis=0), 0.0)
     return ColumnStats(means=means, stds=np.sqrt(variances))
-
-
-def frobenius_norm(x: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    x = as_matrix(x, name="x")
-    return float(np.sqrt(np.sum(x.astype(np.float64) ** 2)))

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (Permutation, apply_permutation, apply_permutation_swiglu,
-                        cross_correlation, matched_score, solve_assignment)
-from .config import ff_tensor_names
-from .engine import (ActivationSet, FFParams, SwigluFFParams, TransformerModel,
-                     ff_params)
+from .alignment import (Permutation, apply_permutation, cross_correlation,
+                        matched_score, solve_assignment)
+from .config import ff_param_basenames, ff_tensor_names
+from .engine import ActivationSet, FFParams, TransformerModel, ff_params
 
 ANCHOR_POSITIONS = ("first", "middle", "last")
 
@@ -66,31 +65,16 @@ def _mean32(arrays: list[np.ndarray]) -> np.ndarray:
 
 def merge_ff(anchor: FFParams, others: list[FFParams],
              perms: list[Permutation]) -> FFParams:
-    """Average a relu/gelu anchor with permutation-aligned other members.
+    """Average an anchor with permutation-aligned other members.
 
-    Each non-anchor member is reordered by its permutation before the
-    uniform average; output biases are averaged as-is since hidden
-    reordering never moves them.
+    Each non-anchor member is reordered by its permutation, then every
+    tensor is averaged uniformly; b_out has no hidden axis and is averaged
+    as-is.
     """
     if len(others) != len(perms):
         raise ValueError("need exactly one permutation per non-anchor member")
     aligned = [anchor] + [apply_permutation(o, p) for o, p in zip(others, perms)]
-    return FFParams(w_in=_mean32([a.w_in for a in aligned]),
-                    b_in=_mean32([a.b_in for a in aligned]),
-                    w_out=_mean32([a.w_out for a in aligned]),
-                    b_out=_mean32([a.b_out for a in aligned]))
-
-
-def merge_swiglu(anchor: SwigluFFParams, others: list[SwigluFFParams],
-                 perms: list[Permutation]) -> SwigluFFParams:
-    """Average a SwiGLU anchor with permutation-aligned other members."""
-    if len(others) != len(perms):
-        raise ValueError("need exactly one permutation per non-anchor member")
-    aligned = [anchor] + [apply_permutation_swiglu(o, p)
-                          for o, p in zip(others, perms)]
-    return SwigluFFParams(w_up=_mean32([a.w_up for a in aligned]),
-                          v_gate=_mean32([a.v_gate for a in aligned]),
-                          w_down=_mean32([a.w_down for a in aligned]))
+    return FFParams({base: _mean32([a[base] for a in aligned]) for base in anchor})
 
 
 @dataclass(frozen=True)
@@ -162,21 +146,12 @@ def merge_window(model: TransformerModel, acts: ActivationSet,
         perms.append(perm)
         members.append(MemberAlignment(layer=i, permutation=perm,
                                        mean_matched_correlation=mean_corr))
-    if cfg.ff_kind == "swiglu":
-        merged = merge_swiglu(ff_params(model, anchor_layer),
-                              [ff_params(model, i) for i in other_layers], perms)
-        arrays = [merged.w_up, merged.v_gate, merged.w_down]
-    else:
-        merged = merge_ff(ff_params(model, anchor_layer),
-                          [ff_params(model, i) for i in other_layers], perms)
-        if cfg.has_ff_biases:
-            arrays = [merged.w_in, merged.b_in, merged.w_out, merged.b_out]
-        else:
-            arrays = [merged.w_in, merged.w_out]
+    merged = merge_ff(ff_params(model, anchor_layer),
+                      [ff_params(model, i) for i in other_layers], perms)
     out = model.copy()
     anchor_names = ff_tensor_names(cfg, anchor_layer)
-    for name, arr in zip(anchor_names, arrays):
-        out.store.set_owner(name, arr)
+    for name, base in zip(anchor_names, ff_param_basenames(cfg)):
+        out.store.set_owner(name, merged[base])
     rebind = [(name, target) for i in other_layers
               for name, target in zip(ff_tensor_names(cfg, i), anchor_names)]
     # re-point existing aliases first so owners lose their dependents

@@ -11,7 +11,6 @@ would slot in immediately after the best candidate is returned.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,16 +108,9 @@ def _pick_best(candidates: list[WindowCandidate],
 
 
 def _score_candidates(transform, starts: list[int], eval_data,
-                      metric: EvalMetric, jobs: int) -> list[WindowCandidate]:
-    def one(start: int) -> WindowCandidate:
-        candidate = transform(start)
-        return WindowCandidate(start=start,
-                               score=evaluate(candidate, eval_data, metric))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, starts))
-    return [one(s) for s in starts]
+                      metric: EvalMetric) -> list[WindowCandidate]:
+    return [WindowCandidate(start=s, score=evaluate(transform(s), eval_data, metric))
+            for s in starts]
 
 
 def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
@@ -126,12 +118,12 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
                        anchor_position: str = "first",
                        use_permutation: bool = True,
                        include_final_window: bool = False,
-                       jobs: int = 1) -> tuple[SelectionReport, TransformerModel]:
+                       ) -> tuple[SelectionReport, TransformerModel]:
     """Merge every candidate window, score each, and return the winner.
 
     ``acts`` is a single ff_pre_act capture of the unmerged model; no
     activations are recaptured per candidate. Each candidate works on a
-    private copy, so candidates may be scored in parallel via ``jobs``.
+    private copy.
     """
     starts = enumerate_windows(model.config.n_layers, k, include_final_window)
     if not starts:
@@ -148,7 +140,7 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
         merged[start] = out
         return out
 
-    candidates = _score_candidates(transform, starts, eval_data, metric, jobs)
+    candidates = _score_candidates(transform, starts, eval_data, metric)
     best = _pick_best(candidates, metric)
     report = SelectionReport(k=k, anchor_position=anchor_position,
                              use_permutation=use_permutation,
@@ -209,25 +201,22 @@ def drop_layers(model: TransformerModel, start: int, count: int) -> TransformerM
                                    if rename(n) is not None]):
         owner = resolve(old_name)
         group_owner.setdefault(owner, new_name)
-    store = ParameterStore()
-    aliases = []
+    owners: dict[str, np.ndarray] = {}
+    aliases: dict[str, str] = {}
     for new_name, old_name in zip(new_names,
                                   [n for n in model_tensor_names(cfg)
                                    if rename(n) is not None]):
         rep = group_owner[resolve(old_name)]
         if rep == new_name:
-            store.add(new_name, model.store.get(old_name).copy())
+            owners[new_name] = model.store.get(old_name).copy()
         else:
-            aliases.append((new_name, rep))
-    for new_name, rep in aliases:
-        store.add_alias(new_name, rep)
-    store._order = list(new_names)
+            aliases[new_name] = rep
+    store = ParameterStore.from_entries(new_names, owners, aliases)
     return TransformerModel(new_cfg, store)
 
 
 def select_best_drop(model: TransformerModel, count: int, eval_data,
-                     metric: EvalMetric, *,
-                     jobs: int = 1) -> tuple[SelectionReport, TransformerModel]:
+                     metric: EvalMetric) -> tuple[SelectionReport, TransformerModel]:
     """Score every contiguous ``count``-layer drop and return the winner."""
     starts = enumerate_drop_starts(model.config.n_layers, count)
     pruned: dict[int, TransformerModel] = {}
@@ -237,7 +226,7 @@ def select_best_drop(model: TransformerModel, count: int, eval_data,
         pruned[start] = out
         return out
 
-    candidates = _score_candidates(transform, starts, eval_data, metric, jobs)
+    candidates = _score_candidates(transform, starts, eval_data, metric)
     best = _pick_best(candidates, metric)
     report = SelectionReport(k=count, anchor_position=None, use_permutation=False,
                              candidates=tuple(candidates), best=best)
@@ -268,7 +257,6 @@ def compare_merge_and_drop(model: TransformerModel, acts: ActivationSet, k: int,
                            anchor_position: str = "first",
                            use_permutation: bool = True,
                            include_final_window: bool = False,
-                           jobs: int = 1,
                            drop_count: int | None = None,
                            ) -> tuple[SelectionReport, TransformerModel]:
     """Window-merge selection with the layer-drop sweep attached as baseline.
@@ -280,11 +268,10 @@ def compare_merge_and_drop(model: TransformerModel, acts: ActivationSet, k: int,
     report, best_model = select_best_window(
         model, acts, k, eval_data, metric, anchor_position=anchor_position,
         use_permutation=use_permutation,
-        include_final_window=include_final_window, jobs=jobs)
+        include_final_window=include_final_window)
     if drop_count is None:
         drop_count = matched_drop_count(model.config, k)
-    drop_report, _ = select_best_drop(model, drop_count, eval_data, metric,
-                                      jobs=jobs)
+    drop_report, _ = select_best_drop(model, drop_count, eval_data, metric)
     merged_report = SelectionReport(
         k=report.k, anchor_position=report.anchor_position,
         use_permutation=report.use_permutation, candidates=report.candidates,

@@ -8,19 +8,18 @@ each criterion.
 import itertools
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ffmerge.alignment import (Permutation, align_units, apply_permutation,
-                               apply_permutation_swiglu, cross_correlation,
-                               solve_assignment)
+                               cross_correlation, solve_assignment)
 from ffmerge.analysis import cka_matrix, linear_cka
 from ffmerge.checkpoint import (ParameterStore, parse_container,
                                 serialize_container, tie_report)
-from ffmerge.engine import (EvalMetric, FFParams, SwigluFFParams,
-                            capture_activations, evaluate, ff_forward,
-                            swiglu_forward)
+from ffmerge.engine import (EvalMetric, FFParams, capture_activations,
+                            evaluate, ff_forward, swiglu_forward)
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, noisy_permuted_pair,
                               permuted_copy_model, token_sequences,
@@ -35,36 +34,40 @@ def report(number: int, label: str, ok: bool) -> None:
     print(f"criterion {number:2d} {label:<42s} {verdict}")
 
 
-def random_ff_params(rng, d_model, d_ff, kind):
+def random_ff_params(rng, d_model, d_ff, kind, biases):
     if kind == "swiglu":
-        return SwigluFFParams(
+        return FFParams(
             w_up=rng.normal(size=(d_ff, d_model)).astype(np.float32),
             v_gate=rng.normal(size=(d_ff, d_model)).astype(np.float32),
             w_down=rng.normal(size=(d_model, d_ff)).astype(np.float32))
-    return FFParams(
+    params = FFParams(
         w_in=rng.normal(size=(d_ff, d_model)).astype(np.float32),
         b_in=rng.normal(size=d_ff).astype(np.float32),
         w_out=rng.normal(size=(d_model, d_ff)).astype(np.float32),
         b_out=rng.normal(size=d_model).astype(np.float32))
+    if not biases:
+        del params["b_in"], params["b_out"]
+    return params
 
 
 class TestAcceptance:
     def test_criterion_01_permutation_symmetry(self):
         started = time.perf_counter()
         rng = np.random.default_rng(201)
-        kinds = itertools.cycle(("relu", "gelu", "swiglu"))
+        kinds = itertools.cycle((("relu", True), ("gelu", True),
+                                 ("swiglu", False), ("relu", False),
+                                 ("gelu", False)))
         worst = 0.0
         for _ in range(100):
-            kind = next(kinds)
-            params = random_ff_params(rng, 16, 64, kind)
+            kind, biases = next(kinds)
+            params = random_ff_params(rng, 16, 64, kind, biases)
             perm = Permutation(rng.permutation(64).astype(np.int64))
             x = rng.normal(size=(8, 16)).astype(np.float32)
+            moved = apply_permutation(params, perm)
             if kind == "swiglu":
-                moved = apply_permutation_swiglu(params, perm)
                 _, y0 = swiglu_forward(params, x)
                 _, y1 = swiglu_forward(moved, x)
             else:
-                moved = apply_permutation(params, perm)
                 _, y0 = ff_forward(params, x, kind)
                 _, y1 = ff_forward(moved, x, kind)
             worst = max(worst, float(np.abs(y1 - y0).max()))
@@ -112,27 +115,34 @@ class TestAcceptance:
 
     def test_criterion_04_lossless_merge_end_to_end(self):
         started = time.perf_counter()
-        cfg = default_config(n_layers=6, d_model=16, d_ff=64, ff_kind="relu")
-        fixture = permuted_copy_model(cfg, seed=7)
-        capture_data = token_sequences(cfg, 24, 16, seed=3)
-        acts = capture_activations(fixture.model, capture_data, "ff_pre_act",
-                                   max_samples=200)
-        eval_data = greedy_sequences(fixture.model, 8, 24, seed=11)
-        metric = EvalMetric("cross_entropy")
-        selection, merged = select_best_window(fixture.model, acts, 3,
-                                               eval_data, metric)
-        base_score = evaluate(fixture.model, eval_data, metric)
-        score_delta = abs(selection.best.score - base_score)
-        ff_size = 64 * 16 + 64 + 16 * 64 + 16
-        saved = (fixture.model.store.unique_parameter_count()
-                 - merged.store.unique_parameter_count())
+        results = []
+        for biases in (True, False):
+            cfg = replace(default_config(n_layers=6, d_model=16, d_ff=64,
+                                         ff_kind="relu"), has_ff_biases=biases)
+            fixture = permuted_copy_model(cfg, seed=7)
+            capture_data = token_sequences(cfg, 24, 16, seed=3)
+            acts = capture_activations(fixture.model, capture_data,
+                                       "ff_pre_act", max_samples=200)
+            eval_data = greedy_sequences(fixture.model, 8, 24, seed=11)
+            metric = EvalMetric("cross_entropy")
+            selection, merged = select_best_window(fixture.model, acts, 3,
+                                                   eval_data, metric)
+            base_score = evaluate(fixture.model, eval_data, metric)
+            ff_size = 64 * 16 + 16 * 64 + (64 + 16 if biases else 0)
+            saved = (fixture.model.store.unique_parameter_count()
+                     - merged.store.unique_parameter_count())
+            results.append((selection.best.start,
+                            abs(selection.best.score - base_score),
+                            saved, 2 * ff_size))
         elapsed = time.perf_counter() - started
-        ok = (selection.best.start == 2 and score_delta <= 1e-4
-              and saved == 2 * ff_size and elapsed < 60.0)
+        ok = (all(start == 2 and delta <= 1e-4 and saved == expected
+                  for start, delta, saved, expected in results)
+              and elapsed < 60.0)
         report(4, "lossless merge found by selection", ok)
-        assert selection.best.start == 2
-        assert score_delta <= 1e-4
-        assert saved == 2 * ff_size
+        for start, delta, saved, expected in results:
+            assert start == 2
+            assert delta <= 1e-4
+            assert saved == expected
         assert elapsed < 60.0
 
     def test_criterion_05_permuted_merge_beats_vanilla(self):

@@ -10,9 +10,9 @@ import pytest
 
 from ffmerge.alignment import (CorrelationMatrix, Permutation,
                                align_units, apply_permutation,
-                               apply_permutation_swiglu, cross_correlation,
+                               cross_correlation,
                                matched_score, solve_assignment)
-from ffmerge.engine import FFParams, SwigluFFParams, ff_forward, swiglu_forward
+from ffmerge.engine import FFParams, ff_forward, swiglu_forward
 
 # -- oracles ------------------------------------------------------------------
 
@@ -204,10 +204,10 @@ class TestApplyPermutation:
         rng = np.random.default_rng(78)
         params = random_ff(rng)
         out = apply_permutation(params, Permutation.identity(8))
-        np.testing.assert_array_equal(out.w_in, params.w_in)
-        np.testing.assert_array_equal(out.b_in, params.b_in)
-        np.testing.assert_array_equal(out.w_out, params.w_out)
-        np.testing.assert_array_equal(out.b_out, params.b_out)
+        np.testing.assert_array_equal(out["w_in"], params["w_in"])
+        np.testing.assert_array_equal(out["b_in"], params["b_in"])
+        np.testing.assert_array_equal(out["w_out"], params["w_out"])
+        np.testing.assert_array_equal(out["b_out"], params["b_out"])
 
     def test_row_gather_small(self):
         params = FFParams(
@@ -217,10 +217,10 @@ class TestApplyPermutation:
             b_out=np.array([0.5], dtype=np.float32))
         perm = Permutation(np.array([2, 0, 1]))
         out = apply_permutation(params, perm)
-        np.testing.assert_array_equal(out.w_in[:, 0], [3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(out.b_in, [30.0, 10.0, 20.0])
-        np.testing.assert_array_equal(out.w_out[0], [3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(out.b_out, [0.5])
+        np.testing.assert_array_equal(out["w_in"][:, 0], [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(out["b_in"], [30.0, 10.0, 20.0])
+        np.testing.assert_array_equal(out["w_out"][0], [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(out["b_out"], [0.5])
 
     def test_function_preserved(self):
         rng = np.random.default_rng(79)
@@ -239,10 +239,10 @@ class TestApplyPermutation:
         perm = Permutation(rng.permutation(8).astype(np.int64))
         back = apply_permutation(apply_permutation(params, perm),
                                  perm.inverse())
-        np.testing.assert_array_equal(back.w_in, params.w_in)
-        np.testing.assert_array_equal(back.b_in, params.b_in)
-        np.testing.assert_array_equal(back.w_out, params.w_out)
-        np.testing.assert_array_equal(back.b_out, params.b_out)
+        np.testing.assert_array_equal(back["w_in"], params["w_in"])
+        np.testing.assert_array_equal(back["b_in"], params["b_in"])
+        np.testing.assert_array_equal(back["w_out"], params["w_out"])
+        np.testing.assert_array_equal(back["b_out"], params["b_out"])
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(81)
@@ -251,12 +251,12 @@ class TestApplyPermutation:
 
     def test_swiglu_function_preserved(self):
         rng = np.random.default_rng(82)
-        params = SwigluFFParams(
+        params = FFParams(
             w_up=rng.normal(size=(10, 6)).astype(np.float32),
             v_gate=rng.normal(size=(10, 6)).astype(np.float32),
             w_down=rng.normal(size=(6, 10)).astype(np.float32))
         perm = Permutation(rng.permutation(10).astype(np.int64))
-        moved = apply_permutation_swiglu(params, perm)
+        moved = apply_permutation(params, perm)
         for _ in range(50):
             x = rng.normal(size=6).astype(np.float32)
             _, y0 = swiglu_forward(params, x)
@@ -265,17 +265,17 @@ class TestApplyPermutation:
 
     def test_swiglu_rows_move_jointly(self):
         rng = np.random.default_rng(83)
-        params = SwigluFFParams(
+        params = FFParams(
             w_up=rng.normal(size=(4, 3)).astype(np.float32),
             v_gate=rng.normal(size=(4, 3)).astype(np.float32),
             w_down=rng.normal(size=(3, 4)).astype(np.float32))
         perm = Permutation(np.array([3, 1, 0, 2]))
-        moved = apply_permutation_swiglu(params, perm)
-        np.testing.assert_array_equal(moved.w_up, params.w_up[perm.mapping])
-        np.testing.assert_array_equal(moved.v_gate,
-                                      params.v_gate[perm.mapping])
-        np.testing.assert_array_equal(moved.w_down,
-                                      params.w_down[:, perm.mapping])
+        moved = apply_permutation(params, perm)
+        np.testing.assert_array_equal(moved["w_up"], params["w_up"][perm.mapping])
+        np.testing.assert_array_equal(moved["v_gate"],
+                                      params["v_gate"][perm.mapping])
+        np.testing.assert_array_equal(moved["w_down"],
+                                      params["w_down"][:, perm.mapping])
 
 
 class TestAlignUnits:

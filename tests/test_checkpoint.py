@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffmerge.checkpoint import (MAGIC, AliasError, BadMagicError,
                                 CheckpointFormatError, EntryMismatchError,
@@ -103,6 +105,21 @@ class TestParameterStore:
         store.set_owner("b", np.full(2, 7.0, dtype=np.float32))
         assert not store.is_alias("b")
         np.testing.assert_array_equal(store.get("a"), np.ones(2))
+
+    def test_from_entries_keeps_given_order(self):
+        store = ParameterStore.from_entries(
+            ["b", "a"], {"a": np.ones(2, dtype=np.float32)}, {"b": "a"})
+        assert store.names == ["b", "a"]
+        assert store.get("b") is store.get("a")
+
+    def test_from_entries_checks_order_and_aliases(self):
+        owners = {"a": np.ones(2, dtype=np.float32)}
+        with pytest.raises(ValueError, match="order"):
+            ParameterStore.from_entries(["a", "a"], owners, {})
+        with pytest.raises(ValueError, match="order"):
+            ParameterStore.from_entries(["a"], owners, {"b": "a"})
+        with pytest.raises(ValueError, match="missing"):
+            ParameterStore.from_entries(["a", "b"], owners, {"b": "z"})
 
     def test_copy_preserves_structure_with_fresh_arrays(self):
         rng = np.random.default_rng(0)
@@ -279,6 +296,105 @@ class TestContainerFormat:
             data = serialize_container(store, {"trial": trial})
             parsed, meta = parse_container(data)
             assert serialize_container(parsed, meta) == data
+
+
+    @pytest.mark.parametrize("entry,field,value", [
+        ("a", "offset", 0.0), ("a", "length", True), ("a", "shape", [True]),
+        ("a", "shape", 1), ("a", "shape", [1.0]), ("a", "dtype", ["f32"]),
+        ("b", "alias_of", ["c"]), ("b", "shape", None), ("b", "extra", 1),
+    ])
+    def test_mistyped_header_field_rejected(self, entry, field, value):
+        header, payload = split_container(aliased_container())
+        header[entry][field] = value
+        with pytest.raises(CheckpointFormatError):
+            parse_container(build_container(header, payload))
+
+    def test_overlapping_spans_rejected(self):
+        header = {"__config__": {},
+                  "a": {"dtype": "f32", "shape": [2], "offset": 0, "length": 8},
+                  "b": {"dtype": "f32", "shape": [2], "offset": 4, "length": 8}}
+        with pytest.raises(CheckpointFormatError, match="tile"):
+            parse_container(build_container(header, b"\0" * 12))
+
+    def test_spans_out_of_header_order_rejected(self):
+        header = {"__config__": {},
+                  "a": {"dtype": "f32", "shape": [1], "offset": 4, "length": 4},
+                  "b": {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}}
+        with pytest.raises(CheckpointFormatError, match="tile"):
+            parse_container(build_container(header, b"\0" * 8))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CheckpointFormatError, match="trailing"):
+            parse_container(aliased_container() + b"\0")
+
+    def test_non_finite_data_rejected(self):
+        header = {"__config__": {},
+                  "a": {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}}
+        with pytest.raises(CheckpointFormatError, match="NaN"):
+            parse_container(build_container(header, struct.pack("<f", np.nan)))
+
+
+def build_container(header: dict, payload: bytes) -> bytes:
+    hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(hj)) + hj + payload
+
+
+def split_container(data: bytes) -> tuple[dict, bytes]:
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    return json.loads(data[16:16 + header_len]), data[16 + header_len:]
+
+
+def aliased_container() -> bytes:
+    """Owners ``a`` (2x3) and ``c`` (3,), with ``b`` aliasing ``c`` between them."""
+    store = ParameterStore.from_entries(
+        ["a", "b", "c"], {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                          "c": np.ones(3, dtype=np.float32)}, {"b": "c"})
+    return serialize_container(store, {"note": 1})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-40, 40) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestContainerFuzz:
+    """Mutated containers either parse canonically or raise
+    CheckpointFormatError; no other exception may escape."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(entry=st.sampled_from(["a", "b", "c"]),
+           field=st.sampled_from(["dtype", "shape", "offset", "length",
+                                  "alias_of", None]),
+           value=JSON_VALUES)
+    def test_header_field_mutation(self, entry, field, value):
+        header, payload = split_container(aliased_container())
+        if field is None:
+            header[entry] = value
+        else:
+            header[entry][field] = value
+        data = build_container(header, payload)
+        try:
+            store, meta = parse_container(data)
+        except CheckpointFormatError:
+            return
+        assert serialize_container(store, meta) == data
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                          min_size=1, max_size=4),
+           cut=st.integers(-8, 8))
+    def test_byte_mutation(self, edits, cut):
+        raw = bytearray(aliased_container())
+        for position, value in edits:
+            raw[position % len(raw)] = value
+        raw = raw[:cut] if cut < 0 else raw + bytes(cut)
+        try:
+            parse_container(bytes(raw))
+        except CheckpointFormatError:
+            pass
 
 
 class TestFileRoundTrip:

@@ -1,14 +1,16 @@
 """Command-line tests driven through main() with temp files."""
 
 import json
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ffmerge.checkpoint import read_checkpoint
+from ffmerge.checkpoint import MAGIC, read_checkpoint
 from ffmerge.cli import _parse_window, main
 from ffmerge.datasets import write_token_file
-from ffmerge.engine import load_model, read_activations
+from ffmerge.engine import load_model, read_activations, save_model
 from ffmerge.fixtures import default_config, greedy_sequences, \
     permuted_copy_model, token_sequences
 from ffmerge.selection import SelectionReport, enumerate_windows
@@ -26,7 +28,6 @@ def workdir(tmp_path):
         "acts": str(tmp_path / "acts.ffmc"),
         "dir": tmp_path,
     }
-    from ffmerge.engine import save_model
     save_model(fixture.model, paths["model"])
     capture = token_sequences(cfg, 24, 16, seed=3)
     write_token_file(paths["capture_data"], capture.sequences,
@@ -134,20 +135,6 @@ class TestSelectCommand:
         assert "layers 2-4" in printed
         load_model(out)
 
-    def test_jobs_flag_matches_serial(self, workdir):
-        reports = []
-        for jobs, tag in (("1", "r1"), ("2", "r2")):
-            report_path = workdir["dir"] / f"{tag}.json"
-            rc = main(["select", "--model", workdir["model"],
-                       "--acts", workdir["acts"], "--k", "3",
-                       "--eval-data", workdir["eval_data"],
-                       "--metric", "xent", "--jobs", jobs,
-                       "--out", str(workdir["dir"] / f"{tag}.ffmc"),
-                       "--report", str(report_path)])
-            assert rc == 0
-            reports.append(report_path.read_text())
-        assert reports[0] == reports[1]
-
 
 class TestDropCommand:
     def test_drop_sweep(self, workdir, capsys):
@@ -179,6 +166,36 @@ class TestEvalCommand:
         assert rc == 0
         value = float(capsys.readouterr().out.strip().split()[-1])
         assert 0.0 <= value <= 1.0
+
+    def test_perplexity_overflow_prints_inf(self, workdir, capsys):
+        path = overflowing_model(workdir)
+        rc = main(["eval", "--model", path, "--data", workdir["eval_data"],
+                   "--metric", "ppl"])
+        assert rc == 0
+        assert capsys.readouterr().out == "ppl inf\n"
+
+    @pytest.mark.parametrize("command", ["select", "drop"])
+    def test_perplexity_overflow_fails_sweep(self, workdir, capsys, command):
+        argv = [command, "--model", overflowing_model(workdir),
+                "--eval-data", workdir["eval_data"], "--metric", "ppl",
+                "--out", str(workdir["dir"] / "x.ffmc"),
+                "--report", str(workdir["dir"] / "x.json")]
+        argv += (["--acts", workdir["acts"], "--k", "3"] if command == "select"
+                 else ["--count", "1"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "candidate score must be finite" in err
+
+
+def overflowing_model(workdir) -> str:
+    """The workdir model with head.w scaled so cross-entropy passes the
+    ~709.78 nats at which exp overflows a float."""
+    model = load_model(workdir["model"])
+    model.store.set_owner("head.w", model.store.get("head.w") * 1e4)
+    path = str(workdir["dir"] / "overflow.ffmc")
+    save_model(model, path)
+    return path
 
 
 class TestCkaCommand:
@@ -216,6 +233,34 @@ class TestInfoCommand:
         assert str(merged_model.store.unique_parameter_count()) in out
         assert merged_model.store.total_parameter_count() == \
             base.store.total_parameter_count()
+
+    @pytest.mark.parametrize("biases,per_member", [(True, 4), (False, 2)])
+    def test_counts_tied_tensors(self, tmp_path, capsys, biases, per_member):
+        cfg = replace(default_config(n_layers=6, d_model=16, d_ff=64,
+                                     ff_kind="relu"), has_ff_biases=biases)
+        fixture = permuted_copy_model(cfg, seed=7)
+        model, data = str(tmp_path / "m.ffmc"), str(tmp_path / "d.toks")
+        acts, merged = str(tmp_path / "a.ffmc"), str(tmp_path / "t.ffmc")
+        save_model(fixture.model, model)
+        write_token_file(data, token_sequences(cfg, 24, 16, seed=3).sequences,
+                         cfg.separator_id)
+        assert main(["capture", "--model", model, "--data", data, "--tap",
+                     "ff-pre-act", "--max-samples", "200", "--out", acts]) == 0
+        assert main(["merge", "--model", model, "--acts", acts,
+                     "--window", "2:5", "--out", merged]) == 0
+        capsys.readouterr()
+        assert main(["info", "--model", merged]) == 0
+        assert f"tied tensors: {2 * per_member}\n" in capsys.readouterr().out
+
+    def test_malformed_container_is_one_line_error(self, tmp_path, capsys):
+        header = json.dumps({"__config__": {}, "w": {
+            "dtype": "f32", "shape": [1], "offset": 0.0, "length": 4}})
+        path = tmp_path / "bad.ffmc"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header))
+                         + header.encode() + b"\0" * 4)
+        assert main(["info", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ffmerge: error:")
 
 
 class TestGenFixtureCommand:

@@ -10,9 +10,9 @@ import pytest
 
 from ffmerge.alignment import Permutation, apply_permutation
 from ffmerge.checkpoint import ParameterStore
-from ffmerge.config import ModelConfig, model_tensor_names
+from ffmerge.config import ModelConfig, ff_param_basenames, model_tensor_names
 from ffmerge.datasets import Dataset
-from ffmerge.engine import (ActivationSet, EvalMetric, FFParams, SwigluFFParams,
+from ffmerge.engine import (ActivationSet, EvalMetric, FFParams,
                             TransformerModel, capture_activations, evaluate,
                             ff_forward, ff_params, load_model,
                             read_activations, save_model, set_ff_params,
@@ -30,34 +30,34 @@ def gelu_scalar(z: float) -> float:
 
 def ff_oracle(params: FFParams, x: np.ndarray, activation: str):
     """Straight-line scalar-loop feed-forward."""
-    d_ff, d_model = params.w_in.shape
+    d_ff, d_model = params["w_in"].shape
     pre = np.zeros(d_ff)
     for j in range(d_ff):
-        acc = float(params.b_in[j])
+        acc = float(params["b_in"][j])
         for k in range(d_model):
-            acc += float(params.w_in[j, k]) * float(x[k])
+            acc += float(params["w_in"][j, k]) * float(x[k])
         pre[j] = acc
     act = [max(v, 0.0) if activation == "relu" else gelu_scalar(v) for v in pre]
     y = np.zeros(d_model)
     for i in range(d_model):
-        acc = float(params.b_out[i])
+        acc = float(params["b_out"][i])
         for j in range(d_ff):
-            acc += float(params.w_out[i, j]) * act[j]
+            acc += float(params["w_out"][i, j]) * act[j]
         y[i] = acc
     return pre, y
 
 
-def swiglu_oracle(params: SwigluFFParams, x: np.ndarray):
-    d_ff, d_model = params.w_up.shape
+def swiglu_oracle(params: FFParams, x: np.ndarray):
+    d_ff, d_model = params["w_up"].shape
     gated = np.zeros(d_ff)
     for j in range(d_ff):
-        up = sum(float(params.w_up[j, k]) * float(x[k]) for k in range(d_model))
-        gate = sum(float(params.v_gate[j, k]) * float(x[k])
+        up = sum(float(params["w_up"][j, k]) * float(x[k]) for k in range(d_model))
+        gate = sum(float(params["v_gate"][j, k]) * float(x[k])
                    for k in range(d_model))
         gated[j] = up / (1.0 + math.exp(-up)) * gate
     y = np.zeros(d_model)
     for i in range(d_model):
-        y[i] = sum(float(params.w_down[i, j]) * gated[j] for j in range(d_ff))
+        y[i] = sum(float(params["w_down"][i, j]) * gated[j] for j in range(d_ff))
     return gated, y
 
 
@@ -136,7 +136,7 @@ class TestFFForward:
 class TestSwigluForward:
     def test_zero_gate_zero_output(self):
         rng = np.random.default_rng(14)
-        params = SwigluFFParams(
+        params = FFParams(
             w_up=rng.normal(size=(8, 4)).astype(np.float32),
             v_gate=np.zeros((8, 4), dtype=np.float32),
             w_down=rng.normal(size=(4, 8)).astype(np.float32))
@@ -146,7 +146,7 @@ class TestSwigluForward:
 
     def test_zero_input(self):
         rng = np.random.default_rng(15)
-        params = SwigluFFParams(
+        params = FFParams(
             w_up=rng.normal(size=(8, 4)).astype(np.float32),
             v_gate=rng.normal(size=(8, 4)).astype(np.float32),
             w_down=rng.normal(size=(4, 8)).astype(np.float32))
@@ -157,7 +157,7 @@ class TestSwigluForward:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
-            params = SwigluFFParams(
+            params = FFParams(
                 w_up=rng.normal(size=(10, 6)).astype(np.float32),
                 v_gate=rng.normal(size=(10, 6)).astype(np.float32),
                 w_down=rng.normal(size=(6, 10)).astype(np.float32))
@@ -236,9 +236,11 @@ class TestForward:
 
     def test_permutation_symmetry_each_layer(self):
         rng = np.random.default_rng(25)
-        for ff_kind in ("relu", "gelu", "swiglu"):
-            cfg = default_config(n_layers=3, d_model=16, d_ff=32,
-                                 ff_kind=ff_kind)
+        for ff_kind, biases in (("relu", True), ("gelu", True),
+                                ("swiglu", False), ("relu", False),
+                                ("gelu", False)):
+            cfg = replace(default_config(n_layers=3, d_model=16, d_ff=32,
+                                         ff_kind=ff_kind), has_ff_biases=biases)
             model = random_model(cfg, seed=26)
             toks = np.array([4, 9, 2, 6, 1], dtype=np.int64)
             base = model.forward(toks)
@@ -246,12 +248,8 @@ class TestForward:
                 perm = Permutation(rng.permutation(cfg.d_ff).astype(np.int64))
                 moved = model.copy()
                 params = ff_params(moved, layer)
-                if ff_kind == "swiglu":
-                    from ffmerge.alignment import apply_permutation_swiglu
-                    set_ff_params(moved, layer,
-                                  apply_permutation_swiglu(params, perm))
-                else:
-                    set_ff_params(moved, layer, apply_permutation(params, perm))
+                assert tuple(params) == ff_param_basenames(cfg)
+                set_ff_params(moved, layer, apply_permutation(params, perm))
                 assert np.abs(moved.forward(toks) - base).max() <= 1e-5
 
     def test_token_validation(self):
@@ -403,6 +401,14 @@ class TestEvaluate:
         ce = evaluate(model, data, EvalMetric("cross_entropy"))
         ppl = evaluate(model, data, EvalMetric("perplexity"))
         assert ppl == pytest.approx(math.exp(ce), rel=1e-9)
+
+    def test_perplexity_overflow_is_inf(self):
+        cfg = default_config(n_layers=2, d_model=16, d_ff=32)
+        model = random_model(cfg, seed=52)
+        model.store.set_owner("head.w", model.store.get("head.w") * 1e4)
+        data = token_sequences(cfg, 4, 16, seed=53)
+        assert evaluate(model, data, EvalMetric("cross_entropy")) > 709.79
+        assert evaluate(model, data, EvalMetric("perplexity")) == math.inf
 
     def test_matches_log_softmax_oracle(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)

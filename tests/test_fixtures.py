@@ -85,8 +85,8 @@ class TestPermutedCopyModel:
             member = ff_params(fixture.model, layer)
             undone = apply_permutation(member,
                                        fixture.planted[layer].inverse())
-            np.testing.assert_array_equal(undone.w_in, anchor.w_in)
-            np.testing.assert_array_equal(undone.w_out, anchor.w_out)
+            np.testing.assert_array_equal(undone["w_in"], anchor["w_in"])
+            np.testing.assert_array_equal(undone["w_out"], anchor["w_out"])
 
     def test_planted_permutations_recoverable_from_activations(self):
         cfg = default_config(n_layers=6, d_model=16, d_ff=64, ff_kind="relu")
@@ -136,7 +136,7 @@ class TestNoisyPermutedPair:
         base, noisy, perm = noisy_permuted_pair(cfg, seed=53)
         assert perm.size == cfg.d_ff
         moved = apply_permutation(base, perm)
-        rel = np.abs(noisy.w_in - moved.w_in).max() / moved.w_in.std()
+        rel = np.abs(noisy["w_in"] - moved["w_in"]).max() / moved["w_in"].std()
         assert 0.0 < rel < 0.1
 
     def test_zero_noise_is_exact_permuted_copy(self):
@@ -144,9 +144,9 @@ class TestNoisyPermutedPair:
         base, noisy, perm = noisy_permuted_pair(cfg, seed=54,
                                                 noise_scale=0.0)
         moved = apply_permutation(base, perm)
-        np.testing.assert_array_equal(noisy.w_in, moved.w_in)
-        np.testing.assert_array_equal(noisy.b_in, moved.b_in)
-        np.testing.assert_array_equal(noisy.w_out, moved.w_out)
+        np.testing.assert_array_equal(noisy["w_in"], moved["w_in"])
+        np.testing.assert_array_equal(noisy["b_in"], moved["b_in"])
+        np.testing.assert_array_equal(noisy["w_out"], moved["w_out"])
 
 
 class TestTokenSequences:

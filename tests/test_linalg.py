@@ -1,23 +1,9 @@
-"""Matrix helper tests against straight-line scalar oracles."""
+"""Column statistics tests against straight-line scalar oracles."""
 
 import numpy as np
 import pytest
 
-from ffmerge.linalg import (ColumnStats, as_matrix, as_vector, column_stats,
-                            frobenius_norm, matmul)
-
-
-def matmul_oracle(a, b):
-    """Element-by-element triple loop."""
-    n, m = a.shape[0], b.shape[1]
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += float(a[i, k]) * float(b[k, j])
-            out[i, j] = acc
-    return out
+from ffmerge.linalg import ColumnStats, as_matrix, column_stats
 
 
 def column_stats_oracle(x):
@@ -30,49 +16,6 @@ def column_stats_oracle(x):
     for j in range(c):
         stds[j] = (sum((float(x[i, j]) - means[j]) ** 2 for i in range(n)) / n) ** 0.5
     return means, stds
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        np.testing.assert_array_equal(matmul(np.eye(2, dtype=np.float32), a), a)
-
-    def test_column_swap_matrix(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)
-        np.testing.assert_array_equal(matmul(a, swap),
-                                      np.array([[2.0, 1.0], [4.0, 3.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7)).astype(np.float32)
-        b = rng.normal(size=(7, 3)).astype(np.float32)
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-6)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        a = np.zeros((2, 3), dtype=np.float32)
-        b = np.zeros((4, 2), dtype=np.float32)
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
-            matmul(a, b)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = rng.normal(size=(4, 5)).astype(np.float32)
-            b = rng.normal(size=(5, 6)).astype(np.float32)
-            c = rng.normal(size=(6, 3)).astype(np.float32)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-4, atol=1e-4)
-
-    def test_transpose_identity(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 6)).astype(np.float32)
-        b = rng.normal(size=(6, 5)).astype(np.float32)
-        np.testing.assert_allclose(matmul(a, b).T,
-                                   matmul(np.ascontiguousarray(b.T),
-                                          np.ascontiguousarray(a.T)),
-                                   atol=1e-6)
 
 
 class TestColumnStats:
@@ -114,20 +57,6 @@ class TestColumnStats:
             column_stats(np.zeros((0, 3), dtype=np.float32))
 
 
-class TestFrobeniusNorm:
-    def test_three_four_five(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]], dtype=np.float32)) == 5.0
-
-    def test_zero_matrix(self):
-        assert frobenius_norm(np.zeros((4, 4), dtype=np.float32)) == 0.0
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(6, 6)).astype(np.float32)
-        expected = sum(float(v) ** 2 for v in x.ravel()) ** 0.5
-        assert abs(frobenius_norm(x) - expected) < 1e-6
-
-
 class TestCoercion:
     def test_as_matrix_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -136,14 +65,6 @@ class TestCoercion:
     def test_as_matrix_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             as_matrix(np.array([[np.nan, 0.0]]))
-
-    def test_as_vector_rejects_inf(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            as_vector(np.array([np.inf]))
-
-    def test_as_vector_shape(self):
-        v = as_vector([1, 2, 3])
-        assert v.dtype == np.float32 and v.shape == (3,)
 
     def test_column_stats_dataclass(self):
         stats = ColumnStats(means=np.zeros(2), stds=np.ones(2))

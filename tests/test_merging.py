@@ -9,11 +9,10 @@ import pytest
 from ffmerge.alignment import Permutation, apply_permutation
 from ffmerge.checkpoint import tie_report
 from ffmerge.config import ff_tensor_names
-from ffmerge.engine import (FFParams, SwigluFFParams, capture_activations,
-                            ff_forward, ff_params)
+from ffmerge.engine import FFParams, capture_activations, ff_forward, ff_params
 from ffmerge.fixtures import (default_config, permuted_copy_model,
                               random_model, token_sequences)
-from ffmerge.merging import (MergeSpec, merge_ff, merge_swiglu, merge_window)
+from ffmerge.merging import MergeSpec, merge_ff, merge_window
 
 
 def random_ff(rng, d_model=4, d_ff=6) -> FFParams:
@@ -30,15 +29,14 @@ def merge_ff_oracle(anchor: FFParams, others, perms) -> FFParams:
                           zip(others, perms)]
     k = len(stacked)
 
-    def mean_of(attr):
-        arrs = [getattr(p, attr).astype(np.float64) for p in stacked]
+    def mean_of(base):
+        arrs = [p[base].astype(np.float64) for p in stacked]
         out = np.zeros_like(arrs[0])
         for idx in np.ndindex(out.shape):
             out[idx] = sum(a[idx] for a in arrs) / k
         return out.astype(np.float32)
 
-    return FFParams(w_in=mean_of("w_in"), b_in=mean_of("b_in"),
-                    w_out=mean_of("w_out"), b_out=mean_of("b_out"))
+    return FFParams({base: mean_of(base) for base in anchor})
 
 
 class TestMergeSpec:
@@ -70,31 +68,28 @@ class TestMergeFF:
                  for _ in range(2)]
         merged = merge_ff(anchor, others, perms)
         oracle = merge_ff_oracle(anchor, others, perms)
-        for attr in ("w_in", "b_in", "w_out", "b_out"):
-            np.testing.assert_allclose(getattr(merged, attr),
-                                       getattr(oracle, attr), atol=1e-7)
+        for base in ("w_in", "b_in", "w_out", "b_out"):
+            np.testing.assert_allclose(merged[base],
+                                       oracle[base], atol=1e-7)
 
     def test_identical_members_bit_exact(self):
         rng = np.random.default_rng(91)
         anchor = random_ff(rng)
-        copies = [FFParams(anchor.w_in.copy(), anchor.b_in.copy(),
-                           anchor.w_out.copy(), anchor.b_out.copy())
+        copies = [FFParams({b: a.copy() for b, a in anchor.items()})
                   for _ in range(3)]
         merged = merge_ff(anchor, copies, [Permutation.identity(6)] * 3)
-        np.testing.assert_array_equal(merged.w_in, anchor.w_in)
-        np.testing.assert_array_equal(merged.b_in, anchor.b_in)
-        np.testing.assert_array_equal(merged.w_out, anchor.w_out)
-        np.testing.assert_array_equal(merged.b_out, anchor.b_out)
+        np.testing.assert_array_equal(merged["w_in"], anchor["w_in"])
+        np.testing.assert_array_equal(merged["b_in"], anchor["b_in"])
+        np.testing.assert_array_equal(merged["w_out"], anchor["w_out"])
+        np.testing.assert_array_equal(merged["b_out"], anchor["b_out"])
 
     def test_zero_member_halves_anchor(self):
         rng = np.random.default_rng(92)
         anchor = random_ff(rng)
-        zero = FFParams(np.zeros_like(anchor.w_in), np.zeros_like(anchor.b_in),
-                        np.zeros_like(anchor.w_out),
-                        np.zeros_like(anchor.b_out))
+        zero = FFParams({b: np.zeros_like(a) for b, a in anchor.items()})
         merged = merge_ff(anchor, [zero], [Permutation.identity(6)])
-        np.testing.assert_allclose(merged.w_in, anchor.w_in / 2.0, atol=1e-7)
-        np.testing.assert_allclose(merged.b_out, anchor.b_out / 2.0, atol=1e-7)
+        np.testing.assert_allclose(merged["w_in"], anchor["w_in"] / 2.0, atol=1e-7)
+        np.testing.assert_allclose(merged["b_out"], anchor["b_out"] / 2.0, atol=1e-7)
 
     def test_permutation_consistent_members_reproduce_anchor(self):
         rng = np.random.default_rng(93)
@@ -103,9 +98,9 @@ class TestMergeFF:
                   for _ in range(3)]
         others = [apply_permutation(anchor, s) for s in sigmas]
         merged = merge_ff(anchor, others, [s.inverse() for s in sigmas])
-        for attr in ("w_in", "b_in", "w_out", "b_out"):
-            np.testing.assert_allclose(getattr(merged, attr),
-                                       getattr(anchor, attr), atol=1e-6)
+        for base in ("w_in", "b_in", "w_out", "b_out"):
+            np.testing.assert_allclose(merged[base],
+                                       anchor[base], atol=1e-6)
 
     def test_merged_function_between_members(self):
         rng = np.random.default_rng(94)
@@ -128,31 +123,29 @@ class TestMergeFF:
 class TestMergeSwiglu:
     def test_identical_members_bit_exact(self):
         rng = np.random.default_rng(96)
-        anchor = SwigluFFParams(
+        anchor = FFParams(
             w_up=rng.normal(size=(6, 4)).astype(np.float32),
             v_gate=rng.normal(size=(6, 4)).astype(np.float32),
             w_down=rng.normal(size=(4, 6)).astype(np.float32))
-        copies = [SwigluFFParams(anchor.w_up.copy(), anchor.v_gate.copy(),
-                                 anchor.w_down.copy()) for _ in range(2)]
-        merged = merge_swiglu(anchor, copies, [Permutation.identity(6)] * 2)
-        np.testing.assert_array_equal(merged.w_up, anchor.w_up)
-        np.testing.assert_array_equal(merged.v_gate, anchor.v_gate)
-        np.testing.assert_array_equal(merged.w_down, anchor.w_down)
+        copies = [FFParams({b: a.copy() for b, a in anchor.items()})
+                  for _ in range(2)]
+        merged = merge_ff(anchor, copies, [Permutation.identity(6)] * 2)
+        np.testing.assert_array_equal(merged["w_up"], anchor["w_up"])
+        np.testing.assert_array_equal(merged["v_gate"], anchor["v_gate"])
+        np.testing.assert_array_equal(merged["w_down"], anchor["w_down"])
 
     def test_zero_member_halves_anchor(self):
         rng = np.random.default_rng(97)
-        anchor = SwigluFFParams(
+        anchor = FFParams(
             w_up=rng.normal(size=(6, 4)).astype(np.float32),
             v_gate=rng.normal(size=(6, 4)).astype(np.float32),
             w_down=rng.normal(size=(4, 6)).astype(np.float32))
-        zero = SwigluFFParams(np.zeros_like(anchor.w_up),
-                              np.zeros_like(anchor.v_gate),
-                              np.zeros_like(anchor.w_down))
-        merged = merge_swiglu(anchor, [zero], [Permutation.identity(6)])
-        np.testing.assert_allclose(merged.w_up, anchor.w_up / 2.0, atol=1e-7)
-        np.testing.assert_allclose(merged.v_gate, anchor.v_gate / 2.0,
+        zero = FFParams({b: np.zeros_like(a) for b, a in anchor.items()})
+        merged = merge_ff(anchor, [zero], [Permutation.identity(6)])
+        np.testing.assert_allclose(merged["w_up"], anchor["w_up"] / 2.0, atol=1e-7)
+        np.testing.assert_allclose(merged["v_gate"], anchor["v_gate"] / 2.0,
                                    atol=1e-7)
-        np.testing.assert_allclose(merged.w_down, anchor.w_down / 2.0,
+        np.testing.assert_allclose(merged["w_down"], anchor["w_down"] / 2.0,
                                    atol=1e-7)
 
 

@@ -136,15 +136,6 @@ class TestSelectBestWindow:
         b, _ = select_best_window(fixture.model, acts, 3, eval_data, metric)
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        cfg, fixture, acts, eval_data = selection_fixture()
-        metric = EvalMetric("cross_entropy")
-        serial, _ = select_best_window(fixture.model, acts, 3, eval_data,
-                                       metric, jobs=1)
-        parallel, _ = select_best_window(fixture.model, acts, 3, eval_data,
-                                         metric, jobs=2)
-        assert serial == parallel
-
     def test_accuracy_metric_maximizes(self):
         cfg, fixture, acts, eval_data = selection_fixture()
         report, _ = select_best_window(fixture.model, acts, 3, eval_data,

@@ -33,22 +33,22 @@ print(f"unique parameters  {report.unique_parameters}")
 print(f"reduction ratio    {report.reduction_ratio:.4f}")
 
 # round-trip through the on-disk container
-workdir = tempfile.mkdtemp(prefix="ffmerge-demo-")
-path = os.path.join(workdir, "tied.ffmc")
-write_container(store, {"note": "demo store"}, path)
-back, meta = read_container(path)
+with tempfile.TemporaryDirectory(prefix="ffmerge-demo-") as workdir:
+    path = os.path.join(workdir, "tied.ffmc")
+    write_container(store, {"note": "demo store"}, path)
+    back, meta = read_container(path)
 
-print(f"wrote {os.path.getsize(path)} bytes -> {path}")
-print(f"meta round-tripped: {meta}")
-for name in back.names:
-    kind = f"alias of {back.alias_target(name)}" if back.is_alias(name) \
-        else str(back.get(name).shape)
-    print(f"  {name:<10s} {kind}")
-    assert np.array_equal(back.get(name), store.get(name))
+    print(f"wrote {os.path.getsize(path)} bytes -> {path}")
+    print(f"meta round-tripped: {meta}")
+    for name in back.names:
+        kind = f"alias of {back.alias_target(name)}" if back.is_alias(name) \
+            else str(back.get(name).shape)
+        print(f"  {name:<10s} {kind}")
+        assert np.array_equal(back.get(name), store.get(name))
 
-# writing the parsed store again reproduces the identical file
-second = os.path.join(workdir, "tied2.ffmc")
-write_container(back, meta, second)
-with open(path, "rb") as f1, open(second, "rb") as f2:
-    assert f1.read() == f2.read()
-print("write/read/write is byte-identical")
+    # writing the parsed store again reproduces the identical file
+    second = os.path.join(workdir, "tied2.ffmc")
+    write_container(back, meta, second)
+    with open(path, "rb") as f1, open(second, "rb") as f2:
+        assert f1.read() == f2.read()
+    print("write/read/write is byte-identical")

@@ -4,7 +4,8 @@ Merging versus dropping at a matched parameter budget
 
 The natural baseline for merge-and-tie compression is simply deleting
 layers. This script prunes a model with one provably dead layer, then runs
-the combined report that attaches the drop sweep to the merge sweep.
+the merge sweep and the drop sweep at a matched parameter budget side by
+side.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from ffmerge.engine import EvalMetric, capture_activations, evaluate
 from ffmerge.fixtures import (default_config, greedy_sequences,
                               permuted_copy_model, token_sequences,
                               zeroed_layer_model)
-from ffmerge.selection import (compare_merge_and_drop, matched_drop_count,
-                               select_best_drop)
+from ffmerge.selection import (matched_drop_count, select_best_drop,
+                               select_best_window)
 
 # part 1: a model whose layer 2 adds exactly nothing to the residual stream
 cfg = default_config(n_layers=5, d_model=16, d_ff=32, ff_kind="gelu")
@@ -32,7 +33,7 @@ print(f"kept function: score delta "
       f"{report.best.score - base_score:+.2e}, "
       f"{model.config.n_layers} -> {pruned.config.n_layers} layers")
 
-# part 2: merge sweep with the matched drop sweep attached as baseline
+# part 2: the merge sweep against the drop sweep at a matched budget
 cfg = default_config(n_layers=6, d_model=16, d_ff=64, ff_kind="relu")
 fixture = permuted_copy_model(cfg, seed=7)
 data = token_sequences(cfg, 24, 16, seed=3)
@@ -43,12 +44,12 @@ eval_data = greedy_sequences(fixture.model, 8, 24, seed=11)
 count = matched_drop_count(cfg, 3)
 print(f"\nmerging k=3 frees about as many parameters as dropping "
       f"{count} layer(s)")
-combined, merged = compare_merge_and_drop(fixture.model, acts, 3,
+merge_report, merged = select_best_window(fixture.model, acts, 3,
                                           eval_data, metric)
-best_drop = min(combined.baseline, key=lambda c: c.score)
-print(f"best merge window: start {combined.best.start}, "
-      f"score {combined.best.score:.6f}")
-print(f"best layer drop:   start {best_drop.start}, "
-      f"score {best_drop.score:.6f}")
+drop_report, _ = select_best_drop(fixture.model, count, eval_data, metric)
+print(f"best merge window: start {merge_report.best.start}, "
+      f"score {merge_report.best.score:.6f}")
+print(f"best layer drop:   start {drop_report.best.start}, "
+      f"score {drop_report.best.score:.6f}")
 print("the merge keeps all six layers and ties their storage; the drop "
       "shortens the model instead")

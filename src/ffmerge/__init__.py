@@ -27,8 +27,8 @@ from .fixtures import (PermutedCopyFixture, default_config, duplicate_model,
                        permuted_copy_model, random_model, token_sequences,
                        zeroed_layer_model)
 from .merging import MergeDiagnostics, MergeSpec, merge_ff, merge_window
-from .selection import (SelectionReport, WindowCandidate, compare_merge_and_drop,
-                        drop_layers, enumerate_drop_starts, enumerate_windows,
+from .selection import (SelectionReport, WindowCandidate, drop_layers,
+                        enumerate_drop_starts, enumerate_windows,
                         select_best_drop, select_best_window)
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "ModelConfig", "ParameterStore", "Permutation", "PermutedCopyFixture",
     "SelectionReport", "TieReport", "TransformerModel", "WindowCandidate",
     "align_units", "apply_permutation", "capture_activations", "cka_matrix",
-    "compare_merge_and_drop", "cross_correlation", "default_config",
+    "cross_correlation", "default_config",
     "drop_layers", "duplicate_model", "enumerate_drop_starts",
     "enumerate_windows", "evaluate", "ff_forward", "ff_params", "gen_fixture",
     "greedy_sequences", "linear_cka", "load_dataset", "load_model",

@@ -45,7 +45,9 @@ def linear_cka(x, y) -> float:
 class CkaMatrix:
     """Pairwise CKA over the layers of one activation capture.
 
-    values[i, j] compares layer i with layer j in ascending layer order.
+    values[i, j] compares layer i with layer j in ascending layer order. A
+    layer whose features are constant (a dead layer) has an all-zero row and
+    column, diagonal included.
     """
 
     values: np.ndarray
@@ -57,7 +59,10 @@ class CkaMatrix:
             raise ValueError(f"CKA matrix must be square, got {v.shape}")
         if not np.allclose(v, v.T, atol=1e-6, rtol=0.0):
             raise ValueError("CKA matrix is not symmetric")
-        if np.abs(np.diag(v) - 1.0).max() > 1e-6:
+        # linear_cka scores a layer with constant features 0 against every
+        # layer, itself included; every other layer must score 1 against itself
+        dead = ~(v.any(axis=0) | v.any(axis=1))
+        if np.abs(np.diag(v)[~dead] - 1.0).max(initial=0.0) > 1e-6:
             raise ValueError(
                 "CKA diagonal differs from 1; a layer's features are degenerate"
             )

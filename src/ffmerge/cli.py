@@ -71,10 +71,6 @@ def format_report(report: SelectionReport, kind: str = "merge") -> str:
     lines.append(f"best: start {report.best.start} "
                  f"({_inclusive(report.best.start, report.k)}) "
                  f"score {report.best.score:.10g}")
-    if report.baseline is not None:
-        lines.append("baseline (layer drop):")
-        for c in report.baseline:
-            lines.append(f"  start {c.start}: score {c.score:.10g}")
     if kind == "merge":
         lines.append("note: recovery fine-tuning of the selected model would "
                       "run here; not implemented.")
@@ -127,6 +123,15 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _finish_sweep(args, report: SelectionReport, best: TransformerModel,
+                  kind: str) -> int:
+    save_model(best, args.out)
+    atomic_write_text(args.report, report.to_json())
+    print(format_report(report, kind=kind))
+    print(f"wrote {args.out} and {args.report}")
+    return 0
+
+
 def _cmd_select(args) -> int:
     model = load_model(args.model)
     acts = read_activations(args.acts)
@@ -135,11 +140,7 @@ def _cmd_select(args) -> int:
         model, acts, args.k, data, EvalMetric.from_name(args.metric),
         anchor_position=args.anchor, use_permutation=not args.no_permute,
         include_final_window=args.include_final_window)
-    save_model(best, args.out)
-    atomic_write_text(args.report, report.to_json())
-    print(format_report(report, kind="merge"))
-    print(f"wrote {args.out} and {args.report}")
-    return 0
+    return _finish_sweep(args, report, best, "merge")
 
 
 def _cmd_drop(args) -> int:
@@ -147,11 +148,7 @@ def _cmd_drop(args) -> int:
     data = _load_eval_data(model, args.eval_data)
     report, best = select_best_drop(model, args.count, data,
                                     EvalMetric.from_name(args.metric))
-    save_model(best, args.out)
-    atomic_write_text(args.report, report.to_json())
-    print(format_report(report, kind="drop"))
-    print(f"wrote {args.out} and {args.report}")
-    return 0
+    return _finish_sweep(args, report, best, "drop")
 
 
 def _cmd_eval(args) -> int:

@@ -24,6 +24,8 @@ ATTN_PARAM_NAMES = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
 FF_HIDDEN_AXIS = {"w_in": 0, "b_in": 0, "w_up": 0, "v_gate": 0,
                   "w_out": 1, "w_down": 1, "b_out": None}
 
+_SIZE_FIELDS = ("n_layers", "d_model", "d_ff", "n_heads", "vocab_size", "max_seq_len")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -48,6 +50,15 @@ class ModelConfig:
     separator_id: int = 0
 
     def __post_init__(self):
+        # a checkpoint header can carry any JSON value; bool is an int subclass
+        optional = () if self.n_classes is None else ("n_classes",)
+        for field in _SIZE_FIELDS + ("separator_id",) + optional:
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+        if not isinstance(self.has_ff_biases, bool):
+            raise ValueError(
+                f"has_ff_biases must be a boolean, got {self.has_ff_biases!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.norm_placement not in NORM_PLACEMENTS:
@@ -59,7 +70,7 @@ class ModelConfig:
             raise ValueError(f"ff_kind must be one of {FF_KINDS}, got {self.ff_kind!r}")
         if self.pooling not in POOLINGS:
             raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        for field in ("n_layers", "d_model", "d_ff", "n_heads", "vocab_size", "max_seq_len"):
+        for field in _SIZE_FIELDS:
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
         if self.d_model % self.n_heads != 0:

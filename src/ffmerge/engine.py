@@ -335,8 +335,10 @@ def read_activations(path) -> ActivationSet:
         if not name.startswith("acts.layer"):
             raise ValueError(f"unexpected entry {name!r} in activation dump")
         per_layer[int(name[len("acts.layer"):])] = store.get(name)
-    return ActivationSet(tap=meta["tap"], per_layer=per_layer,
-                         sample_count=int(meta["sample_count"]))
+    count = meta.get("sample_count")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"{path}: sample_count must be an integer, got {count!r}")
+    return ActivationSet(tap=meta["tap"], per_layer=per_layer, sample_count=count)
 
 
 # -- evaluation ---------------------------------------------------------------

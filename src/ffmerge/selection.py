@@ -48,22 +48,20 @@ class WindowCandidate:
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """All candidate scores plus the winner; ``baseline`` optionally carries
-    the layer-drop candidates scored at a comparable parameter budget."""
+    """All candidate scores plus the winner."""
 
     k: int
     anchor_position: str | None
     use_permutation: bool
     candidates: tuple[WindowCandidate, ...]
     best: WindowCandidate
-    baseline: tuple[WindowCandidate, ...] | None = None
 
     def __post_init__(self):
         if self.best not in self.candidates:
             raise ValueError("best candidate is not in the candidate list")
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "k": self.k,
             "anchor": self.anchor_position,
             "use_permutation": self.use_permutation,
@@ -71,10 +69,6 @@ class SelectionReport:
                            for c in self.candidates],
             "best": {"start": self.best.start, "score": self.best.score},
         }
-        if self.baseline is not None:
-            doc["baseline"] = [{"start": c.start, "score": c.score}
-                               for c in self.baseline]
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
@@ -85,32 +79,26 @@ class SelectionReport:
         candidates = tuple(WindowCandidate(int(c["start"]), float(c["score"]))
                            for c in doc["candidates"])
         best = WindowCandidate(int(doc["best"]["start"]), float(doc["best"]["score"]))
-        baseline = None
-        if doc.get("baseline") is not None:
-            baseline = tuple(WindowCandidate(int(c["start"]), float(c["score"]))
-                             for c in doc["baseline"])
         return cls(k=int(doc["k"]), anchor_position=doc["anchor"],
                    use_permutation=bool(doc["use_permutation"]),
-                   candidates=candidates, best=best, baseline=baseline)
+                   candidates=candidates, best=best)
 
 
-def _pick_best(candidates: list[WindowCandidate],
-               metric: EvalMetric) -> WindowCandidate:
-    # strict comparison keeps the smallest start on ties
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if metric.higher_is_better:
-            if cand.score > best.score:
-                best = cand
-        elif cand.score < best.score:
-            best = cand
-    return best
-
-
-def _score_candidates(transform, starts: list[int], eval_data,
-                      metric: EvalMetric) -> list[WindowCandidate]:
-    return [WindowCandidate(start=s, score=evaluate(transform(s), eval_data, metric))
-            for s in starts]
+def _sweep(starts: list[int], build, eval_data, metric: EvalMetric,
+           ) -> tuple[tuple[WindowCandidate, ...], WindowCandidate, TransformerModel]:
+    """Build and score the candidate at each start, keeping only the best
+    model so far; a strict comparison keeps the smallest start on ties."""
+    candidates: list[WindowCandidate] = []
+    best, best_model = None, None
+    for start in starts:
+        candidate_model = build(start)
+        cand = WindowCandidate(start=start,
+                               score=evaluate(candidate_model, eval_data, metric))
+        candidates.append(cand)
+        if best is None or (cand.score > best.score if metric.higher_is_better
+                            else cand.score < best.score):
+            best, best_model = cand, candidate_model
+    return tuple(candidates), best, best_model
 
 
 def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
@@ -131,21 +119,17 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
             "no candidate windows under the default bound; "
             "set include_final_window for the single full-width window"
         )
-    merged: dict[int, TransformerModel] = {}
 
-    def transform(start: int) -> TransformerModel:
+    def build(start: int) -> TransformerModel:
         spec = MergeSpec(start=start, k=k, anchor_position=anchor_position,
                          use_permutation=use_permutation)
-        out, _ = merge_window(model, acts, spec)
-        merged[start] = out
-        return out
+        return merge_window(model, acts, spec)[0]
 
-    candidates = _score_candidates(transform, starts, eval_data, metric)
-    best = _pick_best(candidates, metric)
+    candidates, best, best_model = _sweep(starts, build, eval_data, metric)
     report = SelectionReport(k=k, anchor_position=anchor_position,
                              use_permutation=use_permutation,
-                             candidates=tuple(candidates), best=best)
-    return report, merged[best.start]
+                             candidates=candidates, best=best)
+    return report, best_model
 
 
 # -- layer-drop baseline -------------------------------------------------------
@@ -177,36 +161,17 @@ def drop_layers(model: TransformerModel, start: int, count: int) -> TransformerM
         return model.copy()
     if count == cfg.n_layers:
         raise ValueError("cannot drop every layer")
-    kept = [i for i in range(cfg.n_layers) if not start <= i < start + count]
-    new_cfg = replace(cfg, n_layers=len(kept))
-
-    def rename(old_name: str) -> str | None:
-        if not old_name.startswith("layer"):
-            return old_name
-        head, rest = old_name.split(".", 1)
-        old_layer = int(head[len("layer"):])
-        if old_layer not in kept:
-            return None
-        return f"layer{kept.index(old_layer)}.{rest}"
-
-    def resolve(name: str) -> str:
-        target = model.store.alias_target(name)
-        return target if target is not None else name
-
+    new_cfg = replace(cfg, n_layers=cfg.n_layers - count)
+    dropped = tuple(f"layer{i}." for i in range(start, start + count))
+    old_names = [n for n in model_tensor_names(cfg) if not n.startswith(dropped)]
     new_names = model_tensor_names(new_cfg)
-    # pick one surviving owner per tied group, in new canonical order
+    # the first kept member of each tied group, in new canonical order, owns it
     group_owner: dict[str, str] = {}
-    for new_name, old_name in zip(new_names,
-                                  [n for n in model_tensor_names(cfg)
-                                   if rename(n) is not None]):
-        owner = resolve(old_name)
-        group_owner.setdefault(owner, new_name)
     owners: dict[str, np.ndarray] = {}
     aliases: dict[str, str] = {}
-    for new_name, old_name in zip(new_names,
-                                  [n for n in model_tensor_names(cfg)
-                                   if rename(n) is not None]):
-        rep = group_owner[resolve(old_name)]
+    for new_name, old_name in zip(new_names, old_names):
+        root = model.store.alias_target(old_name) or old_name
+        rep = group_owner.setdefault(root, new_name)
         if rep == new_name:
             owners[new_name] = model.store.get(old_name).copy()
         else:
@@ -219,18 +184,11 @@ def select_best_drop(model: TransformerModel, count: int, eval_data,
                      metric: EvalMetric) -> tuple[SelectionReport, TransformerModel]:
     """Score every contiguous ``count``-layer drop and return the winner."""
     starts = enumerate_drop_starts(model.config.n_layers, count)
-    pruned: dict[int, TransformerModel] = {}
-
-    def transform(start: int) -> TransformerModel:
-        out = drop_layers(model, start, count)
-        pruned[start] = out
-        return out
-
-    candidates = _score_candidates(transform, starts, eval_data, metric)
-    best = _pick_best(candidates, metric)
+    candidates, best, best_model = _sweep(
+        starts, lambda start: drop_layers(model, start, count), eval_data, metric)
     report = SelectionReport(k=count, anchor_position=None, use_permutation=False,
-                             candidates=tuple(candidates), best=best)
-    return report, pruned[best.start]
+                             candidates=candidates, best=best)
+    return report, best_model
 
 
 def _layer_parameter_counts(cfg: ModelConfig) -> tuple[int, int]:
@@ -251,29 +209,3 @@ def matched_drop_count(cfg: ModelConfig, k: int) -> int:
     count = round((k - 1) * ff / total)
     return max(1, min(cfg.n_layers - 1, count))
 
-
-def compare_merge_and_drop(model: TransformerModel, acts: ActivationSet, k: int,
-                           eval_data, metric: EvalMetric, *,
-                           anchor_position: str = "first",
-                           use_permutation: bool = True,
-                           include_final_window: bool = False,
-                           drop_count: int | None = None,
-                           ) -> tuple[SelectionReport, TransformerModel]:
-    """Window-merge selection with the layer-drop sweep attached as baseline.
-
-    The drop sweep runs at ``drop_count`` layers (default: the whole-layer
-    budget closest to the merge's parameter saving) and lands in the
-    report's ``baseline`` field; the returned model is the merge winner.
-    """
-    report, best_model = select_best_window(
-        model, acts, k, eval_data, metric, anchor_position=anchor_position,
-        use_permutation=use_permutation,
-        include_final_window=include_final_window)
-    if drop_count is None:
-        drop_count = matched_drop_count(model.config, k)
-    drop_report, _ = select_best_drop(model, drop_count, eval_data, metric)
-    merged_report = SelectionReport(
-        k=report.k, anchor_position=report.anchor_position,
-        use_permutation=report.use_permutation, candidates=report.candidates,
-        best=report.best, baseline=drop_report.candidates)
-    return merged_report, best_model

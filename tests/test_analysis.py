@@ -9,7 +9,7 @@ import pytest
 from ffmerge.analysis import CkaMatrix, cka_matrix, linear_cka
 from ffmerge.engine import capture_activations
 from ffmerge.fixtures import default_config, duplicate_model, random_model, \
-    token_sequences
+    token_sequences, zeroed_layer_model
 
 
 def cka_gram_oracle(x: np.ndarray, y: np.ndarray) -> float:
@@ -136,9 +136,28 @@ class TestCkaMatrix:
         with pytest.raises(ValueError):
             CkaMatrix(values=np.array([[1.0, 0.5], [0.4, 1.0]]), tap="ff_out")
         with pytest.raises(ValueError, match="degenerate"):
-            CkaMatrix(values=np.array([[0.0, 0.0], [0.0, 1.0]]), tap="ff_out")
+            CkaMatrix(values=np.array([[0.0, 0.2], [0.2, 1.0]]), tap="ff_out")
+        with pytest.raises(ValueError, match="degenerate"):
+            CkaMatrix(values=np.array([[0.5, 0.0], [0.0, 1.0]]), tap="ff_out")
+        # a dead layer's whole row and column are 0, diagonal included
+        CkaMatrix(values=np.array([[0.0, 0.0], [0.0, 1.0]]), tap="ff_out")
+        with pytest.raises(ValueError, match="degenerate"):
+            CkaMatrix(values=np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.3],
+                                       [0.0, 0.3, 0.9]]), tap="ff_out")
         with pytest.raises(ValueError):
             CkaMatrix(values=np.array([[1.0, 1.5], [1.5, 1.0]]), tap="ff_out")
+
+    @pytest.mark.parametrize("tap", ["ff_pre_act", "ff_out", "attn_out"])
+    def test_dead_layer_scores_zero(self, tap):
+        cfg = default_config(n_layers=4, d_model=16, d_ff=32)
+        model = zeroed_layer_model(cfg, zero_layer=1, seed=19)
+        data = token_sequences(cfg, 8, 12, seed=3)
+        matrix = cka_matrix(capture_activations(model, data, tap,
+                                                max_samples=80))
+        assert not matrix.values[1].any() and not matrix.values[:, 1].any()
+        live = [0, 2, 3]
+        np.testing.assert_allclose(np.diag(matrix.values)[live], 1.0,
+                                   atol=1e-6, rtol=0.0)
 
     def test_needs_two_layers(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)

@@ -423,9 +423,14 @@ class TestFileRoundTrip:
         store = ParameterStore()
         store.add("w", np.ones(2, dtype=np.float32))
         path = tmp_path / "m.ffmc"
-        write_container(store, {"mode": "lm"}, path)
-        with pytest.raises(CheckpointFormatError, match="config"):
-            read_checkpoint(path)
+        good = ModelConfig(mode="lm", n_layers=1, d_model=4, d_ff=8, n_heads=1,
+                           vocab_size=8, max_seq_len=8, norm_placement="pre_ln",
+                           ff_kind="relu").to_dict()
+        for meta in ({"mode": "lm"}, dict(good, n_layers=4.0),
+                     dict(good, n_layers=True), dict(good, has_ff_biases=1)):
+            write_container(store, meta, path)
+            with pytest.raises(CheckpointFormatError, match="config"):
+                read_checkpoint(path)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.bin"

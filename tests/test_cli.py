@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffmerge.checkpoint import MAGIC, read_checkpoint
+from ffmerge.checkpoint import MAGIC, ParameterStore, read_checkpoint, \
+    write_container
 from ffmerge.cli import _parse_window, main
 from ffmerge.datasets import write_token_file
 from ffmerge.engine import load_model, read_activations, save_model
 from ffmerge.fixtures import default_config, greedy_sequences, \
-    permuted_copy_model, token_sequences
+    permuted_copy_model, token_sequences, zeroed_layer_model
 from ffmerge.selection import SelectionReport, enumerate_windows
 
 
@@ -219,6 +220,37 @@ class TestCkaCommand:
         assert len(doc["values"]) == 6
 
 
+    @pytest.mark.parametrize("count", [[32], True, 32.0, None])
+    def test_mistyped_sample_count_is_one_line_error(self, tmp_path, capsys,
+                                                     count):
+        store = ParameterStore()
+        for layer in (0, 1):
+            store.add(f"acts.layer{layer}", np.ones((32, 4), dtype=np.float32))
+        path = str(tmp_path / "acts.ffmc")
+        write_container(store, {"tap": "ff_pre_act", "sample_count": count},
+                        path)
+        rc = main(["cka", "--acts", path, "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sample_count" in err
+
+    def test_dead_layer_capture(self, tmp_path):
+        cfg = default_config(n_layers=4, d_model=16, d_ff=32)
+        model, data = str(tmp_path / "m.ffmc"), str(tmp_path / "d.toks")
+        acts, out = str(tmp_path / "a.ffmc"), tmp_path / "cka.csv"
+        save_model(zeroed_layer_model(cfg, zero_layer=1, seed=19), model)
+        write_token_file(data, token_sequences(cfg, 8, 12, seed=3).sequences,
+                         cfg.separator_id)
+        assert main(["capture", "--model", model, "--data", data, "--tap",
+                     "ff-out", "--max-samples", "80", "--out", acts]) == 0
+        assert main(["cka", "--acts", acts, "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().splitlines()]
+        assert rows[1] == [0.0] * 4 and [r[1] for r in rows] == [0.0] * 4
+        np.testing.assert_allclose([rows[i][i] for i in (0, 2, 3)], 1.0,
+                                   atol=1e-5)
+
+
 class TestInfoCommand:
     def test_reports_tie_accounting(self, workdir, capsys):
         merged = str(workdir["dir"] / "merged.ffmc")
@@ -253,14 +285,18 @@ class TestInfoCommand:
         assert f"tied tensors: {2 * per_member}\n" in capsys.readouterr().out
 
     def test_malformed_container_is_one_line_error(self, tmp_path, capsys):
-        header = json.dumps({"__config__": {}, "w": {
-            "dtype": "f32", "shape": [1], "offset": 0.0, "length": 4}})
+        entry = {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}
+        config = default_config(n_layers=4).to_dict()
         path = tmp_path / "bad.ffmc"
-        path.write_bytes(MAGIC + struct.pack("<Q", len(header))
-                         + header.encode() + b"\0" * 4)
-        assert main(["info", "--model", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("ffmerge: error:")
+        for header in ({"__config__": {}, "w": dict(entry, offset=0.0)},
+                       {"__config__": dict(config, n_layers=4.0), "w": entry},
+                       {"__config__": dict(config, n_layers=True), "w": entry}):
+            text = json.dumps(header)
+            path.write_bytes(MAGIC + struct.pack("<Q", len(text))
+                             + text.encode() + b"\0" * 4)
+            assert main(["info", "--model", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("ffmerge: error:")
 
 
 class TestGenFixtureCommand:

@@ -71,6 +71,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ModelConfig.from_dict(d)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_layers", 4.0), ("n_layers", True), ("d_model", "16"),
+        ("d_ff", None), ("n_heads", 2.5), ("vocab_size", [32]),
+        ("max_seq_len", False), ("separator_id", 0.0), ("n_classes", 3.0),
+        ("n_classes", True), ("has_ff_biases", 1), ("has_ff_biases", "yes"),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        d = lm_config(mode="classifier", n_classes=3).to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=field):
+            ModelConfig.from_dict(d)
+
 
 class TestTensorNames:
     def test_ff_basenames_by_kind(self):

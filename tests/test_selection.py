@@ -1,5 +1,5 @@
-"""Selection tests: window enumeration, merge-candidate scoring, the
-layer-drop baseline, and the comparison report."""
+"""Selection tests: window enumeration, the one candidate sweep behind
+merge selection and the layer-drop baseline, and the selection report."""
 
 import json
 from dataclasses import replace
@@ -9,14 +9,15 @@ import pytest
 
 import ffmerge.engine as engine_mod
 import ffmerge.selection as selection_mod
+from ffmerge.checkpoint import serialize_container
 from ffmerge.config import ff_tensor_names
 from ffmerge.engine import EvalMetric, capture_activations, evaluate
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, permuted_copy_model,
                               random_model, token_sequences,
                               zeroed_layer_model)
-from ffmerge.selection import (SelectionReport, WindowCandidate,
-                               compare_merge_and_drop, drop_layers,
+from ffmerge.merging import MergeSpec, merge_window
+from ffmerge.selection import (SelectionReport, WindowCandidate, drop_layers,
                                enumerate_drop_starts, enumerate_windows,
                                matched_drop_count, select_best_drop,
                                select_best_window)
@@ -43,11 +44,11 @@ class TestEnumerateWindows:
 
 
 class TestSelectionReport:
-    def make_report(self, baseline=None):
+    def make_report(self):
         cands = (WindowCandidate(0, 1.5), WindowCandidate(1, 1.2))
         return SelectionReport(k=3, anchor_position="first",
                                use_permutation=True, candidates=cands,
-                               best=cands[1], baseline=baseline)
+                               best=cands[1])
 
     def test_json_schema(self):
         doc = json.loads(self.make_report().to_json())
@@ -57,14 +58,16 @@ class TestSelectionReport:
                                      {"start": 1, "score": 1.2}]
         assert doc["best"] == {"start": 1, "score": 1.2}
 
-    def test_baseline_included_when_present(self):
-        report = self.make_report(baseline=(WindowCandidate(2, 1.9),))
-        doc = json.loads(report.to_json())
-        assert doc["baseline"] == [{"start": 2, "score": 1.9}]
-
     def test_round_trip(self):
-        report = self.make_report(baseline=(WindowCandidate(2, 1.9),))
+        report = self.make_report()
         assert SelectionReport.from_json(report.to_json()) == report
+
+    def test_reads_report_with_baseline_key(self):
+        # reports written before the baseline field was removed still load
+        report = self.make_report()
+        doc = report.to_json_dict()
+        doc["baseline"] = [{"start": 2, "score": 1.9}]
+        assert SelectionReport.from_json(json.dumps(doc)) == report
 
     def test_best_must_be_a_candidate(self):
         cands = (WindowCandidate(0, 1.5),)
@@ -194,7 +197,6 @@ class TestDropLayers:
 
     def test_tied_group_survives_partial_drop(self):
         cfg, fixture, acts, _ = selection_fixture()
-        from ffmerge.merging import MergeSpec, merge_window
         merged, _ = merge_window(fixture.model, acts,
                                  MergeSpec(start=2, k=3))
         # drop the anchor layer 2; members 3 and 4 become layers 2 and 3
@@ -211,7 +213,6 @@ class TestDropLayers:
 
     def test_drop_outside_group_keeps_aliases(self):
         cfg, fixture, acts, _ = selection_fixture()
-        from ffmerge.merging import MergeSpec, merge_window
         merged, _ = merge_window(fixture.model, acts, MergeSpec(start=2, k=3))
         out = drop_layers(merged, 0, 1)
         # group (2,3,4) shifts to (1,2,3); anchor moves to layer1
@@ -287,26 +288,52 @@ class TestMatchedDropCount:
         assert matched_drop_count(cfg, 2) == 1
 
 
-class TestCompareMergeAndDrop:
-    def test_baseline_attached(self):
-        cfg, fixture, acts, eval_data = selection_fixture()
-        metric = EvalMetric("cross_entropy")
-        report, merged = compare_merge_and_drop(fixture.model, acts, 3,
-                                                eval_data, metric)
-        assert report.baseline is not None
-        count = matched_drop_count(cfg, 3)
-        assert len(report.baseline) == len(
-            enumerate_drop_starts(cfg.n_layers, count))
-        assert report.best.start == 2
-        drop_report, _ = select_best_drop(fixture.model, count, eval_data,
-                                          metric)
-        assert report.baseline == drop_report.candidates
-        doc = json.loads(report.to_json())
-        assert "baseline" in doc
+def store_bytes(model) -> bytes:
+    return serialize_container(model.store, model.config.to_dict())
 
-    def test_explicit_drop_count(self):
+
+# each sweep with the direct build of the candidate at one start
+SWEEPS = {
+    "merge": (lambda model, acts, data, metric:
+              select_best_window(model, acts, 3, data, metric),
+              lambda model, acts, start:
+              merge_window(model, acts, MergeSpec(start=start, k=3))[0]),
+    "drop": (lambda model, acts, data, metric:
+             select_best_drop(model, 2, data, metric),
+             lambda model, acts, start: drop_layers(model, start, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEPS))
+class TestSweep:
+    def test_scores_and_winner_match_direct_builds(self, kind):
         cfg, fixture, acts, eval_data = selection_fixture()
-        report, _ = compare_merge_and_drop(fixture.model, acts, 3, eval_data,
-                                           EvalMetric("cross_entropy"),
-                                           drop_count=2)
-        assert len(report.baseline) == len(enumerate_drop_starts(6, 2))
+        sweep, build = SWEEPS[kind]
+        metric = EvalMetric("cross_entropy")
+        report, best = sweep(fixture.model, acts, eval_data, metric)
+        for cand in report.candidates:
+            direct = build(fixture.model, acts, cand.start)
+            assert cand.score == evaluate(direct, eval_data, metric)
+        assert report.best.score == min(c.score for c in report.candidates)
+        direct_best = build(fixture.model, acts, report.best.start)
+        assert best.config == direct_best.config
+        assert store_bytes(best) == store_bytes(direct_best)
+
+    @pytest.mark.parametrize("metric", ["cross_entropy", "accuracy"])
+    def test_ties_go_to_smallest_start(self, kind, metric, monkeypatch):
+        cfg, fixture, acts, eval_data = selection_fixture()
+        sweep, build = SWEEPS[kind]
+        monkeypatch.setattr(selection_mod, "evaluate", lambda *args: 0.5)
+        report, best = sweep(fixture.model, acts, eval_data,
+                             EvalMetric(metric))
+        assert len(report.candidates) > 1
+        assert report.best == report.candidates[0] == WindowCandidate(0, 0.5)
+        assert store_bytes(best) == store_bytes(build(fixture.model, acts, 0))
+
+    def test_non_finite_score_fails(self, kind, monkeypatch):
+        cfg, fixture, acts, eval_data = selection_fixture()
+        sweep, _ = SWEEPS[kind]
+        monkeypatch.setattr(selection_mod, "evaluate",
+                            lambda *args: float("inf"))
+        with pytest.raises(ValueError, match="candidate score must be finite"):
+            sweep(fixture.model, acts, eval_data, EvalMetric("cross_entropy"))

@@ -9,7 +9,7 @@ reordering, then recovers it purely from pre-activation statistics.
 
 import numpy as np
 
-from ffmerge.alignment import (Permutation, align_units, apply_permutation,
+from ffmerge.alignment import (Permutation, apply_permutation,
                                cross_correlation, solve_assignment)
 from ffmerge.engine import FFParams, ff_forward
 
@@ -39,15 +39,14 @@ print(f"max output difference: {np.abs(y_base - y_shuf).max():.2e}")
 # each base unit correlates perfectly with exactly one shuffled unit
 corr = cross_correlation(pre_base, pre_shuf)
 print(f"correlation peaks per row: "
-      f"{np.sort(corr.values.max(axis=1))[:3]} ... all ~1")
+      f"{np.sort(corr.max(axis=1))[:3]} ... all ~1")
 
 # the assignment problem turns the correlation table into a permutation
 recovered = solve_assignment(corr)
-assert align_units(pre_base, pre_shuf) == recovered
 
 # applying the recovered permutation to the shuffled copy restores base
 restored = apply_permutation(shuffled, recovered)
 print(f"recovered == planted inverse: "
-      f"{np.array_equal(recovered.mapping, sigma.inverse().mapping)}")
+      f"{np.array_equal(recovered.mapping, np.argsort(sigma.mapping))}")
 print(f"restored w_in identical: "
       f"{np.array_equal(restored['w_in'], base['w_in'])}")

@@ -8,9 +8,8 @@ layer-drop baseline, CKA similarity analysis, and a binary checkpoint
 format that stores tied tensors once.
 """
 
-from .alignment import (CorrelationMatrix, Permutation, align_units,
-                        apply_permutation, cross_correlation, matched_score,
-                        solve_assignment)
+from .alignment import (Permutation, apply_permutation, cross_correlation,
+                        matched_score, solve_assignment)
 from .analysis import CkaMatrix, cka_matrix, linear_cka
 from .checkpoint import (CheckpointFormatError, ParameterStore, TieReport,
                          read_checkpoint, read_container, tie_report,
@@ -34,11 +33,11 @@ from .selection import (SelectionReport, WindowCandidate, drop_layers,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationSet", "CheckpointFormatError", "CkaMatrix", "CorrelationMatrix",
+    "ActivationSet", "CheckpointFormatError", "CkaMatrix",
     "Dataset", "EvalMetric", "FFParams", "MergeDiagnostics", "MergeSpec",
     "ModelConfig", "ParameterStore", "Permutation", "PermutedCopyFixture",
     "SelectionReport", "TieReport", "TransformerModel", "WindowCandidate",
-    "align_units", "apply_permutation", "capture_activations", "cka_matrix",
+    "apply_permutation", "capture_activations", "cka_matrix",
     "cross_correlation", "default_config",
     "drop_layers", "duplicate_model", "enumerate_drop_starts",
     "enumerate_windows", "evaluate", "ff_forward", "ff_params", "gen_fixture",

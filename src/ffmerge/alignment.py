@@ -10,7 +10,7 @@ input-output function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -54,50 +54,14 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(n, dtype=np.int64))
 
-    def inverse(self) -> "Permutation":
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.mapping] = np.arange(self.size)
-        return Permutation(inv)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """The permutation equivalent to applying ``other`` then ``self``."""
-        if other.size != self.size:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(other.mapping[self.mapping])
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.mapping, np.arange(self.size)))
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Entrywise Pearson correlations between two sets of hidden units.
-
-    values[j, l] correlates unit j of the first layer with unit l of the
-    second. Pairs involving a constant (zero-variance) unit are set to 0;
-    the offending unit indexes are recorded per side.
-    """
-
-    values: np.ndarray
-    zero_variance_cols_a: frozenset[int] = field(default_factory=frozenset)
-    zero_variance_cols_b: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"correlation matrix must be square, got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-
-def cross_correlation(ref: np.ndarray, other: np.ndarray) -> CorrelationMatrix:
+def cross_correlation(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Correlate the columns of two activation matrices of equal shape.
 
-    Rows of ``ref`` and ``other`` must describe the same inputs. Values are
-    clipped to [-1, 1] to shed float round-off.
+    Returns the float64 matrix whose [j, l] entry correlates unit j of
+    ``ref`` with unit l of ``other``. Rows of ``ref`` and ``other`` must
+    describe the same inputs. Values are clipped to [-1, 1] to shed float
+    round-off; pairs involving a constant (zero-variance) unit are 0.
     """
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(other, dtype=np.float64)
@@ -107,32 +71,23 @@ def cross_correlation(ref: np.ndarray, other: np.ndarray) -> CorrelationMatrix:
         raise ValueError(f"activation shapes differ: {a.shape} vs {b.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples to correlate")
-    sa = column_stats(a)
-    sb = column_stats(b)
-    ac = a - sa.means
-    bc = b - sb.means
-    cov = (ac.T @ bc) / a.shape[0]
-    denom = np.outer(sa.stds, sb.stds)
-    zero_rows = np.flatnonzero(sa.stds == 0.0)
-    zero_cols = np.flatnonzero(sb.stds == 0.0)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    corr = np.clip(cov / safe, -1.0, 1.0)
-    if zero_rows.size:
-        corr[zero_rows, :] = 0.0
-    if zero_cols.size:
-        corr[:, zero_cols] = 0.0
-    return CorrelationMatrix(values=corr,
-                             zero_variance_cols_a=frozenset(int(i) for i in zero_rows),
-                             zero_variance_cols_b=frozenset(int(i) for i in zero_cols))
+    mean_a, std_a = column_stats(a)
+    mean_b, std_b = column_stats(b)
+    cov = ((a - mean_a).T @ (b - mean_b)) / a.shape[0]
+    denom = np.outer(std_a, std_b)
+    corr = np.clip(cov / np.where(denom == 0.0, 1.0, denom), -1.0, 1.0)
+    corr[std_a == 0.0, :] = 0.0
+    corr[:, std_b == 0.0] = 0.0
+    return corr
 
 
-def solve_assignment(corr: CorrelationMatrix | np.ndarray) -> Permutation:
+def solve_assignment(values: np.ndarray) -> Permutation:
     """Maximize the summed matched correlation over all permutations.
 
     Solved exactly with the Jonker-Volgonant solver behind
     scipy's ``linear_sum_assignment``.
     """
-    values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
+    values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"assignment needs a square matrix, got {values.shape}")
     if not np.isfinite(values).all():
@@ -143,10 +98,9 @@ def solve_assignment(corr: CorrelationMatrix | np.ndarray) -> Permutation:
     return Permutation(mapping)
 
 
-def matched_score(corr: CorrelationMatrix | np.ndarray, perm: Permutation) -> float:
+def matched_score(values: np.ndarray, perm: Permutation) -> float:
     """The total correlation collected by a permutation."""
-    values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
-    return float(values[np.arange(perm.size), perm.mapping].sum())
+    return float(np.asarray(values)[np.arange(perm.size), perm.mapping].sum())
 
 
 def apply_permutation(params: FFParams, perm: Permutation) -> FFParams:
@@ -166,12 +120,3 @@ def apply_permutation(params: FFParams, perm: Permutation) -> FFParams:
         axis = FF_HIDDEN_AXIS[base]
         gathered[base] = arr.copy() if axis is None else np.take(arr, perm.mapping, axis=axis)
     return gathered
-
-
-def align_units(ref_acts: np.ndarray, other_acts: np.ndarray) -> Permutation:
-    """Correlate then assign: the permutation aligning ``other`` to ``ref``.
-
-    ``apply_permutation`` with this result reorders the other layer's units
-    so that slot j holds the unit best matching reference unit j.
-    """
-    return solve_assignment(cross_correlation(ref_acts, other_acts))

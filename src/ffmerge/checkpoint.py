@@ -267,12 +267,21 @@ def _entry_shape(name: str, value) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json`` object hook: a repeated key makes the header non-canonical."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) != len(keys):
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise CheckpointFormatError(f"header repeats key {repeated!r}", offset=16)
+    return dict(pairs)
+
+
 def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
     """Decode FFMC-v1 bytes into a store and its metadata object.
 
-    Only canonical files parse: every entry has exactly its kind's fields,
-    and owner spans tile the data region in header order, with no gap,
-    overlap or trailing bytes.
+    Only canonical files parse: no JSON object repeats a key, every entry
+    has exactly its kind's fields, and owner spans tile the data region in
+    header order, with no gap, overlap or trailing bytes.
     """
     if len(data) < 16:
         raise TruncatedFileError("file shorter than the fixed 16-byte prefix",
@@ -285,7 +294,10 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
         raise TruncatedFileError(
             f"header claims {header_len} bytes but file ends early", offset=16)
     try:
-        header = json.loads(data[16:data_start].decode("utf-8"))
+        header = json.loads(data[16:data_start].decode("utf-8"),
+                            object_pairs_hook=_unique_keys)
+    except CheckpointFormatError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"header is not valid JSON: {exc}",
                                     offset=16) from exc

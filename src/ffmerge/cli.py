@@ -92,6 +92,9 @@ def _cmd_capture(args) -> int:
     acts = capture_activations(model, data, TAP_FLAGS[args.tap],
                                args.max_samples)
     write_activations(acts, args.out)
+    if acts.sample_count < args.max_samples:
+        print(f"ffmerge: warning: data holds {acts.sample_count} rows, fewer "
+              f"than --max-samples {args.max_samples}", file=sys.stderr)
     print(f"captured {acts.sample_count} rows at {acts.tap} over "
           f"{len(acts.per_layer)} layers -> {args.out}")
     return 0

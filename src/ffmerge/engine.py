@@ -272,6 +272,8 @@ class ActivationSet:
         if not self.per_layer:
             raise ValueError("activation set has no layers")
         shapes = {m.shape for m in self.per_layer.values()}
+        if any(len(shape) != 2 for shape in shapes):
+            raise ValueError(f"per-layer matrices must be 2-D, got {sorted(shapes)}")
         if len(shapes) != 1:
             raise ValueError(f"inconsistent per-layer shapes: {sorted(shapes)}")
         (shape,) = shapes
@@ -332,9 +334,11 @@ def read_activations(path) -> ActivationSet:
         raise ValueError(f"{path} is not an activation dump")
     per_layer = {}
     for name in store.names:
-        if not name.startswith("acts.layer"):
+        index = name[len("acts.layer"):]
+        if (not name.startswith("acts.layer") or not index.isdecimal()
+                or index != str(int(index))):
             raise ValueError(f"unexpected entry {name!r} in activation dump")
-        per_layer[int(name[len("acts.layer"):])] = store.get(name)
+        per_layer[int(index)] = store.get(name)
     count = meta.get("sample_count")
     if not isinstance(count, int) or isinstance(count, bool):
         raise ValueError(f"{path}: sample_count must be an integer, got {count!r}")

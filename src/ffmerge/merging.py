@@ -109,8 +109,8 @@ def _member_permutation(acts: ActivationSet, anchor_layer: int, layer: int,
     if use_permutation:
         perm = solve_assignment(corr)
     else:
-        perm = Permutation.identity(corr.size)
-    return perm, matched_score(corr, perm) / corr.size
+        perm = Permutation.identity(len(corr))
+    return perm, matched_score(corr, perm) / len(corr)
 
 
 def merge_window(model: TransformerModel, acts: ActivationSet,

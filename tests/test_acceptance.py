@@ -13,13 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffmerge.alignment import (Permutation, align_units, apply_permutation,
+from ffmerge.alignment import (Permutation, apply_permutation,
                                cross_correlation, solve_assignment)
 from ffmerge.analysis import cka_matrix, linear_cka
 from ffmerge.checkpoint import (ParameterStore, parse_container,
                                 serialize_container, tie_report)
+from ffmerge.config import ff_tensor_names
 from ffmerge.engine import (EvalMetric, FFParams, capture_activations,
-                            evaluate, ff_forward, swiglu_forward)
+                            evaluate, ff_forward, ff_params, swiglu_forward)
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, noisy_permuted_pair,
                               permuted_copy_model, token_sequences,
@@ -104,7 +105,7 @@ class TestAcceptance:
             for _ in range(20):
                 acts = rng.normal(size=(500, d))
                 sigma = rng.permutation(d)
-                recovered = align_units(acts, acts[:, sigma])
+                recovered = solve_assignment(cross_correlation(acts, acts[:, sigma]))
                 restored = acts[:, sigma][:, recovered.mapping]
                 if not (np.array_equal(recovered.mapping, np.argsort(sigma))
                         and np.array_equal(restored, acts)):
@@ -131,18 +132,37 @@ class TestAcceptance:
             ff_size = 64 * 16 + 16 * 64 + (64 + 16 if biases else 0)
             saved = (fixture.model.store.unique_parameter_count()
                      - merged.store.unique_parameter_count())
+            # the group is a functional no-op, so the score alone cannot
+            # tell a right alignment from a wrong one: a correct alignment
+            # averages three exact copies back into layer 2's own weights
+            anchor = ff_params(fixture.model, 2)
+            exact = all(ff_params(merged, 2)[base].tobytes() == arr.tobytes()
+                        for base, arr in anchor.items())
+            names = ff_tensor_names(cfg, 2)
+            tied = all(merged.store.alias_target(member) == owner
+                       for i in (3, 4)
+                       for member, owner in zip(ff_tensor_names(cfg, i), names))
+            _, vanilla = select_best_window(fixture.model, acts, 3, eval_data,
+                                            metric, use_permutation=False)
+            vanilla_exact = all(
+                ff_params(vanilla, 2)[base].tobytes() == arr.tobytes()
+                for base, arr in anchor.items())
             results.append((selection.best.start,
                             abs(selection.best.score - base_score),
-                            saved, 2 * ff_size))
+                            saved, 2 * ff_size, exact, tied, vanilla_exact))
         elapsed = time.perf_counter() - started
         ok = (all(start == 2 and delta <= 1e-4 and saved == expected
-                  for start, delta, saved, expected in results)
+                  and exact and tied and not vanilla_exact
+                  for start, delta, saved, expected, exact, tied, vanilla_exact
+                  in results)
               and elapsed < 60.0)
         report(4, "lossless merge found by selection", ok)
-        for start, delta, saved, expected in results:
+        for start, delta, saved, expected, exact, tied, vanilla_exact in results:
             assert start == 2
             assert delta <= 1e-4
             assert saved == expected
+            assert exact and tied
+            assert not vanilla_exact
         assert elapsed < 60.0
 
     def test_criterion_05_permuted_merge_beats_vanilla(self):
@@ -154,7 +174,7 @@ class TestAcceptance:
             base, noisy, _ = noisy_permuted_pair(cfg, seed=1000 + i)
             pre_base, y_base = ff_forward(base, probe, "relu")
             pre_noisy, _ = ff_forward(noisy, probe, "relu")
-            recovered = align_units(pre_base, pre_noisy)
+            recovered = solve_assignment(cross_correlation(pre_base, pre_noisy))
             merged = merge_ff(base, [noisy], [recovered])
             vanilla = merge_ff(base, [noisy], [Permutation.identity(64)])
             _, y_merged = ff_forward(merged, probe, "relu")

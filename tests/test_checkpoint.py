@@ -309,6 +309,22 @@ class TestContainerFormat:
         with pytest.raises(CheckpointFormatError):
             parse_container(build_container(header, payload))
 
+    @pytest.mark.parametrize("entry,repeat", [
+        ('"b":', '"b":{"alias_of":"a","shape":[2,3]},"b":'),
+        ('"a":', '"__config__":{"note":2},"a":'),
+        ('"length":12', '"length":12,"length":12'),
+    ], ids=["alias", "config", "field"])
+    def test_repeated_header_key_rejected(self, entry, repeat):
+        data = aliased_container()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        text = data[16:16 + header_len].decode()
+        assert text.count(entry) == 1
+        text = text.replace(entry, repeat)
+        with pytest.raises(CheckpointFormatError, match="repeats key") as err:
+            parse_container(MAGIC + struct.pack("<Q", len(text))
+                            + text.encode() + data[16 + header_len:])
+        assert err.value.offset == 16
+
     def test_overlapping_spans_rejected(self):
         header = {"__config__": {},
                   "a": {"dtype": "f32", "shape": [2], "offset": 0, "length": 8},

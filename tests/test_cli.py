@@ -10,10 +10,11 @@ import pytest
 from ffmerge.checkpoint import MAGIC, ParameterStore, read_checkpoint, \
     write_container
 from ffmerge.cli import _parse_window, main
+from ffmerge.config import ff_tensor_names
 from ffmerge.datasets import write_token_file
 from ffmerge.engine import load_model, read_activations, save_model
 from ffmerge.fixtures import default_config, greedy_sequences, \
-    permuted_copy_model, token_sequences, zeroed_layer_model
+    permuted_copy_model, random_model, token_sequences, zeroed_layer_model
 from ffmerge.selection import SelectionReport, enumerate_windows
 
 
@@ -59,6 +60,25 @@ class TestCaptureCommand:
         assert acts.tap == "ff_pre_act"
         assert acts.sample_count == 200
         assert len(acts.per_layer) == 6
+
+    @pytest.mark.parametrize("max_samples,shortfall", [(10000, True),
+                                                       (200, False)])
+    def test_row_shortfall_is_one_stderr_line(self, workdir, capsys,
+                                              max_samples, shortfall):
+        out = str(workdir["dir"] / "more.ffmc")
+        capsys.readouterr()
+        rc = main(["capture", "--model", workdir["model"],
+                   "--data", workdir["capture_data"], "--tap", "ff-pre-act",
+                   "--max-samples", str(max_samples), "--out", out])
+        assert rc == 0
+        captured = capsys.readouterr()
+        rows = min(max_samples, 24 * 16)
+        assert captured.out.startswith(f"captured {rows} rows at ff_pre_act")
+        if shortfall:
+            assert captured.err.count("\n") == 1
+            assert f"{rows} rows" in captured.err and "10000" in captured.err
+        else:
+            assert captured.err == ""
 
     def test_missing_model_file_is_io_error(self, workdir):
         rc = main(["capture", "--model", str(workdir["dir"] / "nope.ffmc"),
@@ -251,6 +271,43 @@ class TestCkaCommand:
                                    atol=1e-5)
 
 
+def write_dump(path, names, shape) -> str:
+    store = ParameterStore()
+    for name in names:
+        store.add(name, np.ones(shape, dtype=np.float32))
+    write_container(store, {"tap": "ff_pre_act", "sample_count": shape[0]},
+                    path)
+    return str(path)
+
+
+class TestMalformedActivationDump:
+    @pytest.mark.parametrize("command", ["merge", "select", "cka"])
+    def test_one_dimensional_layers(self, workdir, capsys, command):
+        acts = write_dump(workdir["dir"] / "flat.ffmc",
+                          [f"acts.layer{i}" for i in range(6)], (32,))
+        out = str(workdir["dir"] / "out")
+        argv = {"merge": ["--model", workdir["model"], "--window", "0:2"],
+                "select": ["--model", workdir["model"], "--k", "2",
+                           "--eval-data", workdir["eval_data"],
+                           "--metric", "xent", "--report", out + ".json"],
+                "cka": []}[command]
+        capsys.readouterr()
+        rc = main([command, "--acts", acts, "--out", out, *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2-D" in err
+
+    @pytest.mark.parametrize("name", ["acts.layer01", "acts.layer+1",
+                                      "acts.layer-1", "acts.layer"])
+    def test_non_canonical_layer_name(self, tmp_path, capsys, name):
+        acts = write_dump(tmp_path / "dup.ffmc",
+                          ["acts.layer0", "acts.layer1", name], (32, 4))
+        rc = main(["cka", "--acts", acts, "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(name) in err
+
+
 class TestInfoCommand:
     def test_reports_tie_accounting(self, workdir, capsys):
         merged = str(workdir["dir"] / "merged.ffmc")
@@ -297,6 +354,29 @@ class TestInfoCommand:
             assert main(["info", "--model", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("ffmerge: error:")
+
+    @pytest.mark.parametrize("key", ["alias", "__config__"])
+    def test_repeated_header_key_is_one_line_error(self, tmp_path, capsys,
+                                                   key):
+        cfg = default_config(n_layers=2, d_model=8, d_ff=16)
+        model = random_model(cfg, seed=5)
+        owner, alias = ff_tensor_names(cfg, 0)[0], ff_tensor_names(cfg, 1)[0]
+        model.store.set_alias(alias, owner)
+        path = tmp_path / "tied.ffmc"
+        save_model(model, str(path))
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        text = data[16:16 + header_len].decode()
+        name = alias if key == "alias" else key
+        entry = f'"{name}":' + json.dumps(json.loads(text)[name],
+                                          separators=(",", ":"))
+        assert entry in text
+        text = text.replace(entry, entry + "," + entry)
+        path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text.encode()
+                         + data[16 + header_len:])
+        assert main(["info", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"repeats key {name!r}" in err
 
 
 class TestGenFixtureCommand:

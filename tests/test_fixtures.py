@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffmerge.alignment import align_units, apply_permutation
+from ffmerge.alignment import (Permutation, apply_permutation,
+                               cross_correlation, solve_assignment)
 from ffmerge.datasets import write_token_file
 from ffmerge.engine import capture_activations, ff_forward, ff_params
 from ffmerge.fixtures import (FIXTURE_KINDS, default_config, duplicate_model,
@@ -68,7 +69,7 @@ class TestPermutedCopyModel:
         assert fixture.group_start == 2
         assert fixture.group_len == 3
         assert fixture.group_layers == (2, 3, 4)
-        assert fixture.planted[2].is_identity()
+        assert fixture.planted[2] == Permutation.identity(16)
         assert set(fixture.planted) == {2, 3, 4}
 
     def test_explicit_group(self):
@@ -83,8 +84,8 @@ class TestPermutedCopyModel:
         anchor = ff_params(fixture.model, fixture.group_start)
         for layer in fixture.group_layers[1:]:
             member = ff_params(fixture.model, layer)
-            undone = apply_permutation(member,
-                                       fixture.planted[layer].inverse())
+            undo = Permutation(np.argsort(fixture.planted[layer].mapping))
+            undone = apply_permutation(member, undo)
             np.testing.assert_array_equal(undone["w_in"], anchor["w_in"])
             np.testing.assert_array_equal(undone["w_out"], anchor["w_out"])
 
@@ -96,10 +97,10 @@ class TestPermutedCopyModel:
                                    max_samples=200)
         start = fixture.group_start
         for layer in fixture.group_layers[1:]:
-            recovered = align_units(acts.per_layer[start],
-                                    acts.per_layer[layer])
+            recovered = solve_assignment(cross_correlation(
+                acts.per_layer[start], acts.per_layer[layer]))
             np.testing.assert_array_equal(
-                recovered.mapping, fixture.planted[layer].inverse().mapping)
+                recovered.mapping, np.argsort(fixture.planted[layer].mapping))
 
     def test_group_must_fit(self):
         cfg = default_config(n_layers=4, d_model=8, d_ff=16)

@@ -284,25 +284,23 @@ def greedy_sequences(model: TransformerModel, n_sequences: int, seq_len: int,
     """Sequences the model itself continues greedily from random prompts.
 
     Each sequence starts with ``prompt_len`` random tokens and is extended
-    one argmax token at a time; the separator id is never emitted. Such data
-    scores the generating model well, so any surgery that damages the model
-    shows up as a worse score.
+    one argmax token at a time, all sequences in one batched forward per
+    step; the separator id is never emitted. Such data scores the
+    generating model well, so any surgery that damages the model shows up
+    as a worse score.
     """
     cfg = model.config
     if not 1 <= prompt_len < seq_len or seq_len > cfg.max_seq_len:
         raise ValueError("need 1 <= prompt_len < seq_len <= max_seq_len")
     rng = np.random.default_rng(seed)
     ids = [i for i in range(cfg.vocab_size) if i != cfg.separator_id]
-    seqs = []
-    for _ in range(n_sequences):
-        toks = list(rng.choice(ids, size=prompt_len))
-        while len(toks) < seq_len:
-            logits = model.forward(np.array(toks, dtype=np.int64))
-            row = logits[-1].astype(np.float64)
-            row[cfg.separator_id] = -np.inf
-            toks.append(int(row.argmax()))
-        seqs.append(np.array(toks, dtype=np.uint32))
-    return Dataset(sequences=seqs)
+    toks = np.array([rng.choice(ids, size=prompt_len) for _ in range(n_sequences)],
+                    dtype=np.int64).reshape(n_sequences, prompt_len)
+    while n_sequences and toks.shape[1] < seq_len:
+        rows = model.forward(toks)[:, -1].astype(np.float64)
+        rows[:, cfg.separator_id] = -np.inf
+        toks = np.column_stack([toks, rows.argmax(axis=1)])
+    return Dataset(sequences=list(toks.astype(np.uint32)))
 
 
 def gen_fixture(kind: str, *, n_layers: int, d_model: int, d_ff: int,

@@ -1,18 +1,22 @@
 """Engine tests: scalar-loop oracles for the sublayer math, forward-pass
 properties (causality, determinism, permutation symmetry), evaluation
-metrics, and activation capture."""
+metrics, activation capture, and a differential test of the batched
+forward against the plain per-sequence reference."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffmerge import engine
 from ffmerge.alignment import Permutation, apply_permutation
 from ffmerge.checkpoint import ParameterStore
 from ffmerge.config import ModelConfig, ff_param_basenames, model_tensor_names
 from ffmerge.datasets import Dataset
-from ffmerge.engine import (ActivationSet, EvalMetric, FFParams,
+from ffmerge.engine import (METRIC_KINDS, TAPS, ActivationSet, EvalMetric, FFParams,
                             TransformerModel, capture_activations, evaluate,
                             ff_forward, ff_params, load_model,
                             read_activations, save_model, set_ff_params,
@@ -261,6 +265,23 @@ class TestForward:
             model.forward(np.zeros(cfg.max_seq_len + 1, dtype=np.int64))
         with pytest.raises(ValueError, match="non-empty"):
             model.forward(np.array([], dtype=np.int64))
+        # no silent truncation of floats, no bools read as 0/1
+        for bad in ([1.7, 2.2], np.array([1.0, 2.0]), [True, False]):
+            with pytest.raises(ValueError, match="integers"):
+                model.forward(bad)
+
+    def test_batch_token_error_names_first_in_dataset_order(self):
+        cfg = default_config(n_layers=1, d_model=8, d_ff=16)
+        model = random_model(cfg, seed=27)
+        # the bad length-2 sequence comes first in the dataset, but its
+        # length group is seen second
+        data = Dataset(sequences=[np.array([1, 2, 3], dtype=np.uint32),
+                                  np.array([4, 40], dtype=np.uint32),
+                                  np.array([5, 6, 50], dtype=np.uint32)])
+        with pytest.raises(ValueError, match="token id 40 "):
+            evaluate(model, data, EvalMetric("cross_entropy"))
+        with pytest.raises(ValueError, match="token id 40 "):
+            capture_activations(model, data, "ff_out", max_samples=8)
 
     def test_missing_tensor_rejected(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)
@@ -474,3 +495,197 @@ class TestModelCheckpointRoundTrip:
         assert back.config == model.config
         toks = np.array([5, 1, 9], dtype=np.int64)
         np.testing.assert_array_equal(back.forward(toks), model.forward(toks))
+
+
+# -- batched forward against the per-sequence reference ------------------------
+
+
+def _reference_run(model: TransformerModel, tokens, tap=None):
+    """The plain per-sequence float64 forward: one 1-D sequence, GELU's
+    cube as ``z**3``."""
+    cfg = model.config
+    p = lambda name: model.store.get(name).astype(np.float64)
+    toks = np.asarray(tokens, dtype=np.int64)
+    n = toks.size
+
+    def ln(x, name):
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + 1e-5) * p(f"{name}.gain") + p(f"{name}.bias")
+
+    def attention(i, x):
+        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        proj = lambda w: (x @ p(f"layer{i}.attn.w{w}").T + p(f"layer{i}.attn.b{w}")
+                          ).reshape(n, h, dh).transpose(1, 0, 2)
+        scores = proj("q") @ proj("k").transpose(0, 2, 1) / math.sqrt(dh)
+        if cfg.mode == "lm":
+            scores = scores + np.triu(np.full((n, n), -np.inf), k=1)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        out = (weights @ proj("v")).transpose(1, 0, 2).reshape(n, cfg.d_model)
+        return out @ p(f"layer{i}.attn.wo").T + p(f"layer{i}.attn.bo")
+
+    def ff(i, x):
+        w = lambda base: p(f"layer{i}.ff.{base}").T
+        if cfg.ff_kind == "swiglu":
+            up = x @ w("w_up")
+            hidden = up / (1.0 + np.exp(-up)) * (x @ w("v_gate"))
+            return hidden, hidden @ w("w_down")
+        hidden = x @ w("w_in") + (w("b_in") if cfg.has_ff_biases else 0.0)
+        if cfg.ff_kind == "relu":
+            act = np.maximum(hidden, 0.0)
+        else:
+            act = 0.5 * hidden * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (
+                hidden + 0.044715 * hidden**3)))
+        return hidden, act @ w("w_out") + (w("b_out") if cfg.has_ff_biases else 0.0)
+
+    pre = cfg.norm_placement == "pre_ln"
+    x = p("embed.tok")[toks] + p("embed.pos")[:n]
+    collected = {}
+    for i in range(cfg.n_layers):
+        a = attention(i, ln(x, f"layer{i}.ln1") if pre else x)
+        x = x + a if pre else ln(x + a, f"layer{i}.ln1")
+        hidden, y = ff(i, ln(x, f"layer{i}.ln2") if pre else x)
+        collected[i] = {"attn_out": a, "ff_pre_act": hidden, "ff_out": y}.get(tap)
+        x = x + y if pre else ln(x + y, f"layer{i}.ln2")
+    if pre:
+        x = ln(x, "final_ln")
+    if cfg.mode == "classifier":
+        x = x[0] if cfg.pooling == "cls" else x.mean(axis=0)
+    return x @ p("head.w").T + p("head.b"), collected if tap else {}
+
+
+def _reference_evaluate(model, dataset, kind):
+    ce_sum, correct, count = 0.0, 0, 0
+    labels = dataset.labels if dataset.labels is not None \
+        else [None] * len(dataset.sequences)
+    for seq, label in zip(dataset.sequences, labels):
+        logits, _ = _reference_run(model, seq)
+        if model.config.mode == "lm":
+            if len(seq) < 2:
+                continue
+            targets = np.asarray(seq[1:], dtype=np.int64)
+            ls = log_softmax_rows(logits[:-1])
+            ce_sum += float(-ls[np.arange(len(targets)), targets].sum())
+            correct += int((logits[:-1].argmax(axis=1) == targets).sum())
+            count += len(targets)
+        else:
+            ce_sum += float(-log_softmax_rows(logits)[label])
+            correct += int(logits.argmax() == label)
+            count += 1
+    ce = ce_sum / count
+    return {"accuracy": correct / count, "cross_entropy": ce,
+            "perplexity": math.exp(ce)}[kind]
+
+
+def log_softmax_rows(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _reference_capture(model, dataset, tap, max_samples):
+    rows, parts = 0, {i: [] for i in range(model.config.n_layers)}
+    for seq in dataset.sequences:
+        for i, mat in _reference_run(model, seq, tap)[1].items():
+            parts[i].append(mat)
+        rows += len(seq)
+        if rows >= max_samples:
+            break
+    return {i: np.concatenate(m)[:max_samples].astype(np.float32)
+            for i, m in parts.items()}
+
+
+def _diff_model(ff_kind, placement, biases, mode, seed):
+    cfg = replace(default_config(n_layers=2, d_model=8, d_ff=16, ff_kind=ff_kind),
+                  norm_placement=placement,
+                  has_ff_biases=biases and ff_kind != "swiglu")
+    if mode != "lm":
+        cfg = replace(cfg, mode="classifier", n_classes=3, pooling=mode)
+    return random_model(cfg, seed)
+
+
+def _ragged(cfg, lengths, seed):
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(1, cfg.vocab_size, size=n).astype(np.uint32)
+            for n in lengths]
+    labels = None if cfg.mode == "lm" else rng.integers(0, cfg.n_classes,
+                                                        size=len(seqs))
+    return Dataset(sequences=seqs, labels=labels)
+
+
+def _assert_matches_reference(model, data, max_samples):
+    for tap in TAPS:
+        # _run on each equal-length group stacked as one batch
+        by_len = {}
+        for seq in data.sequences:
+            by_len.setdefault(len(seq), []).append(seq)
+        for seqs in by_len.values():
+            logits, taps = engine._run(model, np.stack(seqs), tap)
+            for j, seq in enumerate(seqs):
+                ref_logits, ref_taps = _reference_run(model, seq, tap)
+                np.testing.assert_allclose(logits[j], ref_logits, rtol=0, atol=1e-12)
+                for i in ref_taps:
+                    np.testing.assert_allclose(taps[i][j], ref_taps[i],
+                                               rtol=0, atol=1e-12)
+        acts = capture_activations(model, data, tap, max_samples)
+        for i, ref in _reference_capture(model, data, tap, max_samples).items():
+            got = acts.per_layer[i]
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) <= np.spacing(np.abs(ref))).all()
+    for kind in METRIC_KINDS:
+        got = evaluate(model, data, EvalMetric(kind))
+        assert got == pytest.approx(_reference_evaluate(model, data, kind),
+                                    rel=1e-12, abs=1e-12)
+
+
+class TestBatchedForward:
+    @settings(max_examples=40, deadline=None)
+    @given(ff_kind=st.sampled_from(["relu", "gelu", "swiglu"]),
+           placement=st.sampled_from(["pre_ln", "post_ln"]),
+           biases=st.booleans(), mode=st.sampled_from(["lm", "cls", "mean"]),
+           lengths=st.lists(st.sampled_from([1, 2, 3, 5, 9]), min_size=1,
+                            max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_matches_per_sequence_reference(self, ff_kind, placement, biases,
+                                            mode, lengths, seed):
+        model = _diff_model(ff_kind, placement, biases, mode, seed)
+        if mode == "lm" and max(lengths) < 2:
+            lengths = lengths + [2]
+        data = _ragged(model.config, lengths, seed + 1)
+        _assert_matches_reference(model, data, max(1, sum(lengths) - 1))
+
+    def test_length_group_larger_than_one_batch(self, monkeypatch):
+        model = _diff_model("gelu", "pre_ln", True, "lm", seed=70)
+        n = model.config.max_seq_len
+        per_batch = engine.MAX_BATCH_TOKENS // n
+        data = _ragged(model.config, [n] * (per_batch + 3) + [7, n], seed=71)
+        _assert_matches_reference(model, data, max_samples=(per_batch + 4) * n)
+        shapes = []
+        run = engine._run
+
+        def recording_run(model, tokens, tap=None):
+            shapes.append(np.shape(tokens))
+            return run(model, tokens, tap)
+
+        monkeypatch.setattr(engine, "_run", recording_run)
+        evaluate(model, data, EvalMetric("cross_entropy"))
+        assert shapes == [(per_batch, n), (4, n), (1, 7)]
+
+    @pytest.mark.parametrize("placement", ["pre_ln", "post_ln"])
+    def test_greedy_matches_per_sequence_loop(self, placement):
+        model = _diff_model("gelu", placement, True, "lm", seed=72)
+        cfg = model.config
+        ids = [i for i in range(cfg.vocab_size) if i != cfg.separator_id]
+        for seed in (0, 1, 2, 3):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for _ in range(5):
+                toks = list(rng.choice(ids, size=2))
+                while len(toks) < 24:
+                    row = model.forward(np.array(toks, dtype=np.int64))[-1]
+                    row = row.astype(np.float64)
+                    row[cfg.separator_id] = -np.inf
+                    toks.append(int(row.argmax()))
+                expected.append(toks)
+            got = greedy_sequences(model, 5, 24, seed=seed)
+            assert [s.tolist() for s in got.sequences] == expected

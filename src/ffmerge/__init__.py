@@ -19,7 +19,7 @@ from .datasets import (Dataset, load_dataset, read_label_file, read_token_file,
                        write_label_file, write_token_file)
 from .engine import (ActivationSet, EvalMetric, FFParams, TransformerModel,
                      capture_activations, evaluate, ff_forward, ff_params,
-                     load_model, read_activations, save_model, set_ff_params,
+                     load_model, read_activations, save_model,
                      swiglu_forward, write_activations)
 from .fixtures import (PermutedCopyFixture, default_config, duplicate_model,
                        gen_fixture, greedy_sequences, noisy_permuted_pair,
@@ -46,7 +46,7 @@ __all__ = [
     "noisy_permuted_pair", "permuted_copy_model", "random_model",
     "read_activations", "read_checkpoint", "read_container", "read_label_file",
     "read_token_file", "save_model", "select_best_drop",
-    "select_best_window", "set_ff_params", "solve_assignment", "swiglu_forward",
+    "select_best_window", "solve_assignment", "swiglu_forward",
     "tie_report", "token_sequences", "write_activations", "write_checkpoint",
     "write_container", "write_label_file", "write_token_file",
     "zeroed_layer_model",

@@ -75,7 +75,8 @@ class ParameterStore:
     """Ordered map of tensor names to float32 arrays, with alias entries.
 
     An alias shares the exact storage of its (non-alias) target: mutating
-    the payload behind a tied name is observed through every alias.
+    the payload behind a tied name is observed through every alias. Entries
+    are never rebound once added; an edited model is a ``copy``.
     """
 
     def __init__(self):
@@ -124,28 +125,6 @@ class ParameterStore:
         if target not in self._arrays:
             raise ValueError(f"alias {name!r} points at missing entry {target!r}")
 
-    # -- rebinding (used by merge/drop surgery) --------------------------
-
-    def set_owner(self, name: str, array) -> None:
-        """Make ``name`` own ``array``, replacing a previous alias or payload."""
-        arr = _check_tensor(name, array)
-        if name not in self._arrays and name not in self._alias:
-            raise KeyError(f"unknown tensor {name!r}")
-        self._alias.pop(name, None)
-        self._arrays[name] = arr
-
-    def set_alias(self, name: str, target: str) -> None:
-        """Rebind an existing entry as an alias of ``target``."""
-        if name not in self._arrays and name not in self._alias:
-            raise KeyError(f"unknown tensor {name!r}")
-        self._check_alias_target(name, target)
-        if name in self._arrays and self.dependents(name):
-            raise ValueError(
-                f"cannot alias {name!r}: entries {self.dependents(name)} still point at it"
-            )
-        self._arrays.pop(name, None)
-        self._alias[name] = target
-
     # -- access ----------------------------------------------------------
 
     @property
@@ -164,9 +143,6 @@ class ParameterStore:
     def alias_target(self, name: str) -> str | None:
         return self._alias.get(name)
 
-    def dependents(self, name: str) -> list[str]:
-        return [a for a, t in self._alias.items() if t == name]
-
     def get(self, name: str) -> np.ndarray:
         """Resolve ``name`` to its storage (aliases share the target's array)."""
         if name in self._alias:
@@ -176,10 +152,45 @@ class ParameterStore:
         except KeyError:
             raise KeyError(f"unknown tensor {name!r}") from None
 
-    def copy(self) -> "ParameterStore":
-        """Deep copy: fresh arrays, same names, same alias structure."""
-        return ParameterStore.from_entries(
-            self._order, {n: a.copy() for n, a in self._arrays.items()}, self._alias)
+    def copy(self, layout=None, replace=None) -> "ParameterStore":
+        """A new store with fresh arrays; the one way to edit a model.
+
+        ``layout`` lists ``(new name, source entry)`` pairs in header order
+        (default: every entry under its own name) and ``replace`` maps a new
+        name to a new payload. Entries whose sources share an old tie group
+        stay tied, and one rule picks each group's owner: a name with a new
+        payload owns it, and every entry listing the same source aliases
+        it; otherwise the old owner keeps ownership if it is listed,
+        possibly renamed; otherwise the group's first listed member owns a
+        copy of the old payload. A name that leaves a group never changes
+        the payload of the members that stay.
+        """
+        if layout is None:
+            layout = [(name, name) for name in self._order]
+        layout, replace = list(layout), replace or {}
+        # a replaced name's source ties to it, not to its old group
+        claimed = {src: new for new, src in layout if new in replace}
+        if len(claimed) != len(replace):
+            raise ValueError("each replaced name must be listed, with a source of its own")
+        # old group root -> new owner: the old owner if listed (first listing
+        # wins), else the group's first listed member
+        owner_of = {src: new for new, src in reversed(layout)
+                    if src in self._arrays and src not in claimed}
+        for new, src in layout:
+            if src not in claimed:
+                owner_of.setdefault(self._alias.get(src, src), new)
+        owners: dict[str, np.ndarray] = {}
+        aliases: dict[str, str] = {}
+        for new, src in layout:
+            root = self._alias.get(src, src)
+            owner = claimed[src] if src in claimed else owner_of[root]
+            if owner != new:
+                aliases[new] = owner
+            elif new in replace:
+                owners[new] = np.array(replace[new], dtype=np.float32)
+            else:
+                owners[new] = self.get(root).copy()
+        return ParameterStore.from_entries([new for new, _ in layout], owners, aliases)
 
     # -- parameter accounting ---------------------------------------------
 

@@ -10,7 +10,7 @@ of width `in` to `x @ W.T + b`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 MODES = ("lm", "classifier")
 NORM_PLACEMENTS = ("pre_ln", "post_ln")
@@ -90,35 +90,17 @@ class ModelConfig:
         return self.vocab_size if self.mode == "lm" else int(self.n_classes)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "n_heads": self.n_heads,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "norm_placement": self.norm_placement,
-            "ff_kind": self.ff_kind,
-            "has_ff_biases": self.has_ff_biases,
-            "n_classes": self.n_classes,
-            "pooling": self.pooling,
-            "separator_id": self.separator_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         if not isinstance(d, dict):
             raise ValueError("model config must be a JSON object")
-        required = {
-            "mode", "n_layers", "d_model", "d_ff", "n_heads",
-            "vocab_size", "max_seq_len", "norm_placement", "ff_kind",
-        }
+        required = {f.name for f in fields(cls) if f.default is MISSING}
         missing = required - d.keys()
         if missing:
             raise ValueError(f"model config missing fields: {sorted(missing)}")
-        known = required | {"has_ff_biases", "n_classes", "pooling", "separator_id"}
-        unknown = d.keys() - known
+        unknown = d.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"model config has unknown fields: {sorted(unknown)}")
         return cls(**d)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import ParameterStore, read_container, write_container
+from .checkpoint import (ParameterStore, read_checkpoint, read_container,
+                         write_checkpoint, write_container)
 from .config import (FF_HIDDEN_AXIS, ModelConfig, expected_shapes,
                      ff_param_basenames, model_tensor_names)
 from .datasets import Dataset
@@ -146,9 +147,6 @@ class TransformerModel:
                     f"tensor {name!r} has shape {got}, expected {shapes[name]}"
                 )
 
-    def copy(self) -> "TransformerModel":
-        return TransformerModel(self.config, self.store.copy())
-
     def forward(self, tokens) -> np.ndarray:
         """Deterministic logits for one token sequence (float32).
 
@@ -170,19 +168,6 @@ def ff_params(model: TransformerModel, layer: int) -> FFParams:
     """The feed-forward table of one layer (arrays shared, not copied)."""
     return FFParams({base: model.store.get(f"layer{layer}.ff.{base}")
                      for base in ff_param_basenames(model.config)})
-
-
-def set_ff_params(model: TransformerModel, layer: int, params: FFParams) -> None:
-    """Install a feed-forward table under the layer's canonical names.
-
-    If the layer's tensors are tied, the whole tied group observes the
-    new values.
-    """
-    for base in ff_param_basenames(model.config):
-        name = f"layer{layer}.ff.{base}"
-        target = model.store.alias_target(name)
-        model.store.set_owner(target if target is not None else name,
-                              np.asarray(params[base], dtype=np.float32))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -421,6 +406,8 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric) -> f
     if not dataset.sequences:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.config.mode == "lm":
+        for seq in dataset.sequences:  # a bad token fails before any filtering
+            _check_tokens(model.config, seq)
         seqs = [seq for seq in dataset.sequences if len(seq) >= 2]
         if not seqs:
             raise ValueError("dataset has no sequences of length >= 2")
@@ -465,13 +452,9 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric) -> f
 
 
 def save_model(model: TransformerModel, path) -> None:
-    from .checkpoint import write_checkpoint
-
     write_checkpoint(model.store, model.config, path)
 
 
 def load_model(path) -> TransformerModel:
-    from .checkpoint import read_checkpoint
-
     store, config = read_checkpoint(path)
     return TransformerModel(config, store)

@@ -24,10 +24,11 @@ import numpy as np
 
 from .alignment import Permutation, apply_permutation
 from .checkpoint import ParameterStore
-from .config import (ATTN_PARAM_NAMES, ModelConfig, ff_param_basenames, ff_shapes,
+from .config import (ATTN_PARAM_NAMES, ModelConfig, expected_shapes,
+                     ff_param_basenames, ff_shapes, layer_tensor_names,
                      model_tensor_names)
 from .datasets import Dataset
-from .engine import FFParams, TransformerModel, set_ff_params
+from .engine import FFParams, TransformerModel
 
 FIXTURE_KINDS = ("duplicate", "permuted-copy", "random")
 
@@ -228,21 +229,11 @@ def zeroed_layer_model(cfg: ModelConfig, zero_layer: int,
         raise ValueError("a zeroed layer is only an identity under pre_ln")
     if not 0 <= zero_layer < cfg.n_layers:
         raise ValueError(f"zero_layer {zero_layer} out of range")
-    model = random_model(cfg, seed)
-    _zero_attention_store(model, zero_layer)
-    shapes = ff_shapes(cfg)
-    zeroed = FFParams({base: np.zeros(shapes[base], dtype=np.float32)
-                       for base in ff_param_basenames(cfg)})
-    set_ff_params(model, zero_layer, zeroed)
-    return model
-
-
-def _zero_attention_store(model: TransformerModel, layer: int) -> None:
-    d = model.config.d_model
-    for name in ATTN_PARAM_NAMES:
-        shape = (d, d) if name.startswith("w") else (d,)
-        model.store.set_owner(f"layer{layer}.attn.{name}",
-                              np.zeros(shape, dtype=np.float32))
+    shapes = expected_shapes(cfg)
+    zeros = {name: np.zeros(shapes[name], dtype=np.float32)
+             for name in layer_tensor_names(cfg, zero_layer)
+             if ".attn." in name or ".ff." in name}
+    return TransformerModel(cfg, random_model(cfg, seed).store.copy(replace=zeros))
 
 
 def noisy_permuted_pair(cfg: ModelConfig, seed: int, noise_scale: float = 0.01):

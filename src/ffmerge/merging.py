@@ -148,16 +148,14 @@ def merge_window(model: TransformerModel, acts: ActivationSet,
                                        mean_matched_correlation=mean_corr))
     merged = merge_ff(ff_params(model, anchor_layer),
                       [ff_params(model, i) for i in other_layers], perms)
-    out = model.copy()
     anchor_names = ff_tensor_names(cfg, anchor_layer)
-    for name, base in zip(anchor_names, ff_param_basenames(cfg)):
-        out.store.set_owner(name, merged[base])
-    rebind = [(name, target) for i in other_layers
-              for name, target in zip(ff_tensor_names(cfg, i), anchor_names)]
-    # re-point existing aliases first so owners lose their dependents
-    rebind.sort(key=lambda pair: not out.store.is_alias(pair[0]))
-    for name, target in rebind:
-        out.store.set_alias(name, target)
+    # the anchor's names own the merged tensors; other members list them
+    source = {name: target for i in other_layers
+              for name, target in zip(ff_tensor_names(cfg, i), anchor_names)}
+    store = model.store.copy(
+        [(name, source.get(name, name)) for name in model.store.names],
+        replace={name: merged[base]
+                 for name, base in zip(anchor_names, ff_param_basenames(cfg))})
     diag = MergeDiagnostics(spec=spec, anchor_layer=anchor_layer,
                             members=tuple(members))
-    return out, diag
+    return TransformerModel(cfg, store), diag

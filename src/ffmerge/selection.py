@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import ParameterStore
 from .config import ModelConfig, expected_shapes, ff_tensor_names, model_tensor_names
 from .engine import ActivationSet, EvalMetric, TransformerModel, evaluate
 from .merging import MergeSpec, merge_window
@@ -148,8 +147,8 @@ def enumerate_drop_starts(n_layers: int, count: int) -> list[int]:
 def drop_layers(model: TransformerModel, start: int, count: int) -> TransformerModel:
     """Remove whole transformer layers [start, start+count) and reindex.
 
-    Tied groups survive: if a kept tensor aliased into a dropped layer, the
-    first kept member becomes the owner and the rest re-point at it.
+    Tied groups survive: a kept owner stays the owner under its new name;
+    if the owner was dropped, the first kept member owns the group.
     """
     cfg = model.config
     if count < 0 or start < 0 or start + count > cfg.n_layers:
@@ -157,26 +156,12 @@ def drop_layers(model: TransformerModel, start: int, count: int) -> TransformerM
             f"cannot drop layers [{start}, {start + count}) from "
             f"{cfg.n_layers} layers"
         )
-    if count == 0:
-        return model.copy()
     if count == cfg.n_layers:
         raise ValueError("cannot drop every layer")
     new_cfg = replace(cfg, n_layers=cfg.n_layers - count)
     dropped = tuple(f"layer{i}." for i in range(start, start + count))
     old_names = [n for n in model_tensor_names(cfg) if not n.startswith(dropped)]
-    new_names = model_tensor_names(new_cfg)
-    # the first kept member of each tied group, in new canonical order, owns it
-    group_owner: dict[str, str] = {}
-    owners: dict[str, np.ndarray] = {}
-    aliases: dict[str, str] = {}
-    for new_name, old_name in zip(new_names, old_names):
-        root = model.store.alias_target(old_name) or old_name
-        rep = group_owner.setdefault(root, new_name)
-        if rep == new_name:
-            owners[new_name] = model.store.get(old_name).copy()
-        else:
-            aliases[new_name] = rep
-    store = ParameterStore.from_entries(new_names, owners, aliases)
+    store = model.store.copy(zip(model_tensor_names(new_cfg), old_names))
     return TransformerModel(new_cfg, store)
 
 

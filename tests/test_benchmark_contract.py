@@ -1,0 +1,77 @@
+"""The names the benchmark harness under ``benchmarks/`` reaches into the
+package for must exist, so a change that deletes one fails here first.
+
+``benchmarks/tracing.py`` is loaded read-only for its ``TARGETS`` table; the
+other harness files are only parsed, for the ``module.attribute`` names they
+use of the ``ffmerge`` modules they import.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location("_bench_tracing",
+                                                  BENCHMARKS / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:  # leave no bytecode cache under benchmarks/
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return [(mod, attr) for mod, attr, _, _ in module.TARGETS]
+
+
+def _resolve(module_name: str, attr: str):
+    obj = importlib.import_module(module_name)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _used_names(path: Path) -> set[tuple[str, str]]:
+    """``(ffmerge module, attribute)`` for every ``m.attr`` in the file where
+    ``m`` is a module imported by ``from ffmerge import m``, plus every name
+    imported by ``from ffmerge.m import name``."""
+    tree = ast.parse(path.read_text())
+    modules: dict[str, str] = {}
+    used: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ffmerge":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"ffmerge.{alias.name}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ffmerge."):
+            used.update((node.module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.add((modules[node.value.id], node.attr))
+    return used
+
+
+@pytest.mark.parametrize("module_name,attr", _tracing_targets())
+def test_traced_target_exists(module_name, attr):
+    assert callable(_resolve(module_name, attr))
+
+
+def test_layer_kernels_exist():
+    used = _used_names(BENCHMARKS / "layers.py")
+    expected = {("ffmerge.engine", name) for name in
+                ("FFParams", "SwigluFFParams", "ff_forward", "swiglu_forward")}
+    assert expected <= used
+    for module_name, attr in used:
+        _resolve(module_name, attr)
+
+
+def test_workload_names_exist():
+    used = _used_names(BENCHMARKS / "workloads.py")
+    assert ("ffmerge.cli", "main") in used
+    for module_name, attr in used:
+        _resolve(module_name, attr)

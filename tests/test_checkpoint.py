@@ -61,7 +61,7 @@ class TestParameterStore:
         store = ParameterStore()
         store.add("w", np.ones(3, dtype=np.float32))
         store.add_alias("v", "w")
-        store.set_owner("w", np.zeros(3, dtype=np.float32))
+        store.get("w")[:] = 0.0
         np.testing.assert_array_equal(store.get("v"), np.zeros(3))
 
     def test_alias_chain_rejected(self):
@@ -80,31 +80,7 @@ class TestParameterStore:
         store = ParameterStore()
         store.add("w", np.ones(2, dtype=np.float32))
         with pytest.raises(ValueError, match="itself"):
-            store.set_alias("w", "w")
-
-    def test_set_alias_rebinds_owner(self):
-        store = ParameterStore()
-        store.add("a", np.ones(2, dtype=np.float32))
-        store.add("b", np.zeros(2, dtype=np.float32))
-        store.set_alias("b", "a")
-        assert store.is_alias("b") and store.get("b") is store.get("a")
-        assert store.unique_parameter_count() == 2
-
-    def test_set_alias_refuses_owner_with_dependents(self):
-        store = ParameterStore()
-        store.add("a", np.ones(2, dtype=np.float32))
-        store.add("b", np.zeros(2, dtype=np.float32))
-        store.add_alias("c", "a")
-        with pytest.raises(ValueError, match="still point"):
-            store.set_alias("a", "b")
-
-    def test_set_owner_promotes_alias(self):
-        store = ParameterStore()
-        store.add("a", np.ones(2, dtype=np.float32))
-        store.add_alias("b", "a")
-        store.set_owner("b", np.full(2, 7.0, dtype=np.float32))
-        assert not store.is_alias("b")
-        np.testing.assert_array_equal(store.get("a"), np.ones(2))
+            store.add_alias("v", "v")
 
     def test_from_entries_keeps_given_order(self):
         store = ParameterStore.from_entries(
@@ -132,17 +108,85 @@ class TestParameterStore:
             if not store.is_alias(name):
                 assert dup.get(name) is not store.get(name)
 
-    def test_dependents(self):
-        store = ParameterStore()
-        store.add("a", np.ones(2, dtype=np.float32))
-        store.add_alias("b", "a")
-        store.add_alias("c", "a")
-        assert sorted(store.dependents("a")) == ["b", "c"]
-
     def test_non_finite_rejected(self):
         store = ParameterStore()
         with pytest.raises(ValueError, match="NaN"):
             store.add("w", np.array([np.nan], dtype=np.float32))
+
+
+def tied_store() -> ParameterStore:
+    """Owner ``a`` with aliases ``b`` and ``c``, and an untied ``d``."""
+    store = ParameterStore()
+    store.add("a", np.ones(2, dtype=np.float32))
+    store.add_alias("b", "a")
+    store.add_alias("c", "a")
+    store.add("d", np.zeros(2, dtype=np.float32))
+    return store
+
+
+def structure(store: ParameterStore) -> list:
+    return [(n, store.alias_target(n), store.get(n).tolist()) for n in store.names]
+
+
+class TestStoreCopy:
+    """The one tie-ownership rule of ``ParameterStore.copy``."""
+
+    def test_copy_layout_ties_owner(self):
+        store = tied_store()
+        dup = store.copy([("a", "a"), ("d", "a")])
+        assert structure(dup) == [("a", None, [1, 1]), ("d", "a", [1, 1])]
+        assert dup.get("a") is not store.get("a")
+
+    def test_copy_replace_promotes_alias(self):
+        store = tied_store()
+        seven = np.full(2, 7.0, dtype=np.float32)
+        dup = store.copy(replace={"b": seven})
+        assert structure(dup) == [("a", None, [1, 1]), ("b", None, [7, 7]),
+                                  ("c", "a", [1, 1]), ("d", None, [0, 0])]
+        seven[:] = 0.0  # the store holds its own copy
+        assert dup.get("b").tolist() == [7, 7]
+
+    def test_replaced_name_owns_and_listed_source_aliases_it(self):
+        # the merge shape: b gets a new payload, c and d list b as source
+        dup = tied_store().copy([("a", "a"), ("b", "b"), ("c", "b"), ("d", "b")],
+                                replace={"b": np.full(2, 5.0, dtype=np.float32)})
+        assert structure(dup) == [("a", None, [1, 1]), ("b", None, [5, 5]),
+                                  ("c", "b", [5, 5]), ("d", "b", [5, 5])]
+
+    def test_copy_layout_reties_owner_with_dependents(self):
+        # the owner leaves its group, whose first member left owns the old
+        # payload; of two names listing one owner, the first owns
+        dup = tied_store().copy([("a", "d"), ("b", "b"), ("c", "c"), ("d", "d")])
+        assert structure(dup) == [("a", None, [0, 0]), ("b", None, [1, 1]),
+                                  ("c", "b", [1, 1]), ("d", "a", [0, 0])]
+
+    def test_renamed_owner_keeps_ownership(self):
+        dup = tied_store().copy([("x", "c"), ("y", "a"), ("z", "d")])
+        assert structure(dup) == [("x", "y", [1, 1]), ("y", None, [1, 1]),
+                                  ("z", None, [0, 0])]
+
+    def test_first_listed_member_owns_when_owner_is_gone(self):
+        dup = tied_store().copy([("c", "c"), ("b", "b")])
+        assert structure(dup) == [("c", None, [1, 1]), ("b", "c", [1, 1])]
+
+    def test_replacing_the_owner_leaves_members_their_payload(self):
+        dup = tied_store().copy(replace={"a": np.full(2, 3.0, dtype=np.float32)})
+        assert structure(dup) == [("a", None, [3, 3]), ("b", None, [1, 1]),
+                                  ("c", "b", [1, 1]), ("d", None, [0, 0])]
+
+    def test_bad_layout_or_replace_rejected(self):
+        store = tied_store()
+        one = np.ones(2, dtype=np.float32)
+        with pytest.raises(ValueError, match="replaced name"):
+            store.copy([("a", "a")], replace={"z": one})
+        with pytest.raises(ValueError, match="replaced name"):
+            store.copy([("a", "a"), ("b", "a")], replace={"a": one, "b": one})
+        with pytest.raises(ValueError, match="order"):
+            store.copy([("a", "a"), ("a", "d")])
+        with pytest.raises(KeyError, match="unknown"):
+            store.copy([("z", "z")])
+        with pytest.raises(ValueError, match="NaN"):
+            store.copy(replace={"d": np.array([np.nan, 0.0])})
 
 
 class TestTieReport:
@@ -175,10 +219,10 @@ class TestTieReport:
         store.add("a", np.ones(4, dtype=np.float32))
         store.add("b", np.ones(4, dtype=np.float32))
         before = tie_report(store).unique_parameters
-        store.set_alias("b", "a")
-        after = tie_report(store).unique_parameters
+        tied = store.copy([("a", "a"), ("b", "a")])
+        after = tie_report(tied).unique_parameters
         assert after < before
-        assert tie_report(store).total_parameters == 8
+        assert tie_report(tied).total_parameters == 8
 
 
 class TestContainerFormat:

@@ -12,7 +12,7 @@ from ffmerge.checkpoint import MAGIC, ParameterStore, read_checkpoint, \
 from ffmerge.cli import _parse_window, main
 from ffmerge.config import ff_tensor_names
 from ffmerge.datasets import write_token_file
-from ffmerge.engine import load_model, read_activations, save_model
+from ffmerge.engine import TransformerModel, load_model, read_activations, save_model
 from ffmerge.fixtures import default_config, greedy_sequences, \
     permuted_copy_model, random_model, token_sequences, zeroed_layer_model
 from ffmerge.selection import SelectionReport, enumerate_windows
@@ -172,6 +172,33 @@ class TestDropCommand:
         assert pruned.config.n_layers == 5
 
 
+class TestTiedCheckpointSurgery:
+    """Merges and sweeps over a checkpoint already tied over layers 2-4."""
+
+    @pytest.fixture
+    def tied(self, workdir):
+        path = str(workdir["dir"] / "tied.ffmc")
+        assert main(["merge", "--model", workdir["model"], "--acts", workdir["acts"],
+                     "--window", "2:5", "--out", path]) == 0
+        return path
+
+    def test_merge_window_taking_the_group_owner(self, workdir, tied):
+        out = str(workdir["dir"] / "remerged.ffmc")
+        assert main(["merge", "--model", tied, "--acts", workdir["acts"],
+                     "--window", "1:3", "--out", out]) == 0
+        before, after = load_model(tied), load_model(out)
+        assert after.store.alias_target("layer2.ff.w_in") == "layer1.ff.w_in"
+        assert after.store.alias_target("layer4.ff.w_in") == "layer3.ff.w_in"
+        for name in ff_tensor_names(before.config, 3) + ff_tensor_names(before.config, 4):
+            assert after.store.get(name).tobytes() == before.store.get(name).tobytes()
+
+    def test_select_k2_over_the_group(self, workdir, tied):
+        assert main(["select", "--model", tied, "--acts", workdir["acts"],
+                     "--k", "2", "--eval-data", workdir["eval_data"],
+                     "--metric", "xent", "--out", str(workdir["dir"] / "best.ffmc"),
+                     "--report", str(workdir["dir"] / "report.json")]) == 0
+
+
 class TestEvalCommand:
     def test_prints_score(self, workdir, capsys):
         rc = main(["eval", "--model", workdir["model"],
@@ -180,6 +207,15 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         value = float(out.strip().split()[-1])
         assert value == pytest.approx(1.0485834889043009, abs=1e-6)
+
+    def test_bad_token_in_short_sequence_is_one_line_error(self, workdir,
+                                                           capsys):
+        path = str(workdir["dir"] / "bad.toks")
+        write_token_file(path, [np.array([999]), np.array([1, 2, 3])], 0)
+        assert main(["eval", "--model", workdir["model"], "--data", path,
+                     "--metric", "xent"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "token id 999 out of vocabulary" in err
 
     def test_accuracy_metric(self, workdir, capsys):
         rc = main(["eval", "--model", workdir["model"],
@@ -213,9 +249,9 @@ def overflowing_model(workdir) -> str:
     """The workdir model with head.w scaled so cross-entropy passes the
     ~709.78 nats at which exp overflows a float."""
     model = load_model(workdir["model"])
-    model.store.set_owner("head.w", model.store.get("head.w") * 1e4)
+    store = model.store.copy(replace={"head.w": model.store.get("head.w") * 1e4})
     path = str(workdir["dir"] / "overflow.ffmc")
-    save_model(model, path)
+    save_model(TransformerModel(model.config, store), path)
     return path
 
 
@@ -361,9 +397,10 @@ class TestInfoCommand:
         cfg = default_config(n_layers=2, d_model=8, d_ff=16)
         model = random_model(cfg, seed=5)
         owner, alias = ff_tensor_names(cfg, 0)[0], ff_tensor_names(cfg, 1)[0]
-        model.store.set_alias(alias, owner)
+        store = model.store.copy([(n, owner if n == alias else n)
+                                  for n in model.store.names])
         path = tmp_path / "tied.ffmc"
-        save_model(model, str(path))
+        save_model(TransformerModel(cfg, store), str(path))
         data = path.read_bytes()
         (header_len,) = struct.unpack("<Q", data[8:16])
         text = data[16:16 + header_len].decode()

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from ffmerge import engine
 from ffmerge.alignment import Permutation, apply_permutation
 from ffmerge.checkpoint import ParameterStore
-from ffmerge.config import ModelConfig, ff_param_basenames, model_tensor_names
+from ffmerge.config import (ATTN_PARAM_NAMES, ModelConfig, ff_param_basenames,
+                            model_tensor_names)
 from ffmerge.datasets import Dataset
 from ffmerge.engine import (METRIC_KINDS, TAPS, ActivationSet, EvalMetric, FFParams,
                             TransformerModel, capture_activations, evaluate,
                             ff_forward, ff_params, load_model,
-                            read_activations, save_model, set_ff_params,
+                            read_activations, save_model,
                             swiglu_forward, write_activations)
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, random_model, token_sequences)
@@ -172,15 +173,22 @@ class TestSwigluForward:
             np.testing.assert_allclose(y, y_o, atol=1e-5)
 
 
+def edited(model: TransformerModel, tensors: dict) -> TransformerModel:
+    """The model with the named tensors replaced."""
+    return TransformerModel(model.config, model.store.copy(replace=tensors))
+
+
+def zero_attention(model: TransformerModel) -> TransformerModel:
+    """The model with layer 0's attention all zero."""
+    d = model.config.d_model
+    zeros = {f"layer0.attn.{p}": np.zeros((d, d) if p.startswith("w") else d, np.float32)
+             for p in ATTN_PARAM_NAMES}
+    return edited(model, zeros)
+
+
 def single_layer_zero_attention(seed: int) -> TransformerModel:
     cfg = default_config(n_layers=1, d_model=8, d_ff=16, ff_kind="gelu")
-    model = random_model(cfg, seed)
-    d = cfg.d_model
-    for w in ("wq", "wk", "wv", "wo"):
-        model.store.set_owner(f"layer0.attn.{w}", np.zeros((d, d), np.float32))
-    for b in ("bq", "bk", "bv", "bo"):
-        model.store.set_owner(f"layer0.attn.{b}", np.zeros(d, np.float32))
-    return model
+    return zero_attention(random_model(cfg, seed))
 
 
 class TestForward:
@@ -250,10 +258,11 @@ class TestForward:
             base = model.forward(toks)
             for layer in range(cfg.n_layers):
                 perm = Permutation(rng.permutation(cfg.d_ff).astype(np.int64))
-                moved = model.copy()
-                params = ff_params(moved, layer)
+                params = ff_params(model, layer)
                 assert tuple(params) == ff_param_basenames(cfg)
-                set_ff_params(moved, layer, apply_permutation(params, perm))
+                moved = edited(model, {
+                    f"layer{layer}.ff.{base}": arr
+                    for base, arr in apply_permutation(params, perm).items()})
                 assert np.abs(moved.forward(toks) - base).max() <= 1e-5
 
     def test_token_validation(self):
@@ -282,6 +291,22 @@ class TestForward:
             evaluate(model, data, EvalMetric("cross_entropy"))
         with pytest.raises(ValueError, match="token id 40 "):
             capture_activations(model, data, "ff_out", max_samples=8)
+
+    def test_short_sequence_tokens_checked_before_filtering(self):
+        # a length-1 sequence has no next-token target, but its tokens are
+        # still checked, as capture checks them
+        cfg = default_config(n_layers=1, d_model=8, d_ff=16)
+        model = random_model(cfg, seed=27)
+        data = Dataset(sequences=[np.array([999], dtype=np.uint32),
+                                  np.array([1, 2, 3], dtype=np.uint32)])
+        with pytest.raises(ValueError, match="token id 999 out of vocabulary"):
+            evaluate(model, data, EvalMetric("cross_entropy"))
+        with pytest.raises(ValueError, match="token id 999 out of vocabulary"):
+            capture_activations(model, data, "ff_out", max_samples=4)
+        kept = Dataset(sequences=[np.array([9], dtype=np.uint32)] + data.sequences[1:])
+        assert evaluate(model, kept, EvalMetric("cross_entropy")) == \
+            evaluate(model, Dataset(sequences=data.sequences[1:]),
+                     EvalMetric("cross_entropy"))
 
     def test_missing_tensor_rejected(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)
@@ -332,13 +357,7 @@ class TestCapture:
 
     def test_swiglu_pre_act_tap_is_gated_product(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16, ff_kind="swiglu")
-        model = random_model(cfg, seed=32)
-        d = cfg.d_model
-        for w in ("wq", "wk", "wv", "wo"):
-            model.store.set_owner(f"layer0.attn.{w}", np.zeros((d, d),
-                                                               np.float32))
-        for b in ("bq", "bk", "bv", "bo"):
-            model.store.set_owner(f"layer0.attn.{b}", np.zeros(d, np.float32))
+        model = zero_attention(random_model(cfg, seed=32))
         data = Dataset(sequences=[np.array([3, 7, 2], dtype=np.uint32)])
         acts = capture_activations(model, data, "ff_pre_act", max_samples=3)
         assert acts.width == cfg.d_ff
@@ -406,11 +425,9 @@ class TestCapture:
 class TestEvaluate:
     def test_uniform_logits_cross_entropy_ln_v(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)
-        model = random_model(cfg, seed=50)
-        model.store.set_owner("head.w",
-                              np.zeros((cfg.vocab_size, cfg.d_model),
-                                       np.float32))
-        model.store.set_owner("head.b", np.zeros(cfg.vocab_size, np.float32))
+        model = edited(random_model(cfg, seed=50), {
+            "head.w": np.zeros((cfg.vocab_size, cfg.d_model), np.float32),
+            "head.b": np.zeros(cfg.vocab_size, np.float32)})
         data = token_sequences(cfg, 3, 12, seed=51)
         ce = evaluate(model, data, EvalMetric("cross_entropy"))
         assert ce == pytest.approx(math.log(cfg.vocab_size), abs=1e-9)
@@ -426,7 +443,7 @@ class TestEvaluate:
     def test_perplexity_overflow_is_inf(self):
         cfg = default_config(n_layers=2, d_model=16, d_ff=32)
         model = random_model(cfg, seed=52)
-        model.store.set_owner("head.w", model.store.get("head.w") * 1e4)
+        model = edited(model, {"head.w": model.store.get("head.w") * 1e4})
         data = token_sequences(cfg, 4, 16, seed=53)
         assert evaluate(model, data, EvalMetric("cross_entropy")) > 709.79
         assert evaluate(model, data, EvalMetric("perplexity")) == math.inf
@@ -455,10 +472,9 @@ class TestEvaluate:
     def test_classifier_constant_head_accuracy_one(self):
         cfg = replace(default_config(n_layers=1, d_model=8, d_ff=16),
                       mode="classifier", n_classes=3)
-        model = random_model(cfg, seed=58)
         bias = np.array([0.0, 50.0, 0.0], dtype=np.float32)
-        model.store.set_owner("head.w", np.zeros((3, cfg.d_model), np.float32))
-        model.store.set_owner("head.b", bias)
+        model = edited(random_model(cfg, seed=58), {
+            "head.w": np.zeros((3, cfg.d_model), np.float32), "head.b": bias})
         data = Dataset(sequences=[np.array([1, 2], dtype=np.uint32)] * 4,
                        labels=np.ones(4, dtype=np.int64))
         assert evaluate(model, data, EvalMetric("accuracy")) == 1.0

@@ -224,6 +224,19 @@ class TestDropLayers:
         assert out.store.unique_parameter_count() < \
             out.store.total_parameter_count()
 
+    def test_drop_keeps_surviving_owner(self):
+        cfg, fixture, acts, _ = selection_fixture()
+        # a middle-anchored group over layers 2-4 is owned by layer 3
+        merged, _ = merge_window(fixture.model, acts,
+                                 MergeSpec(start=2, k=3, anchor_position="middle"))
+        out = drop_layers(merged, 0, 1)
+        for owner, base in zip(ff_tensor_names(cfg, 2), ff_tensor_names(cfg, 3)):
+            assert not out.store.is_alias(owner)
+            assert out.store.get(owner).tobytes() == merged.store.get(base).tobytes()
+            for member in (1, 3):
+                alias = owner.replace("layer2.", f"layer{member}.")
+                assert out.store.alias_target(alias) == owner
+
     def test_errors(self):
         cfg = default_config(n_layers=3, d_model=8, d_ff=16)
         model = random_model(cfg, seed=14)

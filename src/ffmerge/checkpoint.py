@@ -63,20 +63,20 @@ class EntryMismatchError(CheckpointFormatError):
 
 
 def _check_tensor(name: str, array) -> np.ndarray:
-    arr = np.ascontiguousarray(array, dtype=np.float32)
-    if arr.ndim < 1:
-        raise ValueError(f"tensor {name!r} must have at least one dimension")
+    """A finite, read-only C-contiguous float32 ``array``, taken over if it is one."""
+    arr = np.ascontiguousarray(array, dtype=np.float32)  # at least 1-D
     if not np.isfinite(arr).all():
         raise ValueError(f"tensor {name!r} contains NaN or Inf")
+    arr.flags.writeable = False
     return arr
 
 
 class ParameterStore:
     """Ordered map of tensor names to float32 arrays, with alias entries.
 
-    An alias shares the exact storage of its (non-alias) target: mutating
-    the payload behind a tied name is observed through every alias. Entries
-    are never rebound once added; an edited model is a ``copy``.
+    Payloads are read-only (``add`` takes a float32 array over and marks it
+    so) and never rebound, so stores share them: an alias resolves to its
+    target's very array, and an edited model is a ``copy`` of the store.
     """
 
     def __init__(self):
@@ -105,9 +105,14 @@ class ParameterStore:
         """A store listing ``names`` in order, each either an owner in
         ``owners`` (name -> array) or an alias in ``aliases`` (name ->
         target), with the same checks as ``add`` and ``add_alias``."""
+        return cls._assemble(names, {name: _check_tensor(name, array)
+                                     for name, array in owners.items()}, aliases)
+
+    @classmethod
+    def _assemble(cls, names, owners: dict, aliases: dict[str, str]) -> "ParameterStore":
+        """``from_entries`` for payloads that are already checked."""
         store = cls()
-        for name, array in owners.items():
-            store.add(name, array)
+        store._arrays, store._order = dict(owners), list(owners)
         for name, target in aliases.items():
             store.add_alias(name, target)
         if sorted(names) != sorted(store._order):
@@ -153,7 +158,7 @@ class ParameterStore:
             raise KeyError(f"unknown tensor {name!r}") from None
 
     def copy(self, layout=None, replace=None) -> "ParameterStore":
-        """A new store with fresh arrays; the one way to edit a model.
+        """A new store, sharing every payload it keeps; the one way to edit a model.
 
         ``layout`` lists ``(new name, source entry)`` pairs in header order
         (default: every entry under its own name) and ``replace`` maps a new
@@ -187,10 +192,10 @@ class ParameterStore:
             if owner != new:
                 aliases[new] = owner
             elif new in replace:
-                owners[new] = np.array(replace[new], dtype=np.float32)
+                owners[new] = _check_tensor(new, np.array(replace[new], dtype=np.float32))
             else:
-                owners[new] = self.get(root).copy()
-        return ParameterStore.from_entries([new for new, _ in layout], owners, aliases)
+                owners[new] = self.get(root)
+        return ParameterStore._assemble([new for new, _ in layout], owners, aliases)
 
     # -- parameter accounting ---------------------------------------------
 

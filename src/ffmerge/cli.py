@@ -185,6 +185,10 @@ def _cmd_info(args) -> int:
     tied = [n for n in model.store.names if model.store.is_alias(n)]
     if tied:
         print(f"tied tensors: {len(tied)}")
+    for owner in model.store.names:
+        members = [n for n in tied if model.store.alias_target(n) == owner]
+        if members:
+            print(f"tie group {owner} <- {', '.join(members)}")
     return 0
 
 
@@ -282,6 +286,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "report", None)):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(f"no directory for output {path!r}")
         return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"ffmerge: i/o error: {exc}", file=sys.stderr)

@@ -146,26 +146,11 @@ def model_tensor_names(config: ModelConfig) -> list[str]:
 
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Map every required tensor name to its shape."""
+    """Map every required tensor name, in ``model_tensor_names`` order, to its shape."""
     d = config.d_model
-    shapes: dict[str, tuple[int, ...]] = {
-        "embed.tok": (config.vocab_size, d),
-        "embed.pos": (config.max_seq_len, d),
-        "head.w": (config.head_width, d),
-        "head.b": (config.head_width,),
-    }
-    if config.norm_placement == "pre_ln":
-        shapes["final_ln.gain"] = (d,)
-        shapes["final_ln.bias"] = (d,)
-    ff = ff_shapes(config)
-    for i in range(config.n_layers):
-        for p in ("wq", "wk", "wv", "wo"):
-            shapes[f"layer{i}.attn.{p}"] = (d, d)
-        for p in ("bq", "bk", "bv", "bo"):
-            shapes[f"layer{i}.attn.{p}"] = (d,)
-        for base in ff_param_basenames(config):
-            shapes[f"layer{i}.ff.{base}"] = ff[base]
-        for ln in ("ln1", "ln2"):
-            shapes[f"layer{i}.{ln}.gain"] = (d,)
-            shapes[f"layer{i}.{ln}.bias"] = (d,)
-    return shapes
+    # by full name, else by base name (the part after the last dot), else (d,)
+    known = {"embed.tok": (config.vocab_size, d), "embed.pos": (config.max_seq_len, d),
+             "head.w": (config.head_width, d), "head.b": (config.head_width,),
+             "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), **ff_shapes(config)}
+    return {name: known.get(name, known.get(name.rsplit(".", 1)[1], (d,)))
+            for name in model_tensor_names(config)}

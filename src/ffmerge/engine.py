@@ -19,7 +19,7 @@ stable; the cube is two multiplies, far cheaper than ``z**3``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,15 +137,12 @@ class TransformerModel:
     store: ParameterStore
 
     def __post_init__(self):
-        shapes = expected_shapes(self.config)
-        for name in model_tensor_names(self.config):
+        for name, shape in expected_shapes(self.config).items():
             if name not in self.store:
                 raise ValueError(f"checkpoint is missing tensor {name!r}")
             got = self.store.get(name).shape
-            if got != shapes[name]:
-                raise ValueError(
-                    f"tensor {name!r} has shape {got}, expected {shapes[name]}"
-                )
+            if got != shape:
+                raise ValueError(f"tensor {name!r} has shape {got}, expected {shape}")
 
     def forward(self, tokens) -> np.ndarray:
         """Deterministic logits for one token sequence (float32).
@@ -216,19 +213,24 @@ def _check_tokens(config: ModelConfig, tokens) -> np.ndarray:
     return toks.astype(np.int64, copy=False)
 
 
-def _run(model: TransformerModel, tokens, tap: str | None = None):
+def _run(model: TransformerModel, tokens, tap: str | None = None, start: int = 0,
+         x: np.ndarray | None = None, stop: int | None = None):
     """Forward pass in float64; optionally collects per-layer tap matrices.
 
     ``tokens`` is one sequence (n,) or an equal-length batch (b, n); logits
     and taps keep that leading shape, a classifier's pooled logits drop n.
+    ``x`` resumes the pass at layer ``start`` from the stream entering it;
+    ``stop`` ends it before layer ``stop``, with no head and logits None.
     """
     cfg = model.config
     toks = _check_tokens(cfg, tokens)
     lead, n = toks.shape, toks.shape[-1]
     p = model._p
-    x = (p("embed.tok")[toks] + p("embed.pos")[:n]).reshape(-1, cfg.d_model)
+    if x is None:
+        x = p("embed.tok")[toks] + p("embed.pos")[:n]
+    x = x.reshape(-1, cfg.d_model)
     collected: dict[int, np.ndarray] = {}
-    for i in range(cfg.n_layers):
+    for i in range(start, cfg.n_layers if stop is None else stop):
         ln1 = (p(f"layer{i}.ln1.gain"), p(f"layer{i}.ln1.bias"))
         ln2 = (p(f"layer{i}.ln2.gain"), p(f"layer{i}.ln2.bias"))
         if cfg.norm_placement == "pre_ln":
@@ -237,19 +239,17 @@ def _run(model: TransformerModel, tokens, tap: str | None = None):
         else:
             a = _attention(model, i, x, n)
             x = _layer_norm(x + a, *ln1)
-        if tap == "attn_out":
-            collected[i] = a
-        params = ff_params(model, i)
         ff_in = _layer_norm(x, *ln2) if cfg.norm_placement == "pre_ln" else x
-        hidden, y = _ff_apply(params, ff_in, cfg.ff_kind)
-        if tap == "ff_pre_act":
-            collected[i] = hidden
-        elif tap == "ff_out":
-            collected[i] = y
+        hidden, y = _ff_apply(ff_params(model, i), ff_in, cfg.ff_kind)
         x = x + y if cfg.norm_placement == "pre_ln" else _layer_norm(x + y, *ln2)
+        if tap is not None:  # resid_out, the residual stream a layer leaves
+            collected[i] = {"attn_out": a, "ff_pre_act": hidden, "ff_out": y,
+                            "resid_out": x}[tap]
+    taps = {i: m.reshape(*lead, -1) for i, m in collected.items()}
+    if stop is not None:
+        return None, taps
     if cfg.norm_placement == "pre_ln":
         x = _layer_norm(x, p("final_ln.gain"), p("final_ln.bias"))
-    taps = {i: m.reshape(*lead, -1) for i, m in collected.items()}
     if cfg.mode == "classifier":
         seqs = x.reshape(-1, n, cfg.d_model)
         x = seqs[:, 0] if cfg.pooling == "cls" else seqs.mean(axis=1)
@@ -257,11 +257,11 @@ def _run(model: TransformerModel, tokens, tap: str | None = None):
     return (x @ p("head.w").T + p("head.b")).reshape(*lead, -1), taps
 
 
-def _batched_runs(model: TransformerModel, sequences, tap: str | None = None):
-    """Yield (indices into ``sequences``, logits, taps) per batch of
+def _batches(model: TransformerModel, sequences):
+    """Yield (indices into ``sequences``, token matrix) per batch of
     equal-length sequences, grouped by length in first-seen order and split
     at ``MAX_BATCH_TOKENS`` tokens (at least one sequence a batch). All
-    tokens are checked in sequence order before the first batch runs, so an
+    tokens are checked in sequence order before the first batch, so an
     error names the first bad token in ``sequences``."""
     checked = [_check_tokens(model.config, seq) for seq in sequences]
     groups: dict[int, list[int]] = {}
@@ -271,8 +271,7 @@ def _batched_runs(model: TransformerModel, sequences, tap: str | None = None):
         step = max(1, MAX_BATCH_TOKENS // n)
         for start in range(0, len(idx), step):
             batch = idx[start:start + step]
-            logits, taps = _run(model, np.stack([checked[j] for j in batch]), tap)
-            yield batch, logits, taps
+            yield batch, np.stack([checked[j] for j in batch])
 
 
 # -- activation capture -------------------------------------------------------
@@ -333,8 +332,8 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
     count = min(int(rows[len(prefix) - 1]), max_samples)
     parts: dict[int, list] = {i: [None] * len(prefix)
                               for i in range(model.config.n_layers)}
-    for idx, _, taps in _batched_runs(model, prefix, tap):
-        for i, mats in taps.items():
+    for idx, toks in _batches(model, prefix):
+        for i, mats in _run(model, toks, tap)[1].items():
             for j, mat in zip(idx, mats):
                 parts[i][j] = mat
     per_layer = {
@@ -395,14 +394,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric) -> float:
-    """Score the model on a dataset.
-
-    LM mode scores next-token prediction over every position; classifier
-    mode scores one pooled prediction per sequence against its label.
-    Cross-entropy is the mean in nats, perplexity its exp (``math.inf``
-    once that overflows a float), accuracy the top-1 hit rate.
-    """
+def _scored(model: TransformerModel, dataset: Dataset):
+    """(sequences, prediction count, labels) of what ``evaluate`` scores."""
     if not dataset.sequences:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.config.mode == "lm":
@@ -411,19 +404,68 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric) -> f
         seqs = [seq for seq in dataset.sequences if len(seq) >= 2]
         if not seqs:
             raise ValueError("dataset has no sequences of length >= 2")
-        count = sum(len(seq) - 1 for seq in seqs)
-    else:
-        if dataset.labels is None:
-            raise ValueError("classifier evaluation requires labels")
-        labels = np.asarray(dataset.labels, dtype=np.int64)
-        if (labels < 0).any() or (labels >= model.config.n_classes).any():
-            raise ValueError("label out of range")
-        seqs = dataset.sequences
-        count = len(seqs)
+        return seqs, sum(len(seq) - 1 for seq in seqs), None
+    if dataset.labels is None:
+        raise ValueError("classifier evaluation requires labels")
+    labels = np.asarray(dataset.labels, dtype=np.int64)
+    if (labels < 0).any() or (labels >= model.config.n_classes).any():
+        raise ValueError("label out of range")
+    return dataset.sequences, len(dataset.sequences), labels
+
+
+@dataclass(frozen=True)
+class ResidualPrefix:
+    """``model``'s streams leaving layers 0..stop-1 (``resid_out`` taps), per batch."""
+
+    model: TransformerModel
+    dataset: Dataset
+    stop: int
+    streams: list
+
+
+def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
+    """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s resume."""
+    batches = _batches(model, _scored(model, dataset)[0])
+    return ResidualPrefix(model, dataset, stop, [
+        _run(model, toks, "resid_out", stop=stop)[1] for _, toks in batches])
+
+
+def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
+             resume: tuple[ResidualPrefix, int] | None = None) -> float:
+    """Score the model on a dataset.
+
+    LM mode scores next-token prediction over every position; classifier
+    mode scores one pooled prediction per sequence against its label.
+    Cross-entropy is the mean in nats, perplexity its exp (``math.inf``
+    once that overflows a float), accuracy the top-1 hit rate.
+
+    ``resume=(prefix, start)`` runs only layers >= start and the head from the
+    prefix model's stream, for the same score bit for bit. It is refused unless
+    ``dataset`` is the prefix's own object (which must not change in between),
+    1 <= start <= stop, the config differs only in ``n_layers``, and every
+    ``embed.*`` and ``layer<i>.*`` tensor with i < start is the prefix model's
+    very array. A prefix holds stop x tokens x d_model x 8 B.
+    """
+    seqs, count, labels = _scored(model, dataset)
+    prefix, start = resume or (None, 0)
+    if prefix is not None:
+        base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
+        unshared = [n for n in model_tensor_names(base.config) if n.startswith(below) and (
+            n not in model.store or model.store.get(n) is not base.store.get(n))]
+        if dataset is not prefix.dataset:
+            raise ValueError("cannot resume: the prefix was built on another dataset")
+        if not 0 < start <= prefix.stop:
+            raise ValueError(f"cannot resume at {start}: prefix holds 1..{prefix.stop}")
+        if replace(model.config, n_layers=base.config.n_layers) != base.config:
+            raise ValueError("cannot resume: the config differs from the prefix model's")
+        if unshared:
+            raise ValueError(f"cannot resume at {start}: {unshared[0]!r} is not shared")
     # per-sequence sums, added up below in dataset order
     ce_seq = np.zeros(len(seqs))
     hits = np.zeros(len(seqs), dtype=np.int64)
-    for idx, logits, _ in _batched_runs(model, seqs):
+    for b, (idx, toks) in enumerate(_batches(model, seqs)):
+        logits, _ = (_run(model, toks) if prefix is None else
+                     _run(model, toks, start=start, x=prefix.streams[b][start - 1]))
         if model.config.mode == "lm":
             logits = logits[:, :-1]
             targets = np.stack([seqs[j][1:] for j in idx]).astype(np.int64)

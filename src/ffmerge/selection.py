@@ -1,8 +1,8 @@
 """Sliding-window selection of what to merge, and the layer-drop baseline.
 
 Candidate windows are enumerated over layer starts, each candidate is merged
-(or dropped) on a private model copy and scored on held-out data, and the
-best-scoring candidate wins with ties broken toward the smallest start. The
+(or dropped) and scored on held-out data from its first changed layer, and
+the best-scoring candidate wins with ties broken toward the smallest start. The
 activation set is captured once by the caller and reused across every
 candidate. Recovery fine-tuning of the winning model is out of scope; it
 would slot in immediately after the best candidate is returned.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ModelConfig, expected_shapes, ff_tensor_names, model_tensor_names
-from .engine import ActivationSet, EvalMetric, TransformerModel, evaluate
+from .engine import ActivationSet, EvalMetric, TransformerModel, evaluate, residual_prefix
 from .merging import MergeSpec, merge_window
 
 
@@ -83,16 +83,18 @@ class SelectionReport:
                    candidates=candidates, best=best)
 
 
-def _sweep(starts: list[int], build, eval_data, metric: EvalMetric,
+def _sweep(model: TransformerModel, starts: list[int], build, eval_data, metric: EvalMetric,
            ) -> tuple[tuple[WindowCandidate, ...], WindowCandidate, TransformerModel]:
     """Build and score the candidate at each start, keeping only the best
-    model so far; a strict comparison keeps the smallest start on ties."""
+    model so far; a strict comparison keeps the smallest start on ties.
+    Each candidate resumes at its start from ``model``'s residual stream."""
+    prefix = residual_prefix(model, eval_data, max(starts))
     candidates: list[WindowCandidate] = []
     best, best_model = None, None
     for start in starts:
         candidate_model = build(start)
-        cand = WindowCandidate(start=start,
-                               score=evaluate(candidate_model, eval_data, metric))
+        cand = WindowCandidate(start=start, score=evaluate(
+            candidate_model, eval_data, metric, resume=(prefix, start) if start else None))
         candidates.append(cand)
         if best is None or (cand.score > best.score if metric.higher_is_better
                             else cand.score < best.score):
@@ -109,8 +111,7 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
     """Merge every candidate window, score each, and return the winner.
 
     ``acts`` is a single ff_pre_act capture of the unmerged model; no
-    activations are recaptured per candidate. Each candidate works on a
-    private copy.
+    activations are recaptured per candidate.
     """
     starts = enumerate_windows(model.config.n_layers, k, include_final_window)
     if not starts:
@@ -124,7 +125,7 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
                          use_permutation=use_permutation)
         return merge_window(model, acts, spec)[0]
 
-    candidates, best, best_model = _sweep(starts, build, eval_data, metric)
+    candidates, best, best_model = _sweep(model, starts, build, eval_data, metric)
     report = SelectionReport(k=k, anchor_position=anchor_position,
                              use_permutation=use_permutation,
                              candidates=candidates, best=best)
@@ -170,7 +171,7 @@ def select_best_drop(model: TransformerModel, count: int, eval_data,
     """Score every contiguous ``count``-layer drop and return the winner."""
     starts = enumerate_drop_starts(model.config.n_layers, count)
     candidates, best, best_model = _sweep(
-        starts, lambda start: drop_layers(model, start, count), eval_data, metric)
+        model, starts, lambda start: drop_layers(model, start, count), eval_data, metric)
     report = SelectionReport(k=count, anchor_position=None, use_permutation=False,
                              candidates=candidates, best=best)
     return report, best_model

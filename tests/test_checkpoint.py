@@ -58,11 +58,28 @@ class TestParameterStore:
         assert store.get("v") is store.get("w")
 
     def test_mutation_seen_through_alias(self):
+        # payloads are read-only, and the alias resolves to the owner's array
         store = ParameterStore()
         store.add("w", np.ones(3, dtype=np.float32))
         store.add_alias("v", "w")
-        store.get("w")[:] = 0.0
-        np.testing.assert_array_equal(store.get("v"), np.zeros(3))
+        with pytest.raises(ValueError, match="read-only"):
+            store.get("w")[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            store.get("v")[0] = 0.0
+        assert store.get("v") is store.get("w")
+        np.testing.assert_array_equal(store.get("v"), np.ones(3))
+
+    def test_add_takes_a_float32_array_over(self):
+        mine = np.ones(3, dtype=np.float32)
+        store = ParameterStore()
+        store.add("w", mine)
+        assert store.get("w") is mine
+        with pytest.raises(ValueError, match="read-only"):
+            mine[:] = 0.0
+        converted = np.ones(3)  # float64: stored as a float32 copy
+        store.add("v", converted)
+        converted[:] = 0.0
+        np.testing.assert_array_equal(store.get("v"), np.ones(3))
 
     def test_alias_chain_rejected(self):
         store = ParameterStore()
@@ -98,15 +115,14 @@ class TestParameterStore:
             ParameterStore.from_entries(["a", "b"], owners, {"b": "z"})
 
     def test_copy_preserves_structure_with_fresh_arrays(self):
+        # a copy shares every payload it keeps
         rng = np.random.default_rng(0)
         store = random_store(rng, with_aliases=True)
         dup = store.copy()
         assert dup.names == store.names
         for name in store.names:
-            np.testing.assert_array_equal(dup.get(name), store.get(name))
+            assert dup.get(name) is store.get(name)
             assert dup.is_alias(name) == store.is_alias(name)
-            if not store.is_alias(name):
-                assert dup.get(name) is not store.get(name)
 
     def test_non_finite_rejected(self):
         store = ParameterStore()
@@ -135,7 +151,7 @@ class TestStoreCopy:
         store = tied_store()
         dup = store.copy([("a", "a"), ("d", "a")])
         assert structure(dup) == [("a", None, [1, 1]), ("d", "a", [1, 1])]
-        assert dup.get("a") is not store.get("a")
+        assert dup.get("a") is store.get("a")
 
     def test_copy_replace_promotes_alias(self):
         store = tied_store()

@@ -9,6 +9,7 @@ import pytest
 
 from ffmerge.checkpoint import MAGIC, ParameterStore, read_checkpoint, \
     write_container
+from ffmerge import cli as cli_mod
 from ffmerge.cli import _parse_window, main
 from ffmerge.config import ff_tensor_names
 from ffmerge.datasets import write_token_file
@@ -170,6 +171,33 @@ class TestDropCommand:
         assert report.anchor_position is None
         pruned = load_model(out)
         assert pruned.config.n_layers == 5
+
+
+@pytest.mark.parametrize("command", ["select", "drop"])
+@pytest.mark.parametrize("bad", ["out", "report"])
+class TestSweepOutputDirs:
+    """An output that cannot be written fails before any model is loaded."""
+
+    def test_missing_directory_writes_nothing(self, workdir, capsys, monkeypatch,
+                                              command, bad):
+        def boom(*args, **kwargs):
+            raise AssertionError("model loaded before the output check")
+
+        monkeypatch.setattr(cli_mod, "load_model", boom)
+        outs = {"out": workdir["dir"] / "best.ffmc",
+                "report": workdir["dir"] / "report.json"}
+        outs[bad] = workdir["dir"] / "nodir" / outs[bad].name
+        flags = (["--acts", workdir["acts"], "--k", "3"] if command == "select"
+                 else ["--count", "1"])
+        before = sorted(workdir["dir"].rglob("*"))
+        capsys.readouterr()
+        rc = main([command, "--model", workdir["model"], *flags,
+                   "--eval-data", workdir["eval_data"], "--metric", "xent",
+                   "--out", str(outs["out"]), "--report", str(outs["report"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nodir" in err
+        assert sorted(workdir["dir"].rglob("*")) == before
 
 
 class TestTiedCheckpointSurgery:
@@ -376,6 +404,23 @@ class TestInfoCommand:
         capsys.readouterr()
         assert main(["info", "--model", merged]) == 0
         assert f"tied tensors: {2 * per_member}\n" in capsys.readouterr().out
+
+    def test_lists_tie_groups(self, workdir, capsys):
+        merged = str(workdir["dir"] / "merged.ffmc")
+        assert main(["merge", "--model", workdir["model"],
+                     "--acts", workdir["acts"], "--window", "2:5",
+                     "--out", merged]) == 0
+        capsys.readouterr()
+        assert main(["info", "--model", merged]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == ["tied tensors: 8"] + [
+            f"tie group layer2.ff.{base} <- layer3.ff.{base}, layer4.ff.{base}"
+            for base in ("w_in", "b_in", "w_out", "b_out")]
+
+    def test_untied_model_lists_no_group(self, workdir, capsys):
+        capsys.readouterr()
+        assert main(["info", "--model", workdir["model"]]) == 0
+        assert "tie" not in capsys.readouterr().out
 
     def test_malformed_container_is_one_line_error(self, tmp_path, capsys):
         entry = {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}

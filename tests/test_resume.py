@@ -1,0 +1,154 @@
+"""Resumed evaluation: a candidate that shares its first layers with a base
+model is scored from the base's residual stream at its first changed layer.
+A differential test holds every resumed sweep score to the standalone score
+bit for bit, and one test per guard shows each bad resume refused."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ffmerge.datasets import Dataset
+from ffmerge.engine import (EvalMetric, TransformerModel, capture_activations,
+                            evaluate, ff_params, load_model, residual_prefix,
+                            save_model)
+from ffmerge.fixtures import default_config, random_model
+from ffmerge.merging import ANCHOR_POSITIONS, MergeSpec, merge_window
+from ffmerge.selection import drop_layers, select_best_drop, select_best_window
+
+N_LAYERS = 4
+XENT = EvalMetric("cross_entropy")
+
+
+def small_model(ff_kind: str, placement: str, mode: str, seed: int):
+    cfg = replace(default_config(n_layers=N_LAYERS, d_model=8, d_ff=8,
+                                 ff_kind=ff_kind), norm_placement=placement)
+    if mode != "lm":
+        cfg = replace(cfg, mode="classifier", n_classes=3, pooling=mode)
+    return random_model(cfg, seed)
+
+
+def ragged(cfg, lengths, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(1, cfg.vocab_size, size=n).astype(np.uint32)
+            for n in lengths]
+    labels = None if cfg.mode == "lm" else rng.integers(0, cfg.n_classes,
+                                                        size=len(seqs))
+    return Dataset(sequences=seqs, labels=labels)
+
+
+class TestResumeMatchesStandalone:
+    @settings(max_examples=30, deadline=None)
+    @given(ff_kind=st.sampled_from(["relu", "gelu", "swiglu"]),
+           placement=st.sampled_from(["pre_ln", "post_ln"]),
+           mode=st.sampled_from(["lm", "cls", "mean"]),
+           lengths=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=6),
+           tie=st.none() | st.tuples(st.integers(0, N_LAYERS - 2),
+                                     st.sampled_from(ANCHOR_POSITIONS)),
+           seed=st.integers(0, 2**16))
+    def test_every_window_and_drop(self, ff_kind, placement, mode, lengths,
+                                   tie, seed):
+        model = small_model(ff_kind, placement, mode, seed)
+        data = ragged(model.config, lengths + [1, 2], seed + 1)
+        acts = capture_activations(model, data, "ff_pre_act", max_samples=1000)
+        if tie is not None:  # sweep a checkpoint already tied over two layers
+            model = merge_window(model, acts, MergeSpec(tie[0], 2, tie[1]))[0]
+        for k in range(2, N_LAYERS + 1):
+            report, _ = select_best_window(model, acts, k, data, XENT,
+                                           include_final_window=True)
+            for cand in report.candidates:
+                direct = merge_window(model, acts, MergeSpec(cand.start, k))[0]
+                assert cand.score == evaluate(direct, data, XENT)
+        for count in range(1, N_LAYERS):
+            report, _ = select_best_drop(model, count, data, XENT)
+            for cand in report.candidates:
+                direct = drop_layers(model, cand.start, count)
+                assert cand.score == evaluate(direct, data, XENT)
+        # a prefix through every layer resumes anywhere, the last layer too
+        prefix = residual_prefix(model, data, N_LAYERS)
+        for start in range(1, N_LAYERS + 1):
+            assert (evaluate(model, data, XENT, resume=(prefix, start))
+                    == evaluate(model, data, XENT))
+
+
+@pytest.fixture
+def base():
+    model = small_model("gelu", "pre_ln", "lm", seed=5)
+    data = ragged(model.config, [1, 4, 4, 6], seed=6)
+    return model, data, residual_prefix(model, data, 2)
+
+
+def edited(model: TransformerModel, **replace_tensors) -> TransformerModel:
+    return TransformerModel(model.config, model.store.copy(replace=replace_tensors))
+
+
+class TestResumeRefused:
+    def test_accepted_when_only_later_layers_change(self, base):
+        model, data, prefix = base
+        changed = edited(model, **{"layer1.attn.bq": np.ones(8), "head.b":
+                                   np.ones(model.config.vocab_size)})
+        assert (evaluate(changed, data, XENT, resume=(prefix, 1))
+                == evaluate(changed, data, XENT))
+
+    def test_another_dataset_object(self, base):
+        model, data, prefix = base
+        same_tokens = Dataset(sequences=list(data.sequences))
+        with pytest.raises(ValueError, match="another dataset"):
+            evaluate(model, same_tokens, XENT, resume=(prefix, 1))
+
+    @pytest.mark.parametrize("start", [-1, 0, 3])
+    def test_start_outside_the_prefix(self, base, start):
+        model, data, prefix = base
+        with pytest.raises(ValueError, match="prefix holds 1..2"):
+            evaluate(model, data, XENT, resume=(prefix, start))
+
+    def test_config_differs_beyond_n_layers(self, base):
+        model, data, prefix = base
+        other = TransformerModel(replace(model.config, separator_id=1), model.store)
+        with pytest.raises(ValueError, match="config differs"):
+            evaluate(other, data, XENT, resume=(prefix, 1))
+
+    @pytest.mark.parametrize("name,start", [("embed.pos", 1), ("embed.tok", 2),
+                                            ("layer0.ff.w_out", 1),
+                                            ("layer1.ln2.gain", 2)])
+    def test_equal_but_not_shared_tensor_below_start(self, base, name, start):
+        model, data, prefix = base
+        other = edited(model, **{name: model.store.get(name).copy()})
+        with pytest.raises(ValueError, match=repr(name)):
+            evaluate(other, data, XENT, resume=(prefix, start))
+
+    def test_reloaded_model_shares_nothing(self, base, tmp_path):
+        model, data, prefix = base
+        save_model(model, tmp_path / "m.ffmc")
+        with pytest.raises(ValueError, match="embed.tok"):
+            evaluate(load_model(tmp_path / "m.ffmc"), data, XENT,
+                     resume=(prefix, 1))
+
+    def test_candidate_with_fewer_layers_than_start(self, base):
+        model, data, prefix = base
+        short = drop_layers(model, 1, 3)  # one layer left
+        with pytest.raises(ValueError, match="layer1"):
+            evaluate(short, data, XENT, resume=(prefix, 2))
+
+
+class TestReadOnlyPayloads:
+    def test_write_through_ff_params_raises(self, base):
+        model = base[0]
+        with pytest.raises(ValueError, match="read-only"):
+            ff_params(model, 0)["w_in"][:] = 0.0
+
+    def test_write_through_loaded_store_raises(self, base, tmp_path):
+        save_model(base[0], tmp_path / "m.ffmc")
+        loaded = load_model(tmp_path / "m.ffmc")
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.store.get("embed.tok")[0, 0] = 1.0
+
+    def test_merge_shares_untouched_tensors(self, base):
+        model, data, _ = base
+        acts = capture_activations(model, data, "ff_pre_act", max_samples=20)
+        merged = merge_window(model, acts, MergeSpec(1, 2))[0]
+        assert merged.store.get("layer0.ff.w_in") is model.store.get("layer0.ff.w_in")
+        assert merged.store.get("layer3.attn.wq") is model.store.get("layer3.attn.wq")
+        assert merged.store.get("layer1.ff.w_in") is not model.store.get("layer1.ff.w_in")

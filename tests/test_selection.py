@@ -336,7 +336,7 @@ class TestSweep:
     def test_ties_go_to_smallest_start(self, kind, metric, monkeypatch):
         cfg, fixture, acts, eval_data = selection_fixture()
         sweep, build = SWEEPS[kind]
-        monkeypatch.setattr(selection_mod, "evaluate", lambda *args: 0.5)
+        monkeypatch.setattr(selection_mod, "evaluate", lambda *args, **kwargs: 0.5)
         report, best = sweep(fixture.model, acts, eval_data,
                              EvalMetric(metric))
         assert len(report.candidates) > 1
@@ -347,6 +347,6 @@ class TestSweep:
         cfg, fixture, acts, eval_data = selection_fixture()
         sweep, _ = SWEEPS[kind]
         monkeypatch.setattr(selection_mod, "evaluate",
-                            lambda *args: float("inf"))
+                            lambda *args, **kwargs: float("inf"))
         with pytest.raises(ValueError, match="candidate score must be finite"):
             sweep(fixture.model, acts, eval_data, EvalMetric("cross_entropy"))

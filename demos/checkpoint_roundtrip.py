@@ -2,8 +2,8 @@
 Checkpoint containers with alias entries
 ========================================
 
-Build a parameter store by hand, tie two entries to shared storage, write
-the container to disk, and read it back byte-for-byte.
+Build a parameter store from one table, tying two entries to shared
+storage, write the container to disk, and read it back byte-for-byte.
 """
 
 import os
@@ -16,13 +16,15 @@ from ffmerge.checkpoint import (ParameterStore, read_container, tie_report,
 
 rng = np.random.default_rng(0)
 
-# a store is a name -> f32 tensor mapping; aliases point at an owner entry
-store = ParameterStore()
-store.add("block0.w", rng.normal(size=(4, 3)).astype(np.float32))
-store.add("block0.b", rng.normal(size=4).astype(np.float32))
-store.add("block1.w", rng.normal(size=(4, 3)).astype(np.float32))
-store.add_alias("block2.w", "block0.w")
-store.add_alias("block2.b", "block0.b")
+# a store is one table in header order: a name maps to its f32 tensor, or
+# (an alias) to the name of the owner entry whose storage it shares
+store = ParameterStore({
+    "block0.w": rng.normal(size=(4, 3)).astype(np.float32),
+    "block0.b": rng.normal(size=4).astype(np.float32),
+    "block1.w": rng.normal(size=(4, 3)).astype(np.float32),
+    "block2.w": "block0.w",
+    "block2.b": "block0.b",
+})
 
 # an alias resolves to the very same array object as its owner
 assert store.get("block2.w") is store.get("block0.w")

@@ -2,7 +2,9 @@
 
 Weight tying is realized on disk and in memory by alias entries: an alias
 names another (non-alias) entry and resolves to the exact same storage.
-Alias chains are restricted to depth 1.
+Alias chains are restricted to depth 1. In memory a ``ParameterStore`` is
+one table shaped like the header: each name, in header order, maps to its
+payload, or for an alias to its owner's name.
 
 File layout (all integers little-endian):
 
@@ -72,90 +74,64 @@ def _check_tensor(name: str, array) -> np.ndarray:
 
 
 class ParameterStore:
-    """Ordered map of tensor names to float32 arrays, with alias entries.
+    """One ordered table of tensor entries, in header order.
 
-    Payloads are read-only (``add`` takes a float32 array over and marks it
-    so) and never rebound, so stores share them: an alias resolves to its
-    target's very array, and an edited model is a ``copy`` of the store.
+    ``ParameterStore(entries)`` takes ``{name: payload or owner name}``: a
+    payload becomes a finite, read-only float32 array (a C-contiguous
+    float32 array is taken over, not copied), and a ``str`` value makes
+    ``name`` an alias of that owner, resolving to its very array. An alias
+    may not name itself, another alias or a missing entry. Payloads are
+    never rebound, so stores share them: an edited model is a ``copy``.
     """
 
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-        self._alias: dict[str, str] = {}
-        self._order: list[str] = []
-
-    # -- construction ----------------------------------------------------
-
-    def add(self, name: str, array) -> None:
-        if name in self._arrays or name in self._alias:
-            raise ValueError(f"duplicate tensor name {name!r}")
-        self._arrays[name] = _check_tensor(name, array)
-        self._order.append(name)
-
-    def add_alias(self, name: str, target: str) -> None:
-        if name in self._arrays or name in self._alias:
-            raise ValueError(f"duplicate tensor name {name!r}")
-        self._check_alias_target(name, target)
-        self._alias[name] = target
-        self._order.append(name)
+    def __init__(self, entries: dict):
+        table = {name: value if isinstance(value, str) else _check_tensor(name, value)
+                 for name, value in entries.items()}
+        for name, target in table.items():
+            if not isinstance(target, str):
+                continue
+            if target == name:
+                raise ValueError(f"alias {name!r} cannot point at itself")
+            if isinstance(table.get(target), str):
+                raise ValueError(
+                    f"alias {name!r} points at alias {target!r}; chains must have depth 1")
+            if target not in table:
+                raise ValueError(f"alias {name!r} points at missing entry {target!r}")
+        self._table = table
 
     @classmethod
-    def from_entries(cls, names, owners: dict,
-                     aliases: dict[str, str]) -> "ParameterStore":
-        """A store listing ``names`` in order, each either an owner in
-        ``owners`` (name -> array) or an alias in ``aliases`` (name ->
-        target), with the same checks as ``add`` and ``add_alias``."""
-        return cls._assemble(names, {name: _check_tensor(name, array)
-                                     for name, array in owners.items()}, aliases)
-
-    @classmethod
-    def _assemble(cls, names, owners: dict, aliases: dict[str, str]) -> "ParameterStore":
-        """``from_entries`` for payloads that are already checked."""
-        store = cls()
-        store._arrays, store._order = dict(owners), list(owners)
-        for name, target in aliases.items():
-            store.add_alias(name, target)
-        if sorted(names) != sorted(store._order):
-            raise ValueError("entry order must list every owner and alias once")
-        store._order = list(names)
+    def _of(cls, table: dict) -> "ParameterStore":
+        """A store over ``table``, whose payloads and aliases are already checked."""
+        store = cls.__new__(cls)
+        store._table = table
         return store
-
-    def _check_alias_target(self, name: str, target: str) -> None:
-        if name == target:
-            raise ValueError(f"alias {name!r} cannot point at itself")
-        if target in self._alias:
-            raise ValueError(
-                f"alias {name!r} points at alias {target!r}; chains must have depth 1"
-            )
-        if target not in self._arrays:
-            raise ValueError(f"alias {name!r} points at missing entry {target!r}")
 
     # -- access ----------------------------------------------------------
 
     @property
     def names(self) -> list[str]:
-        return list(self._order)
+        return list(self._table)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._arrays or name in self._alias
+        return name in self._table
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._table)
 
     def is_alias(self, name: str) -> bool:
-        return name in self._alias
+        return isinstance(self._table.get(name), str)
 
     def alias_target(self, name: str) -> str | None:
-        return self._alias.get(name)
+        target = self._table.get(name)
+        return target if isinstance(target, str) else None
 
     def get(self, name: str) -> np.ndarray:
         """Resolve ``name`` to its storage (aliases share the target's array)."""
-        if name in self._alias:
-            return self._arrays[self._alias[name]]
         try:
-            return self._arrays[name]
+            value = self._table[name]
         except KeyError:
             raise KeyError(f"unknown tensor {name!r}") from None
+        return self._table[value] if isinstance(value, str) else value
 
     def copy(self, layout=None, replace=None) -> "ParameterStore":
         """A new store, sharing every payload it keeps; the one way to edit a model.
@@ -170,9 +146,11 @@ class ParameterStore:
         copy of the old payload. A name that leaves a group never changes
         the payload of the members that stay.
         """
-        if layout is None:
-            layout = [(name, name) for name in self._order]
-        layout, replace = list(layout), replace or {}
+        # entry -> the owner of its tie group (itself, for an owner)
+        roots = {name: value if isinstance(value, str) else name
+                 for name, value in self._table.items()}
+        layout = [(name, name) for name in roots] if layout is None else list(layout)
+        replace = replace or {}
         # a replaced name's source ties to it, not to its old group
         claimed = {src: new for new, src in layout if new in replace}
         if len(claimed) != len(replace):
@@ -180,32 +158,34 @@ class ParameterStore:
         # old group root -> new owner: the old owner if listed (first listing
         # wins), else the group's first listed member
         owner_of = {src: new for new, src in reversed(layout)
-                    if src in self._arrays and src not in claimed}
+                    if roots.get(src) == src and src not in claimed}
         for new, src in layout:
             if src not in claimed:
-                owner_of.setdefault(self._alias.get(src, src), new)
-        owners: dict[str, np.ndarray] = {}
-        aliases: dict[str, str] = {}
+                owner_of.setdefault(roots.get(src, src), new)
+        table: dict[str, np.ndarray | str] = {}
         for new, src in layout:
-            root = self._alias.get(src, src)
+            if new in table:
+                raise ValueError(f"layout lists {new!r} twice")
+            root = roots.get(src, src)
             owner = claimed[src] if src in claimed else owner_of[root]
             if owner != new:
-                aliases[new] = owner
+                table[new] = owner
             elif new in replace:
-                owners[new] = _check_tensor(new, np.array(replace[new], dtype=np.float32))
+                table[new] = _check_tensor(new, np.array(replace[new], dtype=np.float32))
             else:
-                owners[new] = self.get(root)
-        return ParameterStore._assemble([new for new, _ in layout], owners, aliases)
+                table[new] = self.get(root)
+        return ParameterStore._of(table)
 
     # -- parameter accounting ---------------------------------------------
 
     def total_parameter_count(self) -> int:
         """Logical parameter count: every entry, aliases included."""
-        return sum(self.get(name).size for name in self._order)
+        return sum(self.get(name).size for name in self._table)
 
     def unique_parameter_count(self) -> int:
         """Deduplicated parameter count: owned payloads only."""
-        return sum(arr.size for arr in self._arrays.values())
+        return sum(value.size for value in self._table.values()
+                   if not isinstance(value, str))
 
 
 @dataclass(frozen=True)
@@ -322,14 +302,12 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
                                     offset=16)
     meta = header["__config__"]
 
-    owners: dict[str, np.ndarray] = {}
+    entries: dict[str, np.ndarray | str] = {}  # the store's table, in header order
     aliases: dict[str, dict] = {}
-    order: list[str] = []
     end = data_start  # where the next owner span must start
     for name, entry in header.items():
         if name == "__config__":
             continue
-        order.append(name)
         if not isinstance(entry, dict):
             raise CheckpointFormatError(f"entry {name!r} is not an object", offset=16)
         fields = ALIAS_FIELDS if "alias_of" in entry else OWNER_FIELDS
@@ -339,6 +317,7 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
                 f"{sorted(fields)}", offset=16)
         if "alias_of" in entry:
             aliases[name] = entry
+            entries[name] = entry["alias_of"]  # checked once every owner is read
             continue
         if entry["dtype"] != "f32":
             raise CheckpointFormatError(
@@ -364,12 +343,11 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
                 f"entry {name!r} data region [{start}, {end}) exceeds file size "
                 f"{len(data)}", offset=start)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        owners[name] = arr.reshape(shape).copy()
+        entries[name] = arr.reshape(shape).copy()
     if end != len(data):
         raise CheckpointFormatError(
             f"{len(data) - end} trailing bytes after the last tensor", offset=end)
 
-    targets: dict[str, str] = {}
     for name, entry in aliases.items():
         target = entry["alias_of"]
         if not isinstance(target, str):
@@ -378,17 +356,16 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
             raise AliasError(
                 f"alias {name!r} points at alias {target!r}; chains must have depth 1",
                 offset=16)
-        if target not in owners:
+        if target not in entries:
             raise AliasError(f"alias {name!r} points at missing entry {target!r}",
                              offset=16)
         declared = _entry_shape(name, entry["shape"])
-        if declared != owners[target].shape:
+        if declared != entries[target].shape:
             raise EntryMismatchError(
                 f"alias {name!r} declares shape {declared} but target has "
-                f"shape {owners[target].shape}", offset=16)
-        targets[name] = target
+                f"shape {entries[target].shape}", offset=16)
     try:
-        return ParameterStore.from_entries(order, owners, targets), meta
+        return ParameterStore(entries), meta
     except ValueError as exc:  # a non-finite value in the data region
         raise CheckpointFormatError(str(exc), offset=data_start) from exc
 

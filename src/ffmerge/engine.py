@@ -129,20 +129,25 @@ def swiglu_forward(params: FFParams, x):
 # -- model ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformerModel:
-    """A config bound to a parameter store holding the canonical tensors."""
+    """A config bound to a parameter store holding exactly its canonical tensors."""
 
     config: ModelConfig
     store: ParameterStore
 
     def __post_init__(self):
-        for name, shape in expected_shapes(self.config).items():
+        shapes = expected_shapes(self.config)
+        for name, shape in shapes.items():
             if name not in self.store:
                 raise ValueError(f"checkpoint is missing tensor {name!r}")
             got = self.store.get(name).shape
             if got != shape:
                 raise ValueError(f"tensor {name!r} has shape {got}, expected {shape}")
+        extra = [name for name in self.store.names if name not in shapes]
+        if extra:
+            raise ValueError(f"checkpoint has tensor {extra[0]!r}, which the config "
+                             "does not define")
 
     def forward(self, tokens) -> np.ndarray:
         """Deterministic logits for one token sequence (float32).
@@ -344,9 +349,7 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
 
 
 def write_activations(acts: ActivationSet, path) -> None:
-    store = ParameterStore()
-    for i in acts.layers():
-        store.add(f"acts.layer{i}", acts.per_layer[i])
+    store = ParameterStore({f"acts.layer{i}": acts.per_layer[i] for i in acts.layers()})
     write_container(store, {"tap": acts.tap, "sample_count": acts.sample_count}, path)
 
 
@@ -415,19 +418,21 @@ def _scored(model: TransformerModel, dataset: Dataset):
 
 @dataclass(frozen=True)
 class ResidualPrefix:
-    """``model``'s streams leaving layers 0..stop-1 (``resid_out`` taps), per batch."""
+    """``model``'s streams leaving layers 0..stop-1 (``resid_out`` taps), per
+    batch, with the token matrix of each batch it ran."""
 
     model: TransformerModel
     dataset: Dataset
     stop: int
+    tokens: list
     streams: list
 
 
 def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
     """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s resume."""
-    batches = _batches(model, _scored(model, dataset)[0])
-    return ResidualPrefix(model, dataset, stop, [
-        _run(model, toks, "resid_out", stop=stop)[1] for _, toks in batches])
+    tokens = [toks for _, toks in _batches(model, _scored(model, dataset)[0])]
+    return ResidualPrefix(model, dataset, stop, tokens, [
+        _run(model, toks, "resid_out", stop=stop)[1] for toks in tokens])
 
 
 def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
@@ -441,12 +446,13 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
 
     ``resume=(prefix, start)`` runs only layers >= start and the head from the
     prefix model's stream, for the same score bit for bit. It is refused unless
-    ``dataset`` is the prefix's own object (which must not change in between),
-    1 <= start <= stop, the config differs only in ``n_layers``, and every
-    ``embed.*`` and ``layer<i>.*`` tensor with i < start is the prefix model's
-    very array. A prefix holds stop x tokens x d_model x 8 B.
+    ``dataset`` is the prefix's own object and still yields the batches the
+    prefix ran, token for token, 1 <= start <= stop, the config differs only
+    in ``n_layers``, and every ``embed.*`` and ``layer<i>.*`` tensor with
+    i < start is the prefix model's very array. A prefix holds stop x tokens x d_model x 8 B.
     """
     seqs, count, labels = _scored(model, dataset)
+    batches = list(_batches(model, seqs))
     prefix, start = resume or (None, 0)
     if prefix is not None:
         base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
@@ -454,6 +460,9 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
             n not in model.store or model.store.get(n) is not base.store.get(n))]
         if dataset is not prefix.dataset:
             raise ValueError("cannot resume: the prefix was built on another dataset")
+        if len(batches) != len(prefix.tokens) or not all(
+                np.array_equal(toks, ran) for (_, toks), ran in zip(batches, prefix.tokens)):
+            raise ValueError("cannot resume: the dataset's tokens changed since the prefix")
         if not 0 < start <= prefix.stop:
             raise ValueError(f"cannot resume at {start}: prefix holds 1..{prefix.stop}")
         if replace(model.config, n_layers=base.config.n_layers) != base.config:
@@ -463,7 +472,7 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
     # per-sequence sums, added up below in dataset order
     ce_seq = np.zeros(len(seqs))
     hits = np.zeros(len(seqs), dtype=np.int64)
-    for b, (idx, toks) in enumerate(_batches(model, seqs)):
+    for b, (idx, toks) in enumerate(batches):
         logits, _ = (_run(model, toks) if prefix is None else
                      _run(model, toks, start=start, x=prefix.streams[b][start - 1]))
         if model.config.mode == "lm":

@@ -43,10 +43,8 @@ def default_config(n_layers: int = 6, d_model: int = 16, d_ff: int = 64,
 
 
 def _build(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> TransformerModel:
-    store = ParameterStore()
-    for name in model_tensor_names(cfg):
-        store.add(name, np.asarray(tensors[name], dtype=np.float32))
-    return TransformerModel(cfg, store)
+    return TransformerModel(cfg, ParameterStore(
+        {name: tensors[name] for name in model_tensor_names(cfg)}))
 
 
 def _base_tensors(cfg: ModelConfig, rng: np.random.Generator,

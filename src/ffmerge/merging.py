@@ -94,12 +94,6 @@ class MergeDiagnostics:
     anchor_layer: int
     members: tuple[MemberAlignment, ...]
 
-    @property
-    def mean_matched_correlation(self) -> float:
-        if not self.members:
-            return 1.0
-        return float(np.mean([m.mean_matched_correlation for m in self.members]))
-
 
 def _member_permutation(acts: ActivationSet, anchor_layer: int, layer: int,
                         use_permutation: bool) -> tuple[Permutation, float]:

@@ -246,22 +246,22 @@ class TestAcceptance:
     def test_criterion_09_checkpoint_integrity(self):
         rng = np.random.default_rng(209)
         for trial in range(100):
-            store = ParameterStore()
-            owner_names = []
+            table = {}
             expected_total = 0
             expected_unique = 0
             for i in range(int(rng.integers(1, 6))):
                 shape = tuple(int(v) for v in rng.integers(1, 6, size=2))
                 arr = rng.normal(size=shape).astype(np.float32)
-                store.add(f"t{trial}.owner{i}", arr)
-                owner_names.append(f"t{trial}.owner{i}")
+                table[f"t{trial}.owner{i}"] = arr
                 expected_total += arr.size
                 expected_unique += arr.size
+            owner_names = list(table)
             if trial % 2 == 0:
                 for j in range(int(rng.integers(1, 4))):
                     target = owner_names[int(rng.integers(len(owner_names)))]
-                    store.add_alias(f"t{trial}.alias{j}", target)
-                    expected_total += store.get(target).size
+                    table[f"t{trial}.alias{j}"] = target
+                    expected_total += table[target].size
+            store = ParameterStore(table)
             blob = serialize_container(store, {"trial": trial})
             parsed, meta = parse_container(blob)
             blob2 = serialize_container(parsed, meta)

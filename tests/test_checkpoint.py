@@ -20,48 +20,42 @@ from ffmerge.checkpoint import (MAGIC, AliasError, BadMagicError,
 from ffmerge.config import ModelConfig
 
 
-def random_store(rng, with_aliases: bool) -> ParameterStore:
-    store = ParameterStore()
-    n = int(rng.integers(2, 7))
-    owners = []
-    for i in range(n):
+def random_table(rng, with_aliases: bool) -> dict:
+    """A random entries table: 2-6 owners, then 1-3 aliases if asked."""
+    table = {}
+    for i in range(int(rng.integers(2, 7))):
         if rng.random() < 0.5:
             shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         else:
             shape = (int(rng.integers(1, 12)),)
-        name = f"t{i}"
-        store.add(name, rng.normal(size=shape).astype(np.float32))
-        owners.append(name)
+        table[f"t{i}"] = rng.normal(size=shape).astype(np.float32)
+    owners = list(table)
     if with_aliases:
         for j in range(int(rng.integers(1, 4))):
-            store.add_alias(f"a{j}", owners[int(rng.integers(0, len(owners)))])
-    return store
+            table[f"a{j}"] = owners[int(rng.integers(0, len(owners)))]
+    return table
+
+
+def random_store(rng, with_aliases: bool) -> ParameterStore:
+    return ParameterStore(random_table(rng, with_aliases))
+
+
+ONES2 = np.ones(2, dtype=np.float32)
 
 
 class TestParameterStore:
     def test_add_and_get(self):
-        store = ParameterStore()
-        store.add("w", np.ones((2, 3), dtype=np.float32))
+        store = ParameterStore({"w": np.ones((2, 3), dtype=np.float32)})
         assert store.get("w").shape == (2, 3)
         assert "w" in store and len(store) == 1
 
-    def test_duplicate_name_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.ones(2, dtype=np.float32))
-        with pytest.raises(ValueError, match="duplicate"):
-            store.add("w", np.ones(2, dtype=np.float32))
-
     def test_alias_shares_storage(self):
-        store = ParameterStore()
-        store.add("w", np.ones(3, dtype=np.float32))
-        store.add_alias("v", "w")
+        store = ParameterStore({"w": np.ones(3, dtype=np.float32), "v": "w"})
         assert store.get("v") is store.get("w")
 
     def test_mutation_seen_through_alias(self):
         # payloads are read-only, and the alias resolves to the owner's array
-        store = ParameterStore()
-        store.add("w", np.ones(3, dtype=np.float32))
-        store.add_alias("v", "w")
+        store = ParameterStore({"w": np.ones(3, dtype=np.float32), "v": "w"})
         with pytest.raises(ValueError, match="read-only"):
             store.get("w")[:] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -70,49 +64,38 @@ class TestParameterStore:
         np.testing.assert_array_equal(store.get("v"), np.ones(3))
 
     def test_add_takes_a_float32_array_over(self):
+        # the constructor takes a C-contiguous float32 payload over, uncopied
         mine = np.ones(3, dtype=np.float32)
-        store = ParameterStore()
-        store.add("w", mine)
+        converted = np.ones(3)  # float64: stored as a float32 copy
+        store = ParameterStore({"w": mine, "v": converted})
         assert store.get("w") is mine
         with pytest.raises(ValueError, match="read-only"):
             mine[:] = 0.0
-        converted = np.ones(3)  # float64: stored as a float32 copy
-        store.add("v", converted)
         converted[:] = 0.0
         np.testing.assert_array_equal(store.get("v"), np.ones(3))
 
     def test_alias_chain_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.ones(2, dtype=np.float32))
-        store.add_alias("v", "w")
         with pytest.raises(ValueError, match="depth 1"):
-            store.add_alias("u", "v")
+            ParameterStore({"w": ONES2, "v": "w", "u": "v"})
+        with pytest.raises(ValueError, match="depth 1"):
+            ParameterStore({"u": "v", "v": "w", "w": ONES2})
 
     def test_alias_to_missing_rejected(self):
-        store = ParameterStore()
         with pytest.raises(ValueError, match="missing"):
-            store.add_alias("v", "w")
+            ParameterStore({"v": "w"})
+        with pytest.raises(ValueError, match="missing"):
+            ParameterStore({"a": ONES2, "b": "z"})
 
     def test_self_alias_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.ones(2, dtype=np.float32))
         with pytest.raises(ValueError, match="itself"):
-            store.add_alias("v", "v")
+            ParameterStore({"w": ONES2, "v": "v"})
 
-    def test_from_entries_keeps_given_order(self):
-        store = ParameterStore.from_entries(
-            ["b", "a"], {"a": np.ones(2, dtype=np.float32)}, {"b": "a"})
+    def test_table_keeps_given_order(self):
+        store = ParameterStore({"b": "a", "a": np.ones(2, dtype=np.float32)})
         assert store.names == ["b", "a"]
         assert store.get("b") is store.get("a")
-
-    def test_from_entries_checks_order_and_aliases(self):
-        owners = {"a": np.ones(2, dtype=np.float32)}
-        with pytest.raises(ValueError, match="order"):
-            ParameterStore.from_entries(["a", "a"], owners, {})
-        with pytest.raises(ValueError, match="order"):
-            ParameterStore.from_entries(["a"], owners, {"b": "a"})
-        with pytest.raises(ValueError, match="missing"):
-            ParameterStore.from_entries(["a", "b"], owners, {"b": "z"})
+        assert store.is_alias("b") and store.alias_target("b") == "a"
+        assert not store.is_alias("a") and store.alias_target("a") is None
 
     def test_copy_preserves_structure_with_fresh_arrays(self):
         # a copy shares every payload it keeps
@@ -125,19 +108,14 @@ class TestParameterStore:
             assert dup.is_alias(name) == store.is_alias(name)
 
     def test_non_finite_rejected(self):
-        store = ParameterStore()
         with pytest.raises(ValueError, match="NaN"):
-            store.add("w", np.array([np.nan], dtype=np.float32))
+            ParameterStore({"w": np.array([np.nan], dtype=np.float32)})
 
 
 def tied_store() -> ParameterStore:
     """Owner ``a`` with aliases ``b`` and ``c``, and an untied ``d``."""
-    store = ParameterStore()
-    store.add("a", np.ones(2, dtype=np.float32))
-    store.add_alias("b", "a")
-    store.add_alias("c", "a")
-    store.add("d", np.zeros(2, dtype=np.float32))
-    return store
+    return ParameterStore({"a": np.ones(2, dtype=np.float32), "b": "a", "c": "a",
+                           "d": np.zeros(2, dtype=np.float32)})
 
 
 def structure(store: ParameterStore) -> list:
@@ -197,8 +175,12 @@ class TestStoreCopy:
             store.copy([("a", "a")], replace={"z": one})
         with pytest.raises(ValueError, match="replaced name"):
             store.copy([("a", "a"), ("b", "a")], replace={"a": one, "b": one})
-        with pytest.raises(ValueError, match="order"):
+        # a table keeps one entry a name, so a second listing is refused, not
+        # left to replace the first
+        with pytest.raises(ValueError, match="'a' twice"):
             store.copy([("a", "a"), ("a", "d")])
+        with pytest.raises(ValueError, match="'x' twice"):
+            store.copy([("a", "a"), ("x", "d"), ("x", "b")])
         with pytest.raises(KeyError, match="unknown"):
             store.copy([("z", "z")])
         with pytest.raises(ValueError, match="NaN"):
@@ -207,16 +189,13 @@ class TestStoreCopy:
 
 class TestTieReport:
     def test_no_aliases_zero_ratio(self):
-        store = ParameterStore()
-        store.add("w", np.ones((3, 3), dtype=np.float32))
+        store = ParameterStore({"w": np.ones((3, 3), dtype=np.float32)})
         report = tie_report(store)
         assert report.total_parameters == report.unique_parameters == 9
         assert report.reduction_ratio == 0.0
 
     def test_alias_counted_in_total_only(self):
-        store = ParameterStore()
-        store.add("a", np.ones((2, 2), dtype=np.float32))
-        store.add_alias("b", "a")
+        store = ParameterStore({"a": np.ones((2, 2), dtype=np.float32), "b": "a"})
         report = tie_report(store)
         assert report.total_parameters == 8
         assert report.unique_parameters == 4
@@ -231,9 +210,8 @@ class TestTieReport:
                 1.0 - report.unique_parameters / report.total_parameters)
 
     def test_unique_strictly_decreases_when_tied(self):
-        store = ParameterStore()
-        store.add("a", np.ones(4, dtype=np.float32))
-        store.add("b", np.ones(4, dtype=np.float32))
+        store = ParameterStore({"a": np.ones(4, dtype=np.float32),
+                                "b": np.ones(4, dtype=np.float32)})
         before = tie_report(store).unique_parameters
         tied = store.copy([("a", "a"), ("b", "a")])
         after = tie_report(tied).unique_parameters
@@ -243,8 +221,7 @@ class TestTieReport:
 
 class TestContainerFormat:
     def test_single_tensor_file_size(self):
-        store = ParameterStore()
-        store.add("w", np.ones((2, 2), dtype=np.float32))
+        store = ParameterStore({"w": np.ones((2, 2), dtype=np.float32)})
         data = serialize_container(store, {})
         (header_len,) = struct.unpack("<Q", data[8:16])
         assert len(data) == 8 + 8 + header_len + 16
@@ -280,9 +257,8 @@ class TestContainerFormat:
         assert again.names == ["b", "a"]
 
     def test_header_order_preserved(self):
-        store = ParameterStore()
-        store.add("z", np.ones(1, dtype=np.float32))
-        store.add("a", np.ones(1, dtype=np.float32))
+        store = ParameterStore({"z": np.ones(1, dtype=np.float32),
+                                "a": np.ones(1, dtype=np.float32)})
         parsed, _ = parse_container(serialize_container(store, {}))
         assert parsed.names == ["z", "a"]
 
@@ -301,8 +277,7 @@ class TestContainerFormat:
             parse_container(data)
 
     def test_truncated_data_region(self):
-        store = ParameterStore()
-        store.add("w", np.ones(4, dtype=np.float32))
+        store = ParameterStore({"w": np.ones(4, dtype=np.float32)})
         data = serialize_container(store, {})
         with pytest.raises(TruncatedFileError):
             parse_container(data[:-4])
@@ -350,12 +325,22 @@ class TestContainerFormat:
             parse_container(data)
 
     def test_round_trip_property(self):
+        # a store built from a table parses back to the same table
         rng = np.random.default_rng(7)
         for trial in range(25):
-            store = random_store(rng, with_aliases=trial % 2 == 0)
-            data = serialize_container(store, {"trial": trial})
+            table = random_table(rng, with_aliases=trial % 2 == 0)
+            if trial % 3 == 0:  # aliases listed before their owners
+                table = dict(reversed(table.items()))
+            data = serialize_container(ParameterStore(table), {"trial": trial})
             parsed, meta = parse_container(data)
             assert serialize_container(parsed, meta) == data
+            assert parsed.names == list(table)
+            for name, value in table.items():
+                if isinstance(value, str):
+                    assert parsed.alias_target(name) == value
+                    assert parsed.get(name) is parsed.get(value)
+                else:
+                    np.testing.assert_array_equal(parsed.get(name), value)
 
 
     @pytest.mark.parametrize("entry,field,value", [
@@ -422,9 +407,8 @@ def split_container(data: bytes) -> tuple[dict, bytes]:
 
 def aliased_container() -> bytes:
     """Owners ``a`` (2x3) and ``c`` (3,), with ``b`` aliasing ``c`` between them."""
-    store = ParameterStore.from_entries(
-        ["a", "b", "c"], {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
-                          "c": np.ones(3, dtype=np.float32)}, {"b": "c"})
+    store = ParameterStore({"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                            "b": "c", "c": np.ones(3, dtype=np.float32)})
     return serialize_container(store, {"note": 1})
 
 
@@ -488,16 +472,14 @@ class TestFileRoundTrip:
         cfg = ModelConfig(mode="lm", n_layers=1, d_model=4, d_ff=8, n_heads=1,
                           vocab_size=8, max_seq_len=8, norm_placement="pre_ln",
                           ff_kind="relu")
-        store = ParameterStore()
-        store.add("w", np.ones(2, dtype=np.float32))
+        store = ParameterStore({"w": np.ones(2, dtype=np.float32)})
         path = tmp_path / "m.ffmc"
         write_checkpoint(store, cfg, path)
         parsed, cfg2 = read_checkpoint(path)
         assert cfg2 == cfg
 
     def test_bad_config_in_checkpoint(self, tmp_path):
-        store = ParameterStore()
-        store.add("w", np.ones(2, dtype=np.float32))
+        store = ParameterStore({"w": np.ones(2, dtype=np.float32)})
         path = tmp_path / "m.ffmc"
         good = ModelConfig(mode="lm", n_layers=1, d_model=4, d_ff=8, n_heads=1,
                            vocab_size=8, max_seq_len=8, norm_placement="pre_ln",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ffmerge.checkpoint import MAGIC, ParameterStore, read_checkpoint, \
-    write_container
+    write_checkpoint, write_container
 from ffmerge import cli as cli_mod
 from ffmerge.cli import _parse_window, main
 from ffmerge.config import ff_tensor_names
@@ -307,9 +307,8 @@ class TestCkaCommand:
     @pytest.mark.parametrize("count", [[32], True, 32.0, None])
     def test_mistyped_sample_count_is_one_line_error(self, tmp_path, capsys,
                                                      count):
-        store = ParameterStore()
-        for layer in (0, 1):
-            store.add(f"acts.layer{layer}", np.ones((32, 4), dtype=np.float32))
+        store = ParameterStore({f"acts.layer{layer}": np.ones((32, 4), dtype=np.float32)
+                                for layer in (0, 1)})
         path = str(tmp_path / "acts.ffmc")
         write_container(store, {"tap": "ff_pre_act", "sample_count": count},
                         path)
@@ -336,9 +335,7 @@ class TestCkaCommand:
 
 
 def write_dump(path, names, shape) -> str:
-    store = ParameterStore()
-    for name in names:
-        store.add(name, np.ones(shape, dtype=np.float32))
+    store = ParameterStore({name: np.ones(shape, dtype=np.float32) for name in names})
     write_container(store, {"tap": "ff_pre_act", "sample_count": shape[0]},
                     path)
     return str(path)
@@ -421,6 +418,19 @@ class TestInfoCommand:
         capsys.readouterr()
         assert main(["info", "--model", workdir["model"]]) == 0
         assert "tie" not in capsys.readouterr().out
+
+    def test_tensor_outside_the_config_is_one_line_error(self, workdir, capsys):
+        # an entry the config does not define is refused, not counted
+        model = load_model(workdir["model"])
+        store = model.store.copy([(n, n) for n in model.store.names]
+                                 + [("junk.extra", "embed.tok")])
+        path = str(workdir["dir"] / "junk.ffmc")
+        write_checkpoint(store, model.config, path)
+        capsys.readouterr()
+        assert main(["info", "--model", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'junk.extra'" in captured.err
 
     def test_malformed_container_is_one_line_error(self, tmp_path, capsys):
         entry = {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}

@@ -4,7 +4,7 @@ metrics, activation capture, and a differential test of the batched
 forward against the plain per-sequence reference."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -311,28 +311,37 @@ class TestForward:
     def test_missing_tensor_rejected(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)
         model = random_model(cfg, seed=28)
-        store = ParameterStore()
-        for name in model_tensor_names(cfg)[:-1]:
-            store.add(name, model.store.get(name).copy())
+        store = ParameterStore({name: model.store.get(name)
+                                for name in model_tensor_names(cfg)[:-1]})
         with pytest.raises(ValueError, match="missing"):
             TransformerModel(cfg, store)
+
+    def test_tensor_outside_the_config_rejected(self):
+        model = random_model(default_config(n_layers=1, d_model=8, d_ff=16), seed=28)
+        store = model.store.copy([(n, n) for n in model.store.names]
+                                 + [("junk.extra", "embed.tok")])
+        with pytest.raises(ValueError, match="'junk.extra'"):
+            TransformerModel(model.config, store)
+
+    def test_model_is_frozen(self):
+        model = random_model(default_config(n_layers=1, d_model=8, d_ff=16), seed=28)
+        with pytest.raises(FrozenInstanceError):
+            model.store = model.store.copy()
+        with pytest.raises(FrozenInstanceError):
+            model.config = replace(model.config, separator_id=1)
 
     def test_pre_vs_post_ln_snapshot(self):
         """Identical-layer model scored under both norm placements."""
         cfg = replace(default_config(n_layers=3, d_model=8, d_ff=16), n_heads=2,
                       vocab_size=16, max_seq_len=16)
         base = random_model(cfg, seed=42)
-        store = ParameterStore()
-        for name in model_tensor_names(cfg):
-            src = "layer0." + name.split(".", 1)[1] if name.startswith("layer") \
-                else name
-            store.add(name, base.store.get(src).copy())
-        pre = TransformerModel(cfg, store)
+        pre = TransformerModel(cfg, ParameterStore(
+            {name: base.store.get("layer0." + name.split(".", 1)[1]
+                                  if name.startswith("layer") else name).copy()
+             for name in model_tensor_names(cfg)}))
         post_cfg = replace(cfg, norm_placement="post_ln")
-        pstore = ParameterStore()
-        for name in model_tensor_names(post_cfg):
-            pstore.add(name, pre.store.get(name).copy())
-        post = TransformerModel(post_cfg, pstore)
+        post = TransformerModel(post_cfg, ParameterStore(
+            {name: pre.store.get(name).copy() for name in model_tensor_names(post_cfg)}))
         toks = np.array([3, 1, 4, 1, 5], dtype=np.int64)
         lp, lq = pre.forward(toks), post.forward(toks)
         assert np.abs(lp - lq).max() > 1.0

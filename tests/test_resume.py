@@ -98,6 +98,22 @@ class TestResumeRefused:
         with pytest.raises(ValueError, match="another dataset"):
             evaluate(model, same_tokens, XENT, resume=(prefix, 1))
 
+    @pytest.mark.parametrize("edit", ["reverse", "retoken", "append", "remove"])
+    def test_dataset_edited_after_the_prefix(self, base, edit):
+        # the same object, but no longer the tokens the prefix ran
+        model, data, prefix = base
+        seqs = data.sequences
+        if edit == "reverse":
+            seqs[1] = seqs[1][::-1].copy()
+        elif edit == "retoken":
+            seqs[3][0] = (seqs[3][0] + 1) % model.config.vocab_size
+        elif edit == "append":  # a new length, so a batch of its own
+            seqs.append(seqs[1][:3].copy())
+        else:  # the only sequence of its length, so its batch goes
+            del seqs[3]
+        with pytest.raises(ValueError, match="tokens changed"):
+            evaluate(model, data, XENT, resume=(prefix, 1))
+
     @pytest.mark.parametrize("start", [-1, 0, 3])
     def test_start_outside_the_prefix(self, base, start):
         model, data, prefix = base

@@ -83,8 +83,6 @@ class TestParameterStore:
     def test_alias_to_missing_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             ParameterStore({"v": "w"})
-        with pytest.raises(ValueError, match="missing"):
-            ParameterStore({"a": ONES2, "b": "z"})
 
     def test_self_alias_rejected(self):
         with pytest.raises(ValueError, match="itself"):
@@ -96,6 +94,17 @@ class TestParameterStore:
         assert store.get("b") is store.get("a")
         assert store.is_alias("b") and store.alias_target("b") == "a"
         assert not store.is_alias("a") and store.alias_target("a") is None
+
+    def test_from_entries_checks_order_and_aliases(self):
+        # an entries table is taken in its own order, an alias may come
+        # before its owner, and an alias must name an owner that is there
+        store = ParameterStore({"b": "a", "a": ONES2, "c": ONES2})
+        assert store.names == ["b", "a", "c"]
+        assert store.get("b") is store.get("a")
+        with pytest.raises(ValueError, match="missing"):
+            ParameterStore({"a": ONES2, "b": "z"})
+        with pytest.raises(ValueError, match="depth 1"):
+            ParameterStore({"b": "c", "a": ONES2, "c": "a"})
 
     def test_copy_preserves_structure_with_fresh_arrays(self):
         # a copy shares every payload it keeps

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import FF_HIDDEN_AXIS
 from .engine import FFParams
@@ -92,6 +91,7 @@ def solve_assignment(values: np.ndarray) -> Permutation:
         raise ValueError(f"assignment needs a square matrix, got {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("assignment matrix contains non-finite values")
+    from scipy.optimize import linear_sum_assignment  # deferred: slow to import
     rows, cols = linear_sum_assignment(values, maximize=True)
     mapping = np.empty(values.shape[0], dtype=np.int64)
     mapping[rows] = cols

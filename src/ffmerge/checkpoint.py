@@ -19,7 +19,13 @@ File layout (all integers little-endian):
     bytes 16+H..  data region; offsets are relative to its start; tensors
                   are row-major little-endian float32, packed, no padding
 
-Writes are atomic (temp file in the target directory, then rename).
+There is one canonical form, built by ``_header``: compact JSON with
+``__config__`` first, then every entry in store order, owners at packed
+offsets. A reader accepts a file only if its header is, byte for byte, the
+one the writer produces for the tensors and metadata it describes, and the
+data region ends with the last tensor; so a parse/serialize round trip is
+byte-identical. Writes are atomic (temp file in the target directory, then
+rename).
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ import numpy as np
 from .config import ModelConfig
 
 MAGIC = b"FFMCKPT1"
-OWNER_FIELDS = {"dtype", "shape", "offset", "length"}
-ALIAS_FIELDS = {"alias_of", "shape"}
 
 
 class CheckpointFormatError(ValueError):
@@ -53,14 +57,6 @@ class BadMagicError(CheckpointFormatError):
 
 
 class TruncatedFileError(CheckpointFormatError):
-    pass
-
-
-class AliasError(CheckpointFormatError):
-    pass
-
-
-class EntryMismatchError(CheckpointFormatError):
     pass
 
 
@@ -142,8 +138,8 @@ class ParameterStore:
         stay tied, and one rule picks each group's owner: a name with a new
         payload owns it, and every entry listing the same source aliases
         it; otherwise the old owner keeps ownership if it is listed,
-        possibly renamed; otherwise the group's first listed member owns a
-        copy of the old payload. A name that leaves a group never changes
+        possibly renamed; otherwise the group's first listed member owns the
+        old payload itself, shared and not copied. A name that leaves a group never changes
         the payload of the members that stay.
         """
         # entry -> the owner of its tie group (itself, for an owner)
@@ -228,56 +224,50 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def serialize_container(store: ParameterStore, meta: dict) -> bytes:
-    """Encode a store plus metadata object as FFMC-v1 bytes."""
+def _header(store: ParameterStore, meta: dict) -> bytes:
+    """The canonical header: compact JSON, ``__config__`` first, then every
+    entry in store order, owners at packed offsets."""
     header: dict = {"__config__": meta}
-    chunks: list[bytes] = []
     offset = 0
     for name in store.names:
-        arr = store.get(name)
+        shape = list(store.get(name).shape)
         if store.is_alias(name):
-            header[name] = {"alias_of": store.alias_target(name),
-                            "shape": list(arr.shape)}
+            header[name] = {"alias_of": store.alias_target(name), "shape": shape}
             continue
+        length = 4 * math.prod(shape)
+        header[name] = {"dtype": "f32", "shape": shape, "offset": offset,
+                        "length": length}
+        offset += length
+    return json.dumps(header, separators=(",", ":")).encode("utf-8")
+
+
+def serialize_container(store: ParameterStore, meta: dict) -> bytes:
+    """Encode a store plus metadata object as FFMC-v1 bytes."""
+    chunks: list[bytes] = []
+    for name in store.names:
+        if store.is_alias(name):
+            continue
+        arr = store.get(name)
         if not np.isfinite(arr).all():
             raise ValueError(f"tensor {name!r} contains NaN or Inf")
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        header[name] = {"dtype": "f32", "shape": list(arr.shape),
-                        "offset": offset, "length": len(raw)}
-        chunks.append(raw)
-        offset += len(raw)
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return b"".join([MAGIC, struct.pack("<Q", len(header_bytes)),
-                     header_bytes, *chunks])
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    header = _header(store, meta)
+    return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *chunks])
 
 
 def write_container(store: ParameterStore, meta: dict, path) -> None:
     atomic_write_bytes(path, serialize_container(store, meta))
 
 
-def _entry_shape(name: str, value) -> tuple[int, ...]:
-    if (not isinstance(value, list) or not value
-            or any(type(s) is not int or s < 0 for s in value)):
-        raise EntryMismatchError(f"entry {name!r} has invalid shape {value!r}",
-                                 offset=16)
-    return tuple(value)
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``json`` object hook: a repeated key makes the header non-canonical."""
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) != len(keys):
-        repeated = next(key for key in keys if keys.count(key) > 1)
-        raise CheckpointFormatError(f"header repeats key {repeated!r}", offset=16)
-    return dict(pairs)
-
-
 def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
     """Decode FFMC-v1 bytes into a store and its metadata object.
 
-    Only canonical files parse: no JSON object repeats a key, every entry
-    has exactly its kind's fields, and owner spans tile the data region in
-    header order, with no gap, overlap or trailing bytes.
+    A file parses only if its header is, byte for byte, the one
+    ``serialize_container`` writes for the tensors and metadata it
+    describes, and its data region ends with the last tensor. The header
+    is decoded, each owner's data is sliced by its shape in header order,
+    the store is built (refusing non-finite payloads and bad aliases), and
+    the header is then compared with the canonical one.
     """
     if len(data) < 16:
         raise TruncatedFileError("file shorter than the fixed 16-byte prefix",
@@ -289,85 +279,64 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
     if data_start > len(data):
         raise TruncatedFileError(
             f"header claims {header_len} bytes but file ends early", offset=16)
+    found = data[16:data_start]
     try:
-        header = json.loads(data[16:data_start].decode("utf-8"),
-                            object_pairs_hook=_unique_keys)
-    except CheckpointFormatError:
-        raise
+        header = json.loads(found.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"header is not valid JSON: {exc}",
                                     offset=16) from exc
     if not isinstance(header, dict) or "__config__" not in header:
         raise CheckpointFormatError('header must be an object with a "__config__" key',
                                     offset=16)
-    meta = header["__config__"]
+    meta = header.pop("__config__")
 
     entries: dict[str, np.ndarray | str] = {}  # the store's table, in header order
-    aliases: dict[str, dict] = {}
-    end = data_start  # where the next owner span must start
+    end = data_start  # where the next owner's data starts
     for name, entry in header.items():
-        if name == "__config__":
-            continue
         if not isinstance(entry, dict):
             raise CheckpointFormatError(f"entry {name!r} is not an object", offset=16)
-        fields = ALIAS_FIELDS if "alias_of" in entry else OWNER_FIELDS
-        if entry.keys() != fields:
-            raise CheckpointFormatError(
-                f"entry {name!r} has fields {sorted(entry)}, expected "
-                f"{sorted(fields)}", offset=16)
         if "alias_of" in entry:
-            aliases[name] = entry
-            entries[name] = entry["alias_of"]  # checked once every owner is read
+            if not isinstance(entry["alias_of"], str):
+                raise CheckpointFormatError(
+                    f"alias {name!r} target must be a string", offset=16)
+            entries[name] = entry["alias_of"]
             continue
-        if entry["dtype"] != "f32":
-            raise CheckpointFormatError(
-                f"entry {name!r} has unsupported dtype {entry['dtype']!r}", offset=16)
-        shape = _entry_shape(name, entry["shape"])
-        offset, length = entry["offset"], entry["length"]
-        if type(offset) is not int or type(length) is not int:
-            raise EntryMismatchError(
-                f"entry {name!r} offset and length must be integers", offset=16)
+        shape = entry.get("shape")
+        if (not isinstance(shape, list) or not shape
+                or any(type(s) is not int or s < 0 for s in shape)):
+            raise CheckpointFormatError(f"entry {name!r} has invalid shape {shape!r}",
+                                        offset=16)
         count = math.prod(shape)
-        if length != 4 * count:
-            raise EntryMismatchError(
-                f"entry {name!r} length {length} does not match "
-                f"shape {shape} (expected {4 * count})", offset=16)
-        start = data_start + offset
-        if start != end:
-            raise EntryMismatchError(
-                f"entry {name!r} data starts at {start}, expected {end}: spans "
-                f"must tile the data region in header order", offset=start)
-        end = start + length
-        if end > len(data):
+        if end + 4 * count > len(data):
             raise TruncatedFileError(
-                f"entry {name!r} data region [{start}, {end}) exceeds file size "
-                f"{len(data)}", offset=start)
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        entries[name] = arr.reshape(shape).copy()
+                f"entry {name!r} data region [{end}, {end + 4 * count}) exceeds "
+                f"file size {len(data)}", offset=end)
+        try:
+            arr = np.frombuffer(data, dtype="<f4", count=count, offset=end).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy allows
+            raise CheckpointFormatError(f"entry {name!r} has invalid shape: {exc}",
+                                        offset=16) from exc
+        entries[name] = arr.copy()
+        end += 4 * count
     if end != len(data):
         raise CheckpointFormatError(
             f"{len(data) - end} trailing bytes after the last tensor", offset=end)
 
-    for name, entry in aliases.items():
-        target = entry["alias_of"]
-        if not isinstance(target, str):
-            raise AliasError(f"alias {name!r} target must be a string", offset=16)
-        if target in aliases:
-            raise AliasError(
-                f"alias {name!r} points at alias {target!r}; chains must have depth 1",
-                offset=16)
-        if target not in entries:
-            raise AliasError(f"alias {name!r} points at missing entry {target!r}",
-                             offset=16)
-        declared = _entry_shape(name, entry["shape"])
-        if declared != entries[target].shape:
-            raise EntryMismatchError(
-                f"alias {name!r} declares shape {declared} but target has "
-                f"shape {entries[target].shape}", offset=16)
     try:
-        return ParameterStore(entries), meta
-    except ValueError as exc:  # a non-finite value in the data region
-        raise CheckpointFormatError(str(exc), offset=data_start) from exc
+        store = ParameterStore(entries)
+    except ValueError as exc:  # a non-finite payload, or a bad alias
+        raise CheckpointFormatError(str(exc), offset=16) from exc
+    try:
+        canonical = _header(store, meta)
+    except RecursionError as exc:  # json.dumps nests one frame deeper than loads
+        raise CheckpointFormatError("header nests too deeply", offset=16) from exc
+    if found != canonical:
+        i = next((i for i, (a, b) in enumerate(zip(found, canonical)) if a != b),
+                 min(len(found), len(canonical)))
+        raise CheckpointFormatError(
+            f"header is not canonical: found {found[i:i + 24]!r} where the writer "
+            f"emits {canonical[i:i + 24]!r}", offset=16 + i)
+    return store, meta
 
 
 def read_container(path) -> tuple[ParameterStore, dict]:

@@ -4,10 +4,14 @@ and weight-space permutation application."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ffmerge
 from ffmerge.alignment import (Permutation, apply_permutation,
                                cross_correlation, matched_score,
                                solve_assignment)
@@ -139,6 +143,13 @@ class TestCrossCorrelation:
 
 
 class TestSolveAssignment:
+    def test_import_ffmerge_leaves_scipy_unloaded(self):
+        # scipy is imported by the first assignment solve, not at start-up
+        src = os.path.dirname(os.path.dirname(ffmerge.__file__))
+        code = "import ffmerge, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+
     def test_two_by_two_identity_case(self):
         corr = np.array([[0.9, 0.1], [0.2, 0.8]])
         perm = solve_assignment(corr)

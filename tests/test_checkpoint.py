@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffmerge.checkpoint import (MAGIC, AliasError, BadMagicError,
-                                CheckpointFormatError, EntryMismatchError,
+from ffmerge.checkpoint import (MAGIC, BadMagicError, CheckpointFormatError,
                                 ParameterStore, TruncatedFileError,
                                 atomic_write_bytes, parse_container,
                                 read_checkpoint, read_container,
@@ -228,6 +227,31 @@ class TestTieReport:
         assert tie_report(tied).total_parameters == 8
 
 
+def config_after_first_entry(header: dict) -> dict:
+    first, *rest = [name for name in header if name != "__config__"]
+    return {first: header[first], "__config__": header["__config__"],
+            **{name: header[name] for name in rest}}
+
+
+# valid headers that decode to the canonical one but are spelled otherwise
+REENCODINGS = {
+    "default-spacing": lambda text: json.dumps(json.loads(text)),
+    "indent": lambda text: json.dumps(json.loads(text), indent=1),
+    "leading-space": lambda text: " " + text,
+    "trailing-newline": lambda text: text + "\n",
+    "sort-keys": lambda text: json.dumps(json.loads(text), sort_keys=True,
+                                         separators=(",", ":")),
+    "owner-fields-reordered": lambda text: json.dumps(
+        {name: dict(reversed(entry.items())) if "offset" in entry else entry
+         for name, entry in json.loads(text).items()}, separators=(",", ":")),
+    "config-after-first-entry": lambda text: json.dumps(
+        config_after_first_entry(json.loads(text)), separators=(",", ":")),
+    "exponent": lambda text: text.replace("1.5", "15e-1"),
+    "negative-zero": lambda text: text.replace('"offset":0', '"offset":-0'),
+    "escape": lambda text: text.replace('"note"', '"\\u006eote"'),
+}
+
+
 class TestContainerFormat:
     def test_single_tensor_file_size(self):
         store = ParameterStore({"w": np.ones((2, 2), dtype=np.float32)})
@@ -247,7 +271,7 @@ class TestContainerFormat:
         header = {"__config__": {},
                   "t": {"dtype": "f32", "shape": [1, 1], "offset": 0,
                         "length": 4}}
-        hj = json.dumps(header).encode("utf-8")
+        hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj + struct.pack("<f", 1.0)
         store, meta = parse_container(data)
         np.testing.assert_array_equal(store.get("t"), [[1.0]])
@@ -257,7 +281,7 @@ class TestContainerFormat:
                   "b": {"alias_of": "a", "shape": [2]},
                   "a": {"dtype": "f32", "shape": [2], "offset": 0,
                         "length": 8}}
-        hj = json.dumps(header).encode("utf-8")
+        hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj + struct.pack("<ff", 1, 2)
         store, _ = parse_container(data)
         assert store.names == ["b", "a"]
@@ -303,35 +327,42 @@ class TestContainerFormat:
                   "a": {"dtype": "f32", "shape": [1], "offset": 0, "length": 4},
                   "b": {"alias_of": "a", "shape": [1]},
                   "c": {"alias_of": "b", "shape": [1]}}
-        hj = json.dumps(header).encode("utf-8")
+        hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj + struct.pack("<f", 0.5)
-        with pytest.raises(AliasError, match="depth 1"):
+        with pytest.raises(CheckpointFormatError, match="depth 1"):
             parse_container(data)
 
     def test_alias_to_missing_in_file_rejected(self):
         header = {"__config__": {}, "b": {"alias_of": "nope", "shape": [1]}}
-        hj = json.dumps(header).encode("utf-8")
+        hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj
-        with pytest.raises(AliasError, match="missing"):
+        with pytest.raises(CheckpointFormatError, match="missing"):
             parse_container(data)
 
     def test_length_shape_mismatch_rejected(self):
         header = {"__config__": {},
                   "w": {"dtype": "f32", "shape": [2, 2], "offset": 0,
                         "length": 8}}
-        hj = json.dumps(header).encode("utf-8")
+        hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj + b"\0" * 8
-        with pytest.raises(EntryMismatchError):
+        # the shape, not the length, sizes the data: 16 bytes are missing 8
+        with pytest.raises(TruncatedFileError) as err:
             parse_container(data)
+        assert err.value.offset == 16 + len(hj)
+        # with the 16 bytes the shape asks for, the length is not canonical
+        with pytest.raises(CheckpointFormatError, match="not canonical") as err:
+            parse_container(data + b"\0" * 8)
+        assert err.value.offset == 16 + hj.index(b'8}')
 
     def test_alias_shape_mismatch_rejected(self):
         header = {"__config__": {},
                   "a": {"dtype": "f32", "shape": [2], "offset": 0, "length": 8},
                   "b": {"alias_of": "a", "shape": [3]}}
-        hj = json.dumps(header).encode("utf-8")
+        hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj + b"\0" * 8
-        with pytest.raises(EntryMismatchError):
+        with pytest.raises(CheckpointFormatError, match="not canonical") as err:
             parse_container(data)
+        assert err.value.offset == 16 + hj.index(b"[3]") + 1
 
     def test_round_trip_property(self):
         # a store built from a table parses back to the same table
@@ -373,25 +404,60 @@ class TestContainerFormat:
         (header_len,) = struct.unpack("<Q", data[8:16])
         text = data[16:16 + header_len].decode()
         assert text.count(entry) == 1
-        text = text.replace(entry, repeat)
-        with pytest.raises(CheckpointFormatError, match="repeats key") as err:
-            parse_container(MAGIC + struct.pack("<Q", len(text))
-                            + text.encode() + data[16 + header_len:])
-        assert err.value.offset == 16
+        repeated = text.replace(entry, repeat)
+        with pytest.raises(CheckpointFormatError, match="not canonical") as err:
+            parse_container(MAGIC + struct.pack("<Q", len(repeated))
+                            + repeated.encode() + data[16 + header_len:])
+        # json keeps a repeated key's last value at its first position
+        canonical = json.dumps(json.loads(repeated), separators=(",", ":"))
+        assert err.value.offset == 16 + first_difference(repeated, canonical)
 
     def test_overlapping_spans_rejected(self):
+        # owners are sliced by shape in header order: two [2] owners need
+        # 16 bytes, and the file holds 12
         header = {"__config__": {},
                   "a": {"dtype": "f32", "shape": [2], "offset": 0, "length": 8},
                   "b": {"dtype": "f32", "shape": [2], "offset": 4, "length": 8}}
-        with pytest.raises(CheckpointFormatError, match="tile"):
-            parse_container(build_container(header, b"\0" * 12))
+        data = build_container(header, b"\0" * 12)
+        with pytest.raises(TruncatedFileError) as err:
+            parse_container(data)
+        assert err.value.offset == len(data) - 4
 
     def test_spans_out_of_header_order_rejected(self):
         header = {"__config__": {},
                   "a": {"dtype": "f32", "shape": [1], "offset": 4, "length": 4},
                   "b": {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}}
-        with pytest.raises(CheckpointFormatError, match="tile"):
-            parse_container(build_container(header, b"\0" * 8))
+        data = build_container(header, b"\0" * 8)
+        with pytest.raises(CheckpointFormatError, match="not canonical") as err:
+            parse_container(data)
+        assert err.value.offset == data.index(b'"offset":4') + len('"offset":')
+
+    @pytest.mark.parametrize("name", list(REENCODINGS))
+    def test_reencoded_header_rejected(self, name):
+        data = aliased_container({"note": 1.5})
+        text = header_text(data)
+        other = REENCODINGS[name](text)
+        assert other != text and json.loads(other) == json.loads(text)
+        with pytest.raises(CheckpointFormatError, match="not canonical") as err:
+            parse_container(reencode(data, other))
+        assert err.value.offset == 16 + first_difference(other, text)
+        assert "\n" not in str(err.value)
+
+    def test_deep_config_raises_only_format_error(self):
+        # json.loads accepts a depth or so that json.dumps, one frame deeper,
+        # does not; the sweep spans that boundary from any likely call depth
+        data = serialize_container(
+            ParameterStore({"w": np.ones(1, dtype=np.float32)}), {})
+        parsed = refused = 0
+        for depth in range(800, 1001):
+            nested = '"__config__":' + "[" * depth + "]" * depth
+            text = header_text(data).replace('"__config__":{}', nested)
+            try:
+                parse_container(reencode(data, text))
+                parsed += 1
+            except CheckpointFormatError:
+                refused += 1
+        assert parsed and refused
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(CheckpointFormatError, match="trailing"):
@@ -409,16 +475,34 @@ def build_container(header: dict, payload: bytes) -> bytes:
     return MAGIC + struct.pack("<Q", len(hj)) + hj + payload
 
 
+def first_difference(a: str, b: str) -> int:
+    """The index of the first character where ``a`` and ``b`` differ."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
 def split_container(data: bytes) -> tuple[dict, bytes]:
     (header_len,) = struct.unpack("<Q", data[8:16])
     return json.loads(data[16:16 + header_len]), data[16 + header_len:]
 
 
-def aliased_container() -> bytes:
+def aliased_container(meta=None) -> bytes:
     """Owners ``a`` (2x3) and ``c`` (3,), with ``b`` aliasing ``c`` between them."""
     store = ParameterStore({"a": np.arange(6, dtype=np.float32).reshape(2, 3),
                             "b": "c", "c": np.ones(3, dtype=np.float32)})
-    return serialize_container(store, {"note": 1})
+    return serialize_container(store, {"note": 1} if meta is None else meta)
+
+
+def reencode(data: bytes, text: str) -> bytes:
+    """``data`` with its header replaced by ``text``."""
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    raw = text.encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[16 + header_len:]
+
+
+def header_text(data: bytes) -> str:
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    return data[16:16 + header_len].decode("utf-8")
 
 
 JSON_VALUES = st.recursive(
@@ -464,6 +548,26 @@ class TestContainerFuzz:
             parse_container(bytes(raw))
         except CheckpointFormatError:
             pass
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(indent=st.sampled_from([None, 0, 1, 2]),
+           separators=st.sampled_from([(",", ":"), (", ", ": "), (",", ": "),
+                                       (", ", ":")]),
+           sort_keys=st.booleans(), ensure_ascii=st.booleans())
+    def test_reencoded_header_parses_only_if_canonical(self, indent, separators,
+                                                       sort_keys, ensure_ascii):
+        data = aliased_container({"note": 1.5, "name": "caf\u00e9"})
+        text = header_text(data)
+        other = json.dumps(json.loads(text), indent=indent, separators=separators,
+                           sort_keys=sort_keys, ensure_ascii=ensure_ascii)
+        reencoded = reencode(data, other)
+        if reencoded == data:
+            store, meta = parse_container(reencoded)
+            assert serialize_container(store, meta) == data
+        else:
+            with pytest.raises(CheckpointFormatError, match="not canonical"):
+                parse_container(reencoded)
 
 
 class TestFileRoundTrip:

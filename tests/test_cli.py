@@ -439,7 +439,7 @@ class TestInfoCommand:
         for header in ({"__config__": {}, "w": dict(entry, offset=0.0)},
                        {"__config__": dict(config, n_layers=4.0), "w": entry},
                        {"__config__": dict(config, n_layers=True), "w": entry}):
-            text = json.dumps(header)
+            text = json.dumps(header, separators=(",", ":"))
             path.write_bytes(MAGIC + struct.pack("<Q", len(text))
                              + text.encode() + b"\0" * 4)
             assert main(["info", "--model", str(path)]) == 1
@@ -468,7 +468,20 @@ class TestInfoCommand:
                          + data[16 + header_len:])
         assert main(["info", "--model", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"repeats key {name!r}" in err
+        assert err.count("\n") == 1 and "not canonical" in err
+
+    def test_indented_header_is_one_line_error(self, workdir, capsys):
+        data = open(workdir["model"], "rb").read()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        text = json.dumps(json.loads(data[16:16 + header_len]), indent=1)
+        path = workdir["dir"] / "indented.ffmc"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text.encode()
+                         + data[16 + header_len:])
+        capsys.readouterr()
+        assert main(["info", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "not canonical" in captured.err
 
 
 class TestGenFixtureCommand:

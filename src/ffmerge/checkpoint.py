@@ -139,8 +139,8 @@ class ParameterStore:
         payload owns it, and every entry listing the same source aliases
         it; otherwise the old owner keeps ownership if it is listed,
         possibly renamed; otherwise the group's first listed member owns the
-        old payload itself, shared and not copied. A name that leaves a group never changes
-        the payload of the members that stay.
+        old payload itself, shared and not copied. A name that leaves a
+        group never changes the payload of the members that stay.
         """
         # entry -> the owner of its tie group (itself, for an owner)
         roots = {name: value if isinstance(value, str) else name
@@ -311,12 +311,12 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
             raise TruncatedFileError(
                 f"entry {name!r} data region [{end}, {end + 4 * count}) exceeds "
                 f"file size {len(data)}", offset=end)
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=end)
         try:
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=end).reshape(shape)
+            entries[name] = arr.reshape(shape).copy()
         except ValueError as exc:  # more dimensions than numpy allows
             raise CheckpointFormatError(f"entry {name!r} has invalid shape: {exc}",
                                         offset=16) from exc
-        entries[name] = arr.copy()
         end += 4 * count
     if end != len(data):
         raise CheckpointFormatError(

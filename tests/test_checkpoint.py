@@ -387,6 +387,7 @@ class TestContainerFormat:
         ("a", "offset", 0.0), ("a", "length", True), ("a", "shape", [True]),
         ("a", "shape", 1), ("a", "shape", [1.0]), ("a", "dtype", ["f32"]),
         ("b", "alias_of", ["c"]), ("b", "shape", None), ("b", "extra", 1),
+        ("a", "shape", [2, 3] + [1] * 63),  # more dimensions than numpy allows
     ])
     def test_mistyped_header_field_rejected(self, entry, field, value):
         header, payload = split_container(aliased_container())

@@ -402,13 +402,11 @@ class TestContainerFormat:
     ], ids=["alias", "config", "field"])
     def test_repeated_header_key_rejected(self, entry, repeat):
         data = aliased_container()
-        (header_len,) = struct.unpack("<Q", data[8:16])
-        text = data[16:16 + header_len].decode()
+        text = header_text(data)
         assert text.count(entry) == 1
         repeated = text.replace(entry, repeat)
         with pytest.raises(CheckpointFormatError, match="not canonical") as err:
-            parse_container(MAGIC + struct.pack("<Q", len(repeated))
-                            + repeated.encode() + data[16 + header_len:])
+            parse_container(reencode(data, repeated))
         # json keeps a repeated key's last value at its first position
         canonical = json.dumps(json.loads(repeated), separators=(",", ":"))
         assert err.value.offset == 16 + first_difference(repeated, canonical)

@@ -4,11 +4,17 @@ CKA scores how similar two feature matrices are, ignoring orthogonal
 transforms and isotropic rescaling of either side. Computed pairwise over
 the layers of an activation capture it shows which sublayers compute alike,
 which is what makes some windows merge losslessly and others not.
+
+A matrix over L layers costs L Gram products (one per layer, for its norm)
+and L(L-1)/2 cross products, one per layer pair. Layers are centered again
+for every pair rather than cached, so memory stays at about two float64
+copies of one layer however many layers there are.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,29 +22,54 @@ import numpy as np
 from .engine import ActivationSet
 
 
-def linear_cka(x, y) -> float:
+def _centered(x) -> np.ndarray:
+    """A float64 copy of ``x`` with its column means subtracted."""
+    a = np.array(x, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # Inf - Inf; _gram_norm refuses it
+        a -= a.mean(axis=0)
+    return a
+
+
+def _gram_norm(a: np.ndarray, what: str) -> float:
+    """``||A^T A||_F`` of a centered matrix, refused when not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(a.T @ a))
+    if not math.isfinite(norm):
+        raise ValueError(f"{what} is {norm}: the features hold NaN or Inf, "
+                         "or overflow float64")
+    return norm
+
+
+def linear_cka(x, y, *, norms: tuple[float, float] | None = None) -> float:
     """Linear CKA between two feature matrices with matching rows.
 
     With column-centered X and Y this is ||Y^T X||_F^2 divided by
     ||X^T X||_F * ||Y^T Y||_F. Widths may differ. All-constant features
     make a denominator factor 0; the score is defined as 0 there.
+
+    ``norms`` passes the two Gram norms ``(||Xc^T Xc||_F, ||Yc^T Yc||_F)``
+    when the caller already has them, so only the cross product is formed;
+    without it both are computed here. Given the norms this function would
+    compute, the score is the same to the bit. A Gram norm that is not
+    finite, computed or passed (NaN or Inf features, or float64 overflow),
+    raises ``ValueError``.
     """
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
+    if np.ndim(x) != 2 or np.ndim(y) != 2:
         raise ValueError("linear_cka needs 2-D feature matrices")
+    a, b = _centered(x), _centered(y)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    num = float(np.linalg.norm(b.T @ a) ** 2)
-    da = float(np.linalg.norm(a.T @ a))
-    db = float(np.linalg.norm(b.T @ b))
+    if norms is None:
+        da, db = _gram_norm(a, "Gram norm of x"), _gram_norm(b, "Gram norm of y")
+    else:
+        da, db = map(float, norms)
+        if not (math.isfinite(da) and math.isfinite(db)):
+            raise ValueError(f"passed Gram norms ({da}, {db}) are not finite")
     if da == 0.0 or db == 0.0:
         return 0.0
-    return num / (da * db)
+    return float(np.linalg.norm(b.T @ a) ** 2) / (da * db)
 
 
 @dataclass(frozen=True)
@@ -47,7 +78,9 @@ class CkaMatrix:
 
     values[i, j] compares layer i with layer j in ascending layer order. A
     layer whose features are constant (a dead layer) has an all-zero row and
-    column, diagonal included.
+    column, diagonal included. ``cka_matrix`` writes the diagonal exactly,
+    1.0 or 0.0; a hand-built matrix may be off 1 by up to 1e-6. Every entry
+    must be finite.
     """
 
     values: np.ndarray
@@ -57,6 +90,8 @@ class CkaMatrix:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"CKA matrix must be square, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("CKA matrix holds NaN or Inf")
         if not np.allclose(v, v.T, atol=1e-6, rtol=0.0):
             raise ValueError("CKA matrix is not symmetric")
         # linear_cka scores a layer with constant features 0 against every
@@ -86,17 +121,22 @@ class CkaMatrix:
 def cka_matrix(acts: ActivationSet) -> CkaMatrix:
     """Pairwise linear CKA between every layer pair of a capture.
 
-    The upper triangle is computed and mirrored, so the result is symmetric
-    by construction.
+    Each layer's Gram norm is computed once and sets its diagonal entry
+    exactly: 1.0 for a live layer, 0.0 for a dead one. Each pair above the
+    diagonal is one ``linear_cka`` call given both norms, and is mirrored,
+    so the result is symmetric by construction. A layer whose Gram norm is
+    not finite is refused by name.
     """
     layers = acts.layers()
     if len(layers) < 2:
         raise ValueError("need at least 2 layers to compare")
+    mats = [acts.per_layer[layer] for layer in layers]
+    norms = [_gram_norm(_centered(m), f"layer {layer} Gram norm")
+             for layer, m in zip(layers, mats)]
     n = len(layers)
-    values = np.zeros((n, n), dtype=np.float64)
+    values = np.diag([1.0 if norm > 0.0 else 0.0 for norm in norms])
     for i in range(n):
-        for j in range(i, n):
-            values[i, j] = linear_cka(acts.per_layer[layers[i]],
-                                      acts.per_layer[layers[j]])
-            values[j, i] = values[i, j]
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = linear_cka(
+                mats[i], mats[j], norms=(norms[i], norms[j]))
     return CkaMatrix(values=values, tap=acts.tap)

@@ -1,13 +1,18 @@
 """Similarity-analysis tests: linear CKA against a centered-Gram oracle,
-its invariances, and the layer-by-layer matrix with its export formats."""
+its invariances, the layer-by-layer matrix against pairwise CKA, and its
+export formats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ffmerge.analysis import CkaMatrix, cka_matrix, linear_cka
-from ffmerge.engine import capture_activations
+from ffmerge.engine import ActivationSet, capture_activations
 from ffmerge.fixtures import default_config, duplicate_model, random_model, \
     token_sequences, zeroed_layer_model
 
@@ -29,6 +34,13 @@ def cka_gram_oracle(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(cross / denom)
+
+
+def gram_norm(x) -> float:
+    """``||Xc^T Xc||_F`` the way ``linear_cka`` forms it."""
+    xc = np.array(x, dtype=np.float64)
+    xc -= xc.mean(axis=0)
+    return float(np.linalg.norm(xc.T @ xc))
 
 
 class TestLinearCka:
@@ -100,6 +112,37 @@ class TestLinearCka:
         with pytest.raises(ValueError, match="row"):
             linear_cka(np.zeros((1, 2)), np.zeros((1, 2)))
 
+    def test_does_not_touch_inputs(self):
+        rng = np.random.default_rng(109)
+        x = rng.normal(size=(20, 3))
+        before = x.copy()
+        linear_cka(x, x, norms=(gram_norm(x), gram_norm(x)))
+        linear_cka(x, x)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, bad):
+        rng = np.random.default_rng(110)
+        x = rng.normal(size=(20, 3))
+        y = x.copy()
+        y[4, 1] = bad
+        with pytest.raises(ValueError, match="Gram norm of y is nan"):
+            linear_cka(x, y)
+        with pytest.raises(ValueError, match="Gram norm of x is nan"):
+            linear_cka(y, x)
+
+    def test_non_finite_norms_refused(self):
+        x = np.random.default_rng(111).normal(size=(20, 3))
+        for norms in [(np.nan, 1.0), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match="not finite"):
+                linear_cka(x, x, norms=norms)
+
+    def test_gram_overflow_refused(self):
+        x = np.random.default_rng(112).normal(size=(20, 3))
+        with pytest.raises(ValueError, match="Gram norm of x is inf"):
+            linear_cka(x * 1e160, x)
+        assert linear_cka(x * 1e70, x) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestCkaMatrix:
     def capture(self, model, cfg, seed):
@@ -147,6 +190,23 @@ class TestCkaMatrix:
         with pytest.raises(ValueError):
             CkaMatrix(values=np.array([[1.0, 1.5], [1.5, 1.0]]), tap="ff_out")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            CkaMatrix(values=np.array([[1.0, bad], [bad, 1.0]]), tap="ff_out")
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            CkaMatrix(values=np.array([[bad, 0.5], [0.5, 1.0]]), tap="ff_out")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_layer_named(self, bad):
+        rng = np.random.default_rng(113)
+        per_layer = {layer: rng.normal(size=(10, 4)).astype(np.float32)
+                     for layer in (0, 2, 5)}
+        per_layer[2][3, 0] = bad
+        acts = ActivationSet(tap="ff_out", per_layer=per_layer, sample_count=10)
+        with pytest.raises(ValueError, match="^layer 2 Gram norm is nan"):
+            cka_matrix(acts)
+
     @pytest.mark.parametrize("tap", ["ff_pre_act", "ff_out", "attn_out"])
     def test_dead_layer_scores_zero(self, tap):
         cfg = default_config(n_layers=4, d_model=16, d_ff=32)
@@ -156,8 +216,7 @@ class TestCkaMatrix:
                                                 max_samples=80))
         assert not matrix.values[1].any() and not matrix.values[:, 1].any()
         live = [0, 2, 3]
-        np.testing.assert_allclose(np.diag(matrix.values)[live], 1.0,
-                                   atol=1e-6, rtol=0.0)
+        assert (np.diag(matrix.values)[live] == 1.0).all()
 
     def test_needs_two_layers(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16)
@@ -180,3 +239,55 @@ class TestCkaMatrix:
         assert set(doc) == {"tap", "values"}
         assert doc["tap"] == "ff_pre_act"
         assert doc["values"] == [[1.0, 0.25], [0.25, 1.0]]
+
+
+@st.composite
+def captures(draw):
+    """A hand-built capture: float32 or float64, 2+ rows, any width, with
+    some layers dead and some columns constant."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_layers = draw(st.integers(2, 5))
+    rows = draw(st.integers(2, 12))
+    width = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    elements = st.floats(-1e3, 1e3, width=32 if dtype is np.float32 else 64)
+    values = draw(arrays(dtype, (n_layers, rows, width), elements=elements))
+    for layer in draw(st.sets(st.integers(0, n_layers - 1), max_size=2)):
+        values[layer] = values[layer, 0]
+    for col in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+        values[:, :, col] = values[:, :1, col]
+    layers = draw(st.lists(st.integers(0, 40), min_size=n_layers,
+                           max_size=n_layers, unique=True))
+    return ActivationSet(tap="ff_out", sample_count=rows,
+                         per_layer=dict(zip(layers, values)))
+
+
+class TestCkaMatrixAgainstPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(acts=captures())
+    def test_matches_pairwise_cka(self, acts):
+        layers = acts.layers()
+        mats = [acts.per_layer[layer] for layer in layers]
+        values = cka_matrix(acts).values
+        for i, x in enumerate(mats):
+            norm = gram_norm(x)
+            assert values[i, i] == (1.0 if norm > 0.0 else 0.0)
+            for j in range(i + 1, len(mats)):
+                y = mats[j]
+                plain = linear_cka(x, y)
+                assert values[i, j] == values[j, i] == plain
+                assert linear_cka(x, y, norms=(norm, gram_norm(y))) == plain
+
+    @pytest.mark.parametrize("n_layers", [3, 6])
+    def test_peak_memory_stays_below_three_layer_copies(self, n_layers):
+        rows, width = 4096, 16
+        rng = np.random.default_rng(114)
+        acts = ActivationSet(tap="ff_out", sample_count=rows, per_layer={
+            layer: rng.normal(size=(rows, width)).astype(np.float32)
+            for layer in range(n_layers)})
+        tracemalloc.start()
+        try:
+            cka_matrix(acts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * rows * width * 8

@@ -9,7 +9,7 @@ reordering, then recovers it purely from pre-activation statistics.
 
 import numpy as np
 
-from ffmerge.alignment import (Permutation, apply_permutation,
+from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, solve_assignment)
 from ffmerge.engine import FFParams, ff_forward
 
@@ -35,9 +35,10 @@ pre_base, y_base = ff_forward(base, x, "relu")
 pre_shuf, y_shuf = ff_forward(shuffled, x, "relu")
 print(f"max output difference: {np.abs(y_base - y_shuf).max():.2e}")
 
-# unit-by-unit correlation of pre-activations exposes the reordering:
-# each base unit correlates perfectly with exactly one shuffled unit
-corr = cross_correlation(pre_base, pre_shuf)
+# unit-by-unit correlation of the centered pre-activations exposes the
+# reordering: each base unit correlates perfectly with exactly one shuffled
+# unit
+corr = cross_correlation(centered(pre_base), centered(pre_shuf))
 print(f"correlation peaks per row: "
       f"{np.sort(corr.max(axis=1))[:3]} ... all ~1")
 

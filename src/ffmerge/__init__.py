@@ -8,8 +8,8 @@ layer-drop baseline, CKA similarity analysis, and a binary checkpoint
 format that stores tied tensors once.
 """
 
-from .alignment import (Permutation, apply_permutation, cross_correlation,
-                        matched_score, solve_assignment)
+from .alignment import (Permutation, apply_permutation, centered,
+                        cross_correlation, matched_score, solve_assignment)
 from .analysis import CkaMatrix, cka_matrix, linear_cka
 from .checkpoint import (CheckpointFormatError, ParameterStore, TieReport,
                          read_checkpoint, read_container, tie_report,
@@ -37,7 +37,7 @@ __all__ = [
     "Dataset", "EvalMetric", "FFParams", "MergeDiagnostics", "MergeSpec",
     "ModelConfig", "ParameterStore", "Permutation", "PermutedCopyFixture",
     "SelectionReport", "TieReport", "TransformerModel", "WindowCandidate",
-    "apply_permutation", "capture_activations", "cka_matrix",
+    "apply_permutation", "capture_activations", "centered", "cka_matrix",
     "cross_correlation", "default_config",
     "drop_layers", "duplicate_model", "enumerate_drop_starts",
     "enumerate_windows", "evaluate", "ff_forward", "ff_params", "gen_fixture",

@@ -1,11 +1,11 @@
 """Permutation alignment of feed-forward hidden units.
 
-Two sublayers of the same width are aligned by (1) computing the entrywise
-Pearson correlation between their hidden-unit activations over a shared
-batch of inputs and (2) solving the linear assignment problem that maximizes
-the total matched correlation. Applying the winning permutation to a
-sublayer's parameters reorders its hidden units without changing its
-input-output function.
+Two sublayers of the same width are aligned by (1) centering each one's
+hidden-unit activations over a shared batch of inputs once, (2) computing
+the entrywise Pearson correlation between the two centered matrices and (3)
+solving the linear assignment problem that maximizes the total matched
+correlation. Applying the winning permutation to a sublayer's parameters
+reorders its hidden units without changing its input-output function.
 """
 
 from __future__ import annotations
@@ -54,25 +54,37 @@ class Permutation:
         return cls(np.arange(n, dtype=np.int64))
 
 
-def cross_correlation(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Correlate the columns of two activation matrices of equal shape.
+def centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One activation matrix made ready to correlate: a fresh float64 copy
+    of ``x`` less its column means, and its column standard deviations.
+
+    ``x`` itself is never written to. A caller that correlates one layer
+    with several others centers it once and passes the pair to each
+    ``cross_correlation``.
+    """
+    xc = np.array(x, dtype=np.float64)
+    mean, std = column_stats(xc)
+    xc -= mean
+    return xc, std
+
+
+def cross_correlation(ref: tuple[np.ndarray, np.ndarray],
+                      other: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Correlate the columns of two ``centered`` activation matrices.
 
     Returns the float64 matrix whose [j, l] entry correlates unit j of
     ``ref`` with unit l of ``other``. Rows of ``ref`` and ``other`` must
     describe the same inputs. Values are clipped to [-1, 1] to shed float
     round-off; pairs involving a constant (zero-variance) unit are 0.
     """
-    a = np.asarray(ref, dtype=np.float64)
-    b = np.asarray(other, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("activation matrices must be 2-D")
+    if not (isinstance(ref, tuple) and isinstance(other, tuple)):
+        raise TypeError("cross_correlation takes two centered(x) results")
+    (a, std_a), (b, std_b) = ref, other
     if a.shape != b.shape:
         raise ValueError(f"activation shapes differ: {a.shape} vs {b.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples to correlate")
-    mean_a, std_a = column_stats(a)
-    mean_b, std_b = column_stats(b)
-    cov = ((a - mean_a).T @ (b - mean_b)) / a.shape[0]
+    cov = (a.T @ b) / a.shape[0]
     denom = np.outer(std_a, std_b)
     corr = np.clip(cov / np.where(denom == 0.0, 1.0, denom), -1.0, 1.0)
     corr[std_a == 0.0, :] = 0.0

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (Permutation, apply_permutation, cross_correlation,
-                        matched_score, solve_assignment)
+from .alignment import (Permutation, apply_permutation, centered as center_layer,
+                        cross_correlation, matched_score, solve_assignment)
 from .config import ff_param_basenames, ff_tensor_names
 from .engine import ActivationSet, FFParams, TransformerModel, ff_params
 
@@ -95,10 +95,8 @@ class MergeDiagnostics:
     members: tuple[MemberAlignment, ...]
 
 
-def _member_permutation(acts: ActivationSet, anchor_layer: int, layer: int,
+def _member_permutation(ref: tuple, other: tuple,
                         use_permutation: bool) -> tuple[Permutation, float]:
-    ref = acts.per_layer[anchor_layer]
-    other = acts.per_layer[layer]
     corr = cross_correlation(ref, other)
     if use_permutation:
         perm = solve_assignment(corr)
@@ -107,13 +105,19 @@ def _member_permutation(acts: ActivationSet, anchor_layer: int, layer: int,
     return perm, matched_score(corr, perm) / len(corr)
 
 
-def merge_window(model: TransformerModel, acts: ActivationSet,
-                 spec: MergeSpec) -> tuple[TransformerModel, MergeDiagnostics]:
+def merge_window(model: TransformerModel, acts: ActivationSet, spec: MergeSpec,
+                 *, centered: dict[int, tuple] | None = None,
+                 ) -> tuple[TransformerModel, MergeDiagnostics]:
     """Merge one window of feed-forwards and tie all members to the result.
 
     ``acts`` must be an ff_pre_act capture of ``model`` covering the window.
     Returns a new model (the input is untouched) whose window members alias
     one merged parameter set, plus per-member alignment diagnostics.
+
+    Each window layer is centered once (``alignment.centered``), before any
+    assignment is solved. ``centered`` is an optional memo from layer index
+    to its centered capture: layers found there are reused, the others are
+    added. A caller may share one memo across merges of the same ``acts``.
     """
     cfg = model.config
     if spec.start + spec.k > cfg.n_layers:
@@ -130,12 +134,16 @@ def merge_window(model: TransformerModel, acts: ActivationSet,
         raise ValueError(
             f"activation width {acts.width} does not match d_ff {cfg.d_ff}"
         )
+    memo = {} if centered is None else centered
+    for i in spec.layers:
+        if i not in memo:
+            memo[i] = center_layer(acts.per_layer[i])
     anchor_layer = spec.anchor_layer
     other_layers = [i for i in spec.layers if i != anchor_layer]
     members = []
     perms = []
     for i in other_layers:
-        perm, mean_corr = _member_permutation(acts, anchor_layer, i,
+        perm, mean_corr = _member_permutation(memo[anchor_layer], memo[i],
                                               spec.use_permutation)
         perms.append(perm)
         members.append(MemberAlignment(layer=i, permutation=perm,

@@ -120,10 +120,17 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
             "set include_final_window for the single full-width window"
         )
 
+    # Each layer is centered once per sweep. Starts rise and every anchor
+    # lies inside its window, so a layer below the start is never needed
+    # again; dropping it keeps at most k centered float64 layers alive.
+    centered: dict[int, tuple] = {}
+
     def build(start: int) -> TransformerModel:
+        for i in [i for i in centered if i < start]:
+            del centered[i]
         spec = MergeSpec(start=start, k=k, anchor_position=anchor_position,
                          use_permutation=use_permutation)
-        return merge_window(model, acts, spec)[0]
+        return merge_window(model, acts, spec, centered=centered)[0]
 
     candidates, best, best_model = _sweep(model, starts, build, eval_data, metric)
     report = SelectionReport(k=k, anchor_position=anchor_position,

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffmerge.alignment import (Permutation, apply_permutation,
+from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, solve_assignment)
 from ffmerge.analysis import cka_matrix, linear_cka
 from ffmerge.checkpoint import (ParameterStore, parse_container,
@@ -105,7 +105,8 @@ class TestAcceptance:
             for _ in range(20):
                 acts = rng.normal(size=(500, d))
                 sigma = rng.permutation(d)
-                recovered = solve_assignment(cross_correlation(acts, acts[:, sigma]))
+                recovered = solve_assignment(
+                    cross_correlation(centered(acts), centered(acts[:, sigma])))
                 restored = acts[:, sigma][:, recovered.mapping]
                 if not (np.array_equal(recovered.mapping, np.argsort(sigma))
                         and np.array_equal(restored, acts)):
@@ -174,7 +175,8 @@ class TestAcceptance:
             base, noisy, _ = noisy_permuted_pair(cfg, seed=1000 + i)
             pre_base, y_base = ff_forward(base, probe, "relu")
             pre_noisy, _ = ff_forward(noisy, probe, "relu")
-            recovered = solve_assignment(cross_correlation(pre_base, pre_noisy))
+            recovered = solve_assignment(
+                cross_correlation(centered(pre_base), centered(pre_noisy)))
             merged = merge_ff(base, [noisy], [recovered])
             vanilla = merge_ff(base, [noisy], [Permutation.identity(64)])
             _, y_merged = ff_forward(merged, probe, "relu")

@@ -1,6 +1,7 @@
-"""Alignment tests: permutation objects, cross-correlation against a
-per-pair Pearson oracle, assignment solving against brute-force search,
-and weight-space permutation application."""
+"""Alignment tests: permutation objects, centering, cross-correlation
+against a per-pair Pearson oracle and bit for bit against the uncentered
+formula, assignment solving against brute-force search, and weight-space
+permutation application."""
 
 import itertools
 import math
@@ -10,9 +11,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ffmerge
-from ffmerge.alignment import (Permutation, apply_permutation,
+from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, matched_score,
                                solve_assignment)
 from ffmerge.engine import FFParams, ff_forward, swiglu_forward
@@ -31,6 +35,38 @@ def pearson_oracle(a, b) -> float:
     if va == 0.0 or vb == 0.0:
         return 0.0
     return cov / math.sqrt(va * vb)
+
+
+def uncentered_cross_correlation(ref, other) -> np.ndarray:
+    """Correlation from raw activation matrices, each side cast, reduced to
+    column stats and centered inside the call: the formula the centered
+    form must reproduce bit for bit."""
+    a = np.asarray(ref, dtype=np.float64)
+    b = np.asarray(other, dtype=np.float64)
+    mean_a, std_a = a.mean(axis=0), np.sqrt(np.maximum(a.var(axis=0), 0.0))
+    mean_b, std_b = b.mean(axis=0), np.sqrt(np.maximum(b.var(axis=0), 0.0))
+    cov = ((a - mean_a).T @ (b - mean_b)) / a.shape[0]
+    denom = np.outer(std_a, std_b)
+    corr = np.clip(cov / np.where(denom == 0.0, 1.0, denom), -1.0, 1.0)
+    corr[std_a == 0.0, :] = 0.0
+    corr[:, std_b == 0.0] = 0.0
+    return corr
+
+
+@st.composite
+def capture_pairs(draw):
+    """Two activation matrices of one shape, each float32 or float64, with
+    some columns constant."""
+    rows, width = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    pair = []
+    for _ in range(2):
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        elements = st.floats(-1e3, 1e3, width=32 if dtype is np.float32 else 64)
+        x = draw(arrays(dtype, (rows, width), elements=elements))
+        for col in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+            x[:, col] = x[0, col]
+        pair.append(x)
+    return tuple(pair)
 
 
 def brute_force_assignment(values: np.ndarray) -> tuple:
@@ -71,12 +107,40 @@ class TestPermutation:
             Permutation(np.array([0.5, 1.5]))
 
 
+class TestCentered:
+    def test_float64_input_untouched(self):
+        rng = np.random.default_rng(88)
+        x = rng.normal(loc=3.0, size=(20, 5))
+        before = x.copy()
+        xc, std = centered(x)
+        assert not np.shares_memory(xc, x)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(xc, x - x.mean(axis=0))
+        np.testing.assert_array_equal(std, x.std(axis=0))
+
+    def test_float32_input_gives_float64(self):
+        x = np.array([[1.0, 5.0], [3.0, 5.0]], dtype=np.float32)
+        xc, std = centered(x)
+        assert xc.dtype == std.dtype == np.float64
+        np.testing.assert_array_equal(xc, [[-1.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(std, [1.0, 0.0])
+
+
 class TestCrossCorrelation:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=capture_pairs())
+    def test_bit_identical_to_uncentered_formula(self, pair):
+        a, b = pair
+        got = cross_correlation(centered(a), centered(b))
+        want = uncentered_cross_correlation(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_matches_pearson_oracle(self):
         rng = np.random.default_rng(71)
         a = rng.normal(size=(40, 5))
         b = rng.normal(size=(40, 5))
-        corr = cross_correlation(a, b)
+        corr = cross_correlation(centered(a), centered(b))
         for j in range(5):
             for m in range(5):
                 assert corr[j, m] == pytest.approx(
@@ -85,7 +149,7 @@ class TestCrossCorrelation:
     def test_self_correlation_diagonal_one(self):
         rng = np.random.default_rng(72)
         a = rng.normal(size=(60, 6))
-        corr = cross_correlation(a, a)
+        corr = cross_correlation(centered(a), centered(a))
         np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-9)
 
     def test_column_swap_moves_peak(self):
@@ -93,7 +157,7 @@ class TestCrossCorrelation:
         a = rng.normal(size=(50, 4))
         sigma = np.array([2, 0, 3, 1])
         b = a[:, sigma]
-        corr = cross_correlation(a, b)
+        corr = cross_correlation(centered(a), centered(b))
         # unit j of a reappears as column argsort(sigma)[j] of b
         inv = np.argsort(sigma)
         for j in range(4):
@@ -103,8 +167,8 @@ class TestCrossCorrelation:
         rng = np.random.default_rng(74)
         a = rng.normal(size=(30, 5))
         b = rng.normal(size=(30, 5))
-        ab = cross_correlation(a, b)
-        ba = cross_correlation(b, a)
+        ab = cross_correlation(centered(a), centered(b))
+        ba = cross_correlation(centered(b), centered(a))
         np.testing.assert_allclose(ab, ba.T, atol=1e-12)
 
     def test_zero_variance_columns(self):
@@ -113,14 +177,14 @@ class TestCrossCorrelation:
         a[:, 1] = 4.0
         b = rng.normal(size=(20, 3))
         b[:, 2] = -1.0
-        corr = cross_correlation(a, b)
+        corr = cross_correlation(centered(a), centered(b))
         np.testing.assert_array_equal(corr[1, :], 0.0)
         np.testing.assert_array_equal(corr[:, 2], 0.0)
 
     def test_values_clipped(self):
         rng = np.random.default_rng(76)
         a = rng.normal(size=(25, 8))
-        corr = cross_correlation(a, a * 2.0 + 1.0)
+        corr = cross_correlation(centered(a), centered(a * 2.0 + 1.0))
         assert float(np.max(corr)) <= 1.0
         assert float(np.min(corr)) >= -1.0
         # scaled copy correlates perfectly unit-by-unit
@@ -128,18 +192,21 @@ class TestCrossCorrelation:
 
     def test_returns_f64_array(self):
         rng = np.random.default_rng(87)
-        corr = cross_correlation(rng.normal(size=(30, 4)).astype(np.float32),
-                                 rng.normal(size=(30, 4)).astype(np.float32))
+        a = rng.normal(size=(30, 4)).astype(np.float32)
+        b = rng.normal(size=(30, 4)).astype(np.float32)
+        corr = cross_correlation(centered(a), centered(b))
         assert type(corr) is np.ndarray
         assert corr.dtype == np.float64 and corr.shape == (4, 4)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="sample"):
-            cross_correlation(np.zeros((1, 3)), np.zeros((1, 3)))
+            cross_correlation(centered(np.zeros((1, 3))), centered(np.zeros((1, 3))))
         with pytest.raises(ValueError, match="shape"):
-            cross_correlation(np.zeros((5, 3)), np.zeros((6, 3)))
+            cross_correlation(centered(np.zeros((5, 3))), centered(np.zeros((6, 3))))
         with pytest.raises(ValueError, match="shape"):
-            cross_correlation(np.zeros((5, 3)), np.zeros((5, 4)))
+            cross_correlation(centered(np.zeros((5, 3))), centered(np.zeros((5, 4))))
+        with pytest.raises(TypeError, match="centered"):
+            cross_correlation(np.zeros((5, 3)), np.zeros((5, 3)))
 
 
 class TestSolveAssignment:
@@ -177,7 +244,8 @@ class TestSolveAssignment:
         assert sorted(perm.mapping.tolist()) == [0, 1, 2, 3, 4]
 
     def test_matched_score(self):
-        corr = cross_correlation(np.eye(4) + 0.1, np.eye(4) + 0.1)
+        a = np.eye(4) + 0.1
+        corr = cross_correlation(centered(a), centered(a))
         perm = solve_assignment(corr)
         total = matched_score(corr, perm)
         assert total == pytest.approx(
@@ -277,7 +345,8 @@ class TestAlignUnits:
         for d in (4, 8, 16, 32, 64):
             acts = rng.normal(size=(200, d))
             sigma = rng.permutation(d)
-            recovered = solve_assignment(cross_correlation(acts, acts[:, sigma]))
+            recovered = solve_assignment(
+                cross_correlation(centered(acts), centered(acts[:, sigma])))
             # acts[:, sigma] relabels unit sigma[m] as m; undo with argsort
             np.testing.assert_array_equal(recovered.mapping, np.argsort(sigma))
 
@@ -286,11 +355,12 @@ class TestAlignUnits:
         acts = rng.normal(size=(300, 12))
         sigma = rng.permutation(12)
         noisy = acts[:, sigma] + rng.normal(scale=0.01, size=(300, 12))
-        recovered = solve_assignment(cross_correlation(acts, noisy))
+        recovered = solve_assignment(
+            cross_correlation(centered(acts), centered(noisy)))
         np.testing.assert_array_equal(recovered.mapping, np.argsort(sigma))
 
     def test_identity_for_identical_inputs(self):
         rng = np.random.default_rng(86)
         acts = rng.normal(size=(100, 9))
-        assert (solve_assignment(cross_correlation(acts, acts))
+        assert (solve_assignment(cross_correlation(centered(acts), centered(acts)))
                 == Permutation.identity(9))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffmerge.alignment import (Permutation, apply_permutation,
+from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, solve_assignment)
 from ffmerge.datasets import write_token_file
 from ffmerge.engine import capture_activations, ff_forward, ff_params
@@ -98,7 +98,7 @@ class TestPermutedCopyModel:
         start = fixture.group_start
         for layer in fixture.group_layers[1:]:
             recovered = solve_assignment(cross_correlation(
-                acts.per_layer[start], acts.per_layer[layer]))
+                centered(acts.per_layer[start]), centered(acts.per_layer[layer])))
             np.testing.assert_array_equal(
                 recovered.mapping, np.argsort(fixture.planted[layer].mapping))
 

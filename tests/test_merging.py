@@ -1,18 +1,22 @@
 """Merging tests: window specs, parameter averaging against scalar
-oracles, and whole-model window merging with alias tying."""
+oracles, whole-model window merging with alias tying, centering each
+window layer once, and refusing a capture that holds NaN or Inf."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ffmerge.merging as merging_mod
 from ffmerge.alignment import Permutation, apply_permutation
 from ffmerge.checkpoint import tie_report
 from ffmerge.config import ff_tensor_names
-from ffmerge.engine import FFParams, capture_activations, ff_forward, ff_params
+from ffmerge.engine import (ActivationSet, EvalMetric, FFParams,
+                            capture_activations, ff_forward, ff_params)
 from ffmerge.fixtures import (default_config, permuted_copy_model,
                               random_model, token_sequences)
 from ffmerge.merging import MergeSpec, merge_ff, merge_window
+from ffmerge.selection import select_best_window
 
 
 def random_ff(rng, d_model=4, d_ff=6) -> FFParams:
@@ -317,3 +321,80 @@ class TestMergeWindow:
                                      1: acts.per_layer[1]})
         with pytest.raises(ValueError, match="layer"):
             merge_window(model, partial, MergeSpec(start=2, k=3))
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Record the first argument of every call to ``merging.<name>``."""
+    calls = []
+    original = getattr(merging_mod, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(merging_mod, name, spy)
+    return calls
+
+
+class TestCenterOnce:
+    @pytest.mark.parametrize("anchor", ["first", "middle", "last"])
+    def test_each_window_layer_centered_once(self, anchor, monkeypatch):
+        cfg, fixture, _, acts = fixture_with_acts()
+        calls = counting(monkeypatch, "center_layer")
+        spec = MergeSpec(start=1, k=4, anchor_position=anchor)
+        merge_window(fixture.model, acts, spec)
+        assert sorted(id(x) for x in calls) == \
+            sorted(id(acts.per_layer[i]) for i in spec.layers)
+
+    def test_shared_memo_is_filled_and_reused(self, monkeypatch):
+        cfg, fixture, _, acts = fixture_with_acts()
+        calls = counting(monkeypatch, "center_layer")
+        memo = {}
+        first, first_diag = merge_window(fixture.model, acts,
+                                         MergeSpec(start=0, k=3), centered=memo)
+        assert sorted(memo) == [0, 1, 2] and len(calls) == 3
+        second, second_diag = merge_window(fixture.model, acts,
+                                           MergeSpec(start=1, k=3), centered=memo)
+        assert sorted(memo) == [0, 1, 2, 3] and len(calls) == 4
+        for spec, (merged, diag) in ((MergeSpec(start=0, k=3), (first, first_diag)),
+                                     (MergeSpec(start=1, k=3), (second, second_diag))):
+            alone, alone_diag = merge_window(fixture.model, acts, spec)
+            assert diag == alone_diag
+            for name in merged.store.names:
+                np.testing.assert_array_equal(merged.store.get(name),
+                                              alone.store.get(name))
+
+
+def with_bad_value(acts: ActivationSet, layer: int, bad: float) -> ActivationSet:
+    per_layer = dict(acts.per_layer)
+    per_layer[layer] = per_layer[layer].copy()
+    per_layer[layer][3, 5] = bad
+    return replace(acts, per_layer=per_layer)
+
+
+class TestNonFiniteCapture:
+    """A hand-built capture holding NaN or Inf is refused by ``centered``
+    before any assignment is solved (``read_activations`` refuses such a
+    file, so only library callers can get here)."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", [2, 3, 4])
+    def test_merge_window_refuses(self, bad, layer, monkeypatch):
+        cfg, fixture, _, acts = fixture_with_acts()
+        solves = counting(monkeypatch, "solve_assignment")
+        with pytest.raises(ValueError, match="x contains NaN or Inf") as info:
+            merge_window(fixture.model, with_bad_value(acts, layer, bad),
+                         MergeSpec(start=2, k=3, anchor_position="middle"))
+        assert any(entry.name == "centered" for entry in info.traceback)
+        assert solves == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("layer", [0, 2])
+    def test_select_best_window_refuses(self, bad, layer, monkeypatch):
+        cfg, fixture, data, acts = fixture_with_acts()
+        solves = counting(monkeypatch, "solve_assignment")
+        with pytest.raises(ValueError, match="x contains NaN or Inf") as info:
+            select_best_window(fixture.model, with_bad_value(acts, layer, bad), 3,
+                               data, EvalMetric("cross_entropy"))
+        assert any(entry.name == "centered" for entry in info.traceback)
+        assert solves == []

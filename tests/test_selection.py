@@ -2,6 +2,7 @@
 merge selection and the layer-drop baseline, and the selection report."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import ffmerge.engine as engine_mod
 import ffmerge.selection as selection_mod
 from ffmerge.checkpoint import serialize_container
 from ffmerge.config import ff_tensor_names
-from ffmerge.engine import EvalMetric, capture_activations, evaluate
+from ffmerge.engine import ActivationSet, EvalMetric, capture_activations, evaluate
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, permuted_copy_model,
                               random_model, token_sequences,
@@ -305,12 +306,24 @@ def store_bytes(model) -> bytes:
     return serialize_container(model.store, model.config.to_dict())
 
 
+def merge_sweep(**options):
+    """A k=3 window sweep with ``options`` and the direct build of one of
+    its candidates."""
+    spec_options = {key: options[key] for key in ("anchor_position", "use_permutation")
+                    if key in options}
+    return (lambda model, acts, data, metric:
+            select_best_window(model, acts, 3, data, metric, **options),
+            lambda model, acts, start:
+            merge_window(model, acts, MergeSpec(start=start, k=3, **spec_options))[0])
+
+
 # each sweep with the direct build of the candidate at one start
 SWEEPS = {
-    "merge": (lambda model, acts, data, metric:
-              select_best_window(model, acts, 3, data, metric),
-              lambda model, acts, start:
-              merge_window(model, acts, MergeSpec(start=start, k=3))[0]),
+    "merge": merge_sweep(),
+    "merge-middle": merge_sweep(anchor_position="middle"),
+    "merge-last": merge_sweep(anchor_position="last"),
+    "merge-unaligned": merge_sweep(use_permutation=False),
+    "merge-final": merge_sweep(include_final_window=True),
     "drop": (lambda model, acts, data, metric:
              select_best_drop(model, 2, data, metric),
              lambda model, acts, start: drop_layers(model, start, 2)),
@@ -350,3 +363,44 @@ class TestSweep:
                             lambda *args, **kwargs: float("inf"))
         with pytest.raises(ValueError, match="candidate score must be finite"):
             sweep(fixture.model, acts, eval_data, EvalMetric("cross_entropy"))
+
+
+class TestWindowSweepMemory:
+    def test_capture_left_unchanged(self):
+        # float64 layers are where a centering that wrote in place would land
+        cfg, fixture, acts, eval_data = selection_fixture()
+        acts64 = ActivationSet(tap=acts.tap, sample_count=acts.sample_count,
+                               per_layer={i: m.astype(np.float64)
+                                          for i, m in acts.per_layer.items()})
+        for captured in (acts, acts64):
+            before = {i: m.copy() for i, m in captured.per_layer.items()}
+            select_best_window(fixture.model, captured, 3, eval_data,
+                               EvalMetric("cross_entropy"), include_final_window=True)
+            assert sorted(captured.per_layer) == sorted(before)
+            for i, m in before.items():
+                assert captured.per_layer[i].dtype == m.dtype
+                np.testing.assert_array_equal(captured.per_layer[i], m)
+
+    def test_peak_stays_below_k_plus_two_layer_copies(self, monkeypatch):
+        # The sweep keeps at most k centered float64 layers, plus one being
+        # centered and column_stats' variance temporary. Caching every
+        # layer would hold all 8. The parent, which centered both sides of
+        # every pair, read 4.09 copies here; this reads 4.09 too.
+        # the first assignment solve imports scipy; keep that out of the peak
+        import scipy.optimize  # noqa: F401
+        n_layers, k, rows = 8, 3, 8192
+        cfg = default_config(n_layers=n_layers, d_model=8, d_ff=16)
+        model = random_model(cfg, seed=120)
+        eval_data = token_sequences(cfg, 2, 8, seed=121)
+        rng = np.random.default_rng(122)
+        acts = ActivationSet(tap="ff_pre_act", sample_count=rows, per_layer={
+            layer: rng.normal(size=(rows, cfg.d_ff)).astype(np.float32)
+            for layer in range(n_layers)})
+        monkeypatch.setattr(selection_mod, "evaluate", lambda *args, **kwargs: 0.5)
+        tracemalloc.start()
+        try:
+            select_best_window(model, acts, k, eval_data, EvalMetric("cross_entropy"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (k + 2) * rows * cfg.d_ff * 8

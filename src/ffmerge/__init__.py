@@ -12,15 +12,14 @@ from .alignment import (Permutation, apply_permutation, centered,
                         cross_correlation, matched_score, solve_assignment)
 from .analysis import CkaMatrix, cka_matrix, linear_cka
 from .checkpoint import (CheckpointFormatError, ParameterStore, TieReport,
-                         read_checkpoint, read_container, tie_report,
-                         write_checkpoint, write_container)
+                         read_container, tie_report, write_container)
 from .config import ModelConfig
 from .datasets import (Dataset, load_dataset, read_label_file, read_token_file,
                        write_label_file, write_token_file)
 from .engine import (ActivationSet, EvalMetric, FFParams, TransformerModel,
                      capture_activations, evaluate, ff_forward, ff_params,
                      load_model, read_activations, save_model,
-                     swiglu_forward, write_activations)
+                     write_activations)
 from .fixtures import (PermutedCopyFixture, default_config, duplicate_model,
                        gen_fixture, greedy_sequences, noisy_permuted_pair,
                        permuted_copy_model, random_model, token_sequences,
@@ -44,10 +43,9 @@ __all__ = [
     "greedy_sequences", "linear_cka", "load_dataset", "load_model",
     "matched_score", "merge_ff", "merge_window",
     "noisy_permuted_pair", "permuted_copy_model", "random_model",
-    "read_activations", "read_checkpoint", "read_container", "read_label_file",
+    "read_activations", "read_container", "read_label_file",
     "read_token_file", "save_model", "select_best_drop",
-    "select_best_window", "solve_assignment", "swiglu_forward",
-    "tie_report", "token_sequences", "write_activations", "write_checkpoint",
-    "write_container", "write_label_file", "write_token_file",
-    "zeroed_layer_model",
+    "select_best_window", "solve_assignment", "tie_report",
+    "token_sequences", "write_activations", "write_container",
+    "write_label_file", "write_token_file", "zeroed_layer_model",
 ]

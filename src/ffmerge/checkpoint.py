@@ -39,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
-
 MAGIC = b"FFMCKPT1"
 
 
@@ -172,17 +170,6 @@ class ParameterStore:
                 table[new] = self.get(root)
         return ParameterStore._of(table)
 
-    # -- parameter accounting ---------------------------------------------
-
-    def total_parameter_count(self) -> int:
-        """Logical parameter count: every entry, aliases included."""
-        return sum(self.get(name).size for name in self._table)
-
-    def unique_parameter_count(self) -> int:
-        """Deduplicated parameter count: owned payloads only."""
-        return sum(value.size for value in self._table.values()
-                   if not isinstance(value, str))
-
 
 @dataclass(frozen=True)
 class TieReport:
@@ -194,8 +181,9 @@ class TieReport:
 
 
 def tie_report(store: ParameterStore) -> TieReport:
-    total = store.total_parameter_count()
-    unique = store.unique_parameter_count()
+    """Count every entry, aliases included, and every owned payload once."""
+    total = sum(store.get(name).size for name in store.names)
+    unique = sum(store.get(name).size for name in store.names if not store.is_alias(name))
     ratio = 0.0 if total == 0 else 1.0 - unique / total
     return TieReport(total_parameters=total, unique_parameters=unique,
                      reduction_ratio=ratio)
@@ -343,21 +331,3 @@ def read_container(path) -> tuple[ParameterStore, dict]:
     with open(path, "rb") as fh:
         data = fh.read()
     return parse_container(data)
-
-
-# -- model checkpoints ------------------------------------------------------
-
-
-def write_checkpoint(store: ParameterStore, config: ModelConfig, path) -> None:
-    """Write a model checkpoint; read_checkpoint inverts it bit-exactly."""
-    write_container(store, config.to_dict(), path)
-
-
-def read_checkpoint(path) -> tuple[ParameterStore, ModelConfig]:
-    store, meta = read_container(path)
-    try:
-        config = ModelConfig.from_dict(meta)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(
-            f"__config__ is not a valid model config: {exc}", offset=16) from exc
-    return store, config

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import (ParameterStore, read_checkpoint, read_container,
-                         write_checkpoint, write_container)
-from .config import (FF_HIDDEN_AXIS, ModelConfig, expected_shapes,
+from .checkpoint import (CheckpointFormatError, ParameterStore, read_container,
+                         write_container)
+from .config import (FF_HIDDEN_AXIS, FF_KINDS, ModelConfig, expected_shapes,
                      ff_param_basenames, model_tensor_names)
 from .datasets import Dataset
 
@@ -56,7 +56,7 @@ class FFParams(dict):
         return self[base].shape[FF_HIDDEN_AXIS[base]]
 
 
-# the name swiglu callers construct; the table is the same for every kind
+# a second name for the one table, kept for the benchmark harness
 SwigluFFParams = FFParams
 
 
@@ -96,34 +96,27 @@ def _ff_apply(params: FFParams, x64: np.ndarray, kind: str):
     return hidden, y
 
 
-def _check_ff_input(x, d_model: int) -> np.ndarray:
+def ff_forward(params: FFParams, x, kind: str = "gelu"):
+    """Run one relu, gelu or swiglu feed-forward sublayer; returns (hidden
+    tap, output) as float32.
+
+    The hidden tap is the pre-activation for relu/gelu and the gated
+    product for swiglu, the tap point used for alignment. ``x`` may be a
+    single vector of width d_model or a matrix of row vectors.
+    """
+    if kind not in FF_KINDS:
+        raise ValueError(f"kind must be one of {FF_KINDS}, got {kind!r}")
     x64 = np.asarray(x, dtype=np.float64)
+    d_model = params["w_up" if kind == "swiglu" else "w_in"].shape[1]
     if x64.ndim not in (1, 2) or x64.shape[-1] != d_model:
         raise ValueError(f"input shape {x64.shape} does not match d_model {d_model}")
-    return x64
+    hidden, y = _ff_apply(params, x64, kind)
+    return hidden.astype(np.float32), y.astype(np.float32)
 
 
-def ff_forward(params: FFParams, x, activation: str = "gelu"):
-    """Run one feed-forward sublayer; returns (pre_activation, output).
-
-    ``x`` may be a single vector of width d_model or a matrix of row vectors.
-    """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"activation must be one of {tuple(_ACTIVATIONS)}")
-    x64 = _check_ff_input(x, params["w_in"].shape[1])
-    pre, y = _ff_apply(params, x64, activation)
-    return pre.astype(np.float32), y.astype(np.float32)
-
-
+# kept for the benchmark harness, which times the swiglu kernel by this name
 def swiglu_forward(params: FFParams, x):
-    """Run one SwiGLU sublayer; returns (gated product, output).
-
-    The gated product (after the component-wise multiply) is the tap point
-    used for alignment.
-    """
-    x64 = _check_ff_input(x, params["w_up"].shape[1])
-    gated, y = _ff_apply(params, x64, "swiglu")
-    return gated.astype(np.float32), y.astype(np.float32)
+    return ff_forward(params, x, "swiglu")
 
 
 # -- model ------------------------------------------------------------------
@@ -137,7 +130,12 @@ class TransformerModel:
     store: ParameterStore
 
     def __post_init__(self):
-        shapes = expected_shapes(self.config)
+        # Check at most len(store) + 1 layers. Each layer names tensors of
+        # its own, so a config claiming more layers than that lacks one
+        # within them, and fails at the same first missing tensor without
+        # building a table entry per claimed layer.
+        cfg = replace(self.config, n_layers=min(self.config.n_layers, len(self.store) + 1))
+        shapes = expected_shapes(cfg)
         for name, shape in shapes.items():
             if name not in self.store:
                 raise ValueError(f"checkpoint is missing tensor {name!r}")
@@ -503,9 +501,14 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
 
 
 def save_model(model: TransformerModel, path) -> None:
-    write_checkpoint(model.store, model.config, path)
+    write_container(model.store, model.config.to_dict(), path)
 
 
 def load_model(path) -> TransformerModel:
-    store, config = read_checkpoint(path)
+    store, meta = read_container(path)
+    try:
+        config = ModelConfig.from_dict(meta)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(
+            f"__config__ is not a valid model config: {exc}", offset=16) from exc
     return TransformerModel(config, store)

@@ -59,18 +59,15 @@ class SelectionReport:
         if self.best not in self.candidates:
             raise ValueError("best candidate is not in the candidate list")
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "k": self.k,
             "anchor": self.anchor_position,
             "use_permutation": self.use_permutation,
             "candidates": [{"start": c.start, "score": c.score}
                            for c in self.candidates],
             "best": {"start": self.best.start, "score": self.best.score},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        }, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SelectionReport":

@@ -20,7 +20,7 @@ from ffmerge.checkpoint import (ParameterStore, parse_container,
                                 serialize_container, tie_report)
 from ffmerge.config import ff_tensor_names
 from ffmerge.engine import (EvalMetric, FFParams, capture_activations,
-                            evaluate, ff_forward, ff_params, swiglu_forward)
+                            evaluate, ff_forward, ff_params)
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, noisy_permuted_pair,
                               permuted_copy_model, token_sequences,
@@ -65,12 +65,8 @@ class TestAcceptance:
             perm = Permutation(rng.permutation(64).astype(np.int64))
             x = rng.normal(size=(8, 16)).astype(np.float32)
             moved = apply_permutation(params, perm)
-            if kind == "swiglu":
-                _, y0 = swiglu_forward(params, x)
-                _, y1 = swiglu_forward(moved, x)
-            else:
-                _, y0 = ff_forward(params, x, kind)
-                _, y1 = ff_forward(moved, x, kind)
+            _, y0 = ff_forward(params, x, kind)
+            _, y1 = ff_forward(moved, x, kind)
             worst = max(worst, float(np.abs(y1 - y0).max()))
         elapsed = time.perf_counter() - started
         ok = worst <= 1e-5 and elapsed < 10.0
@@ -131,8 +127,8 @@ class TestAcceptance:
                                                    eval_data, metric)
             base_score = evaluate(fixture.model, eval_data, metric)
             ff_size = 64 * 16 + 16 * 64 + (64 + 16 if biases else 0)
-            saved = (fixture.model.store.unique_parameter_count()
-                     - merged.store.unique_parameter_count())
+            saved = (tie_report(fixture.model.store).unique_parameters
+                     - tie_report(merged.store).unique_parameters)
             # the group is a functional no-op, so the score alone cannot
             # tell a right alignment from a wrong one: a correct alignment
             # averages three exact copies back into layer 2's own weights

@@ -19,7 +19,7 @@ import ffmerge
 from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, matched_score,
                                solve_assignment)
-from ffmerge.engine import FFParams, ff_forward, swiglu_forward
+from ffmerge.engine import FFParams, ff_forward
 
 # -- oracles ------------------------------------------------------------------
 
@@ -318,8 +318,8 @@ class TestApplyPermutation:
         moved = apply_permutation(params, perm)
         for _ in range(50):
             x = rng.normal(size=6).astype(np.float32)
-            _, y0 = swiglu_forward(params, x)
-            _, y1 = swiglu_forward(moved, x)
+            _, y0 = ff_forward(params, x, "swiglu")
+            _, y1 = ff_forward(moved, x, "swiglu")
             assert np.abs(y0 - y1).max() <= 1e-5
 
     def test_swiglu_rows_move_jointly(self):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from ffmerge.checkpoint import (MAGIC, BadMagicError, CheckpointFormatError,
                                 ParameterStore, TruncatedFileError,
                                 atomic_write_bytes, parse_container,
-                                read_checkpoint, read_container,
-                                serialize_container, tie_report,
-                                write_checkpoint, write_container)
+                                read_container, serialize_container,
+                                tie_report, write_container)
 from ffmerge.config import ModelConfig
+from ffmerge.engine import load_model, save_model
+from ffmerge.fixtures import default_config, random_model
 
 
 def random_table(rng, with_aliases: bool) -> dict:
@@ -581,14 +582,11 @@ class TestFileRoundTrip:
             np.testing.assert_array_equal(parsed.get(name), store.get(name))
 
     def test_checkpoint_embeds_config(self, tmp_path):
-        cfg = ModelConfig(mode="lm", n_layers=1, d_model=4, d_ff=8, n_heads=1,
-                          vocab_size=8, max_seq_len=8, norm_placement="pre_ln",
-                          ff_kind="relu")
-        store = ParameterStore({"w": np.ones(2, dtype=np.float32)})
+        model = random_model(default_config(n_layers=1, d_model=4, d_ff=8), seed=0)
         path = tmp_path / "m.ffmc"
-        write_checkpoint(store, cfg, path)
-        parsed, cfg2 = read_checkpoint(path)
-        assert cfg2 == cfg
+        save_model(model, path)
+        assert load_model(path).config == model.config
+        assert read_container(path)[1] == model.config.to_dict()
 
     def test_bad_config_in_checkpoint(self, tmp_path):
         store = ParameterStore({"w": np.ones(2, dtype=np.float32)})
@@ -600,7 +598,7 @@ class TestFileRoundTrip:
                      dict(good, n_layers=True), dict(good, has_ff_biases=1)):
             write_container(store, meta, path)
             with pytest.raises(CheckpointFormatError, match="config"):
-                read_checkpoint(path)
+                load_model(path)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.bin"

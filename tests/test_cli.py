@@ -7,8 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffmerge.checkpoint import MAGIC, ParameterStore, read_checkpoint, \
-    write_checkpoint, write_container
+from ffmerge.checkpoint import MAGIC, ParameterStore, tie_report, write_container
 from ffmerge import cli as cli_mod
 from ffmerge.cli import _parse_window, main
 from ffmerge.config import ff_tensor_names
@@ -104,8 +103,8 @@ class TestMergeCommand:
         assert store.is_alias("layer3.ff.w_in")
         assert store.alias_target("layer3.ff.w_in") == "layer2.ff.w_in"
         p = 64 * 16 + 64 + 16 * 64 + 16
-        assert store.total_parameter_count() \
-            - store.unique_parameter_count() == 2 * p
+        report = tie_report(store)
+        assert report.total_parameters - report.unique_parameters == 2 * p
 
     def test_anchor_middle_round_trips(self, workdir):
         out = str(workdir["dir"] / "mid.ffmc")
@@ -379,10 +378,10 @@ class TestInfoCommand:
         out = capsys.readouterr().out
         base = load_model(workdir["model"])
         merged_model = load_model(merged)
-        assert str(merged_model.store.total_parameter_count()) in out
-        assert str(merged_model.store.unique_parameter_count()) in out
-        assert merged_model.store.total_parameter_count() == \
-            base.store.total_parameter_count()
+        report = tie_report(merged_model.store)
+        assert str(report.total_parameters) in out
+        assert str(report.unique_parameters) in out
+        assert report.total_parameters == tie_report(base.store).total_parameters
 
     @pytest.mark.parametrize("biases,per_member", [(True, 4), (False, 2)])
     def test_counts_tied_tensors(self, tmp_path, capsys, biases, per_member):
@@ -425,12 +424,25 @@ class TestInfoCommand:
         store = model.store.copy([(n, n) for n in model.store.names]
                                  + [("junk.extra", "embed.tok")])
         path = str(workdir["dir"] / "junk.ffmc")
-        write_checkpoint(store, model.config, path)
+        write_container(store, model.config.to_dict(), path)
         capsys.readouterr()
         assert main(["info", "--model", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'junk.extra'" in captured.err
+
+    def test_huge_layer_claim_fails_at_first_missing_tensor(self, workdir, capsys):
+        # a small file whose config claims 10**12 layers is refused at the
+        # first tensor it lacks, with no table entry built per claimed layer
+        model = load_model(workdir["model"])
+        path = str(workdir["dir"] / "huge.ffmc")
+        write_container(model.store, dict(model.config.to_dict(), n_layers=10**12), path)
+        capsys.readouterr()
+        assert main(["info", "--model", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "missing tensor 'layer6.attn.wq'" in captured.err
 
     def test_malformed_container_is_one_line_error(self, tmp_path, capsys):
         entry = {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}
@@ -494,7 +506,7 @@ class TestGenFixtureCommand:
                        "--out", str(out)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
-        store, cfg = read_checkpoint(str(a))
+        cfg = load_model(str(a)).config
         assert cfg.n_layers == 4 and cfg.d_model == 8
 
     def test_bad_kind_is_usage_error(self, workdir):

@@ -88,6 +88,13 @@ def random_ff(rng, d_model=6, d_ff=10) -> FFParams:
         b_out=rng.normal(size=d_model).astype(np.float32))
 
 
+def random_swiglu(rng, d_model=6, d_ff=10) -> FFParams:
+    return FFParams(
+        w_up=rng.normal(size=(d_ff, d_model)).astype(np.float32),
+        v_gate=rng.normal(size=(d_ff, d_model)).astype(np.float32),
+        w_down=rng.normal(size=(d_model, d_ff)).astype(np.float32))
+
+
 class TestFFForward:
     def test_identity_weights_relu(self):
         params = FFParams(w_in=np.eye(2, dtype=np.float32),
@@ -133,9 +140,57 @@ class TestFFForward:
             ff_forward(random_ff(rng), np.zeros(5), "relu")
 
     def test_unknown_activation(self):
+        # every FF kind runs through ff_forward; any other kind is refused
         rng = np.random.default_rng(13)
-        with pytest.raises(ValueError, match="activation"):
+        with pytest.raises(ValueError, match="kind must be one of"):
             ff_forward(random_ff(rng), np.zeros(6), "tanh")
+        gated, y = ff_forward(random_swiglu(rng), np.zeros(6), "swiglu")
+        assert gated.shape == (10,) and y.shape == (6,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["relu", "gelu", "swiglu"]), biases=st.booleans(),
+           d_model=st.integers(1, 6), d_ff=st.integers(1, 8),
+           rows=st.none() | st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_kind_formulas(self, kind, biases, d_model, d_ff, rows, seed):
+        # the per-kind formulas ff_forward and swiglu_forward ran before one
+        # entry took every kind, kept here as the bit-for-bit reference
+        rng = np.random.default_rng(seed)
+        if kind == "swiglu":
+            params = random_swiglu(rng, d_model, d_ff)
+        else:
+            params = random_ff(rng, d_model, d_ff)
+            if not biases:
+                params = FFParams(w_in=params["w_in"], w_out=params["w_out"])
+        x = rng.normal(size=(d_model,) if rows is None else (rows, d_model))
+        x = x.astype(np.float32)
+        x64 = np.asarray(x, dtype=np.float64)
+        w = lambda base: params[base].T.astype(np.float64)
+        if kind == "swiglu":
+            up = x64 @ w("w_up")
+            hidden = up / (1.0 + np.exp(-up)) * (x64 @ w("v_gate"))
+            y = hidden @ w("w_down")
+        else:
+            hidden = x64 @ w("w_in")
+            if "b_in" in params:
+                hidden = hidden + w("b_in")
+            z = hidden
+            act = (np.maximum(z, 0.0) if kind == "relu" else
+                   0.5 * z * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                            * (z + 0.044715 * (z * z * z)))))
+            y = act @ w("w_out")
+            if "b_out" in params:
+                y = y + w("b_out")
+        got_hidden, got_y = ff_forward(params, x, kind)
+        assert got_hidden.dtype == got_y.dtype == np.float32
+        assert got_hidden.tobytes() == hidden.astype(np.float32).tobytes()
+        assert got_y.tobytes() == y.astype(np.float32).tobytes()
+        if kind == "swiglu":
+            again = swiglu_forward(params, x)
+            assert [a.tobytes() for a in again] == [got_hidden.tobytes(), got_y.tobytes()]
+        with pytest.raises(ValueError, match="does not match d_model"):
+            ff_forward(params, np.zeros(d_model + 1), kind)
+        with pytest.raises(ValueError, match="does not match d_model"):
+            ff_forward(params, np.zeros((2, d_model + 1)), kind)
 
 
 class TestSwigluForward:
@@ -145,7 +200,7 @@ class TestSwigluForward:
             w_up=rng.normal(size=(8, 4)).astype(np.float32),
             v_gate=np.zeros((8, 4), dtype=np.float32),
             w_down=rng.normal(size=(4, 8)).astype(np.float32))
-        gated, y = swiglu_forward(params, rng.normal(size=4).astype(np.float32))
+        gated, y = ff_forward(params, rng.normal(size=4).astype(np.float32), "swiglu")
         np.testing.assert_array_equal(gated, np.zeros(8))
         np.testing.assert_array_equal(y, np.zeros(4))
 
@@ -155,7 +210,7 @@ class TestSwigluForward:
             w_up=rng.normal(size=(8, 4)).astype(np.float32),
             v_gate=rng.normal(size=(8, 4)).astype(np.float32),
             w_down=rng.normal(size=(4, 8)).astype(np.float32))
-        gated, y = swiglu_forward(params, np.zeros(4))
+        gated, y = ff_forward(params, np.zeros(4), "swiglu")
         np.testing.assert_array_equal(gated, np.zeros(8))
         np.testing.assert_array_equal(y, np.zeros(4))
 
@@ -167,7 +222,7 @@ class TestSwigluForward:
                 v_gate=rng.normal(size=(10, 6)).astype(np.float32),
                 w_down=rng.normal(size=(6, 10)).astype(np.float32))
             x = rng.normal(size=6).astype(np.float32)
-            gated, y = swiglu_forward(params, x)
+            gated, y = ff_forward(params, x, "swiglu")
             gated_o, y_o = swiglu_oracle(params, x)
             np.testing.assert_allclose(gated, gated_o, atol=1e-5)
             np.testing.assert_allclose(y, y_o, atol=1e-5)

@@ -10,7 +10,7 @@ import pytest
 
 import ffmerge.engine as engine_mod
 import ffmerge.selection as selection_mod
-from ffmerge.checkpoint import serialize_container
+from ffmerge.checkpoint import serialize_container, tie_report
 from ffmerge.config import ff_tensor_names
 from ffmerge.engine import ActivationSet, EvalMetric, capture_activations, evaluate
 from ffmerge.fixtures import (default_config, duplicate_model,
@@ -66,7 +66,7 @@ class TestSelectionReport:
     def test_reads_report_with_baseline_key(self):
         # reports written before the baseline field was removed still load
         report = self.make_report()
-        doc = report.to_json_dict()
+        doc = json.loads(report.to_json())
         doc["baseline"] = [{"start": 2, "score": 1.9}]
         assert SelectionReport.from_json(json.dumps(doc)) == report
 
@@ -189,12 +189,11 @@ class TestDropLayers:
         cfg = default_config(n_layers=6, d_model=16, d_ff=64)
         model = random_model(cfg, seed=13)
         out = drop_layers(model, 0, 2)
-        per_layer = (model.store.total_parameter_count()
-                     - sum(int(np.prod(model.store.get(n).shape))
-                           for n in model.store.names
-                           if not n.startswith("layer"))) // cfg.n_layers
-        assert model.store.total_parameter_count() \
-            - out.store.total_parameter_count() == 2 * per_layer
+        total = tie_report(model.store).total_parameters
+        per_layer = (total - sum(int(np.prod(model.store.get(n).shape))
+                                 for n in model.store.names
+                                 if not n.startswith("layer"))) // cfg.n_layers
+        assert total - tie_report(out.store).total_parameters == 2 * per_layer
 
     def test_tied_group_survives_partial_drop(self):
         cfg, fixture, acts, _ = selection_fixture()
@@ -222,8 +221,8 @@ class TestDropLayers:
                 assert out.store.is_alias(base)
                 expected = base.replace(f"layer{layer}.", "layer1.")
                 assert out.store.alias_target(base) == expected
-        assert out.store.unique_parameter_count() < \
-            out.store.total_parameter_count()
+        report = tie_report(out.store)
+        assert report.unique_parameters < report.total_parameters
 
     def test_drop_keeps_surviving_owner(self):
         cfg, fixture, acts, _ = selection_fixture()

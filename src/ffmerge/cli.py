@@ -3,7 +3,7 @@
 Every subcommand maps onto exactly one library operation; no numeric logic
 lives here. Outputs are written atomically (temp file + rename). Exit codes:
 0 success, 1 validation or usage error (bad flags, malformed files, bad
-values), 2 operating-system I/O failure.
+values), 2 operating-system I/O failure or a size too large to allocate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .datasets import label_path_for, load_dataset
 from .engine import (EvalMetric, TransformerModel, capture_activations, evaluate,
                      load_model, read_activations, save_model, write_activations)
 from .fixtures import FIXTURE_KINDS, gen_fixture
-from .merging import ANCHOR_POSITIONS, MergeDiagnostics, MergeSpec, merge_window
+from .merging import ANCHOR_POSITIONS, MergeSpec, merge_window
 from .selection import SelectionReport, select_best_drop, select_best_window
 
 TAP_FLAGS = {"ff-pre-act": "ff_pre_act", "ff-out": "ff_out",
@@ -54,10 +54,11 @@ def _inclusive(start: int, k: int) -> str:
     return f"layers {start}-{start + k - 1}"
 
 
-def format_report(report: SelectionReport, kind: str = "merge") -> str:
-    """Human-readable selection summary; ranges are printed inclusive."""
+def format_report(report: SelectionReport) -> str:
+    """Human-readable summary of a merge or (no anchor) drop sweep; ranges inclusive."""
+    merge = report.anchor_position is not None
     lines = []
-    if kind == "merge":
+    if merge:
         lines.append(
             f"merge selection: k={report.k} anchor={report.anchor_position} "
             f"permutation={'on' if report.use_permutation else 'off'}"
@@ -71,7 +72,7 @@ def format_report(report: SelectionReport, kind: str = "merge") -> str:
     lines.append(f"best: start {report.best.start} "
                  f"({_inclusive(report.best.start, report.k)}) "
                  f"score {report.best.score:.10g}")
-    if kind == "merge":
+    if merge:
         lines.append("note: recovery fine-tuning of the selected model would "
                       "run here; not implemented.")
     return "\n".join(lines)
@@ -100,16 +101,6 @@ def _cmd_capture(args) -> int:
     return 0
 
 
-def _print_merge_diag(diag: MergeDiagnostics) -> None:
-    spec = diag.spec
-    print(f"merged {_inclusive(spec.start, spec.k)} "
-          f"(anchor layer {diag.anchor_layer}, "
-          f"permutation {'on' if spec.use_permutation else 'off'})")
-    for m in diag.members:
-        print(f"  layer {m.layer}: mean matched correlation "
-              f"{m.mean_matched_correlation:.6f}")
-
-
 def _cmd_merge(args) -> int:
     model = load_model(args.model)
     acts = read_activations(args.acts)
@@ -118,7 +109,10 @@ def _cmd_merge(args) -> int:
                      use_permutation=not args.no_permute)
     merged, diag = merge_window(model, acts, spec)
     save_model(merged, args.out)
-    _print_merge_diag(diag)
+    print(f"merged {_inclusive(start, k)} (anchor layer {spec.anchor_layer}, "
+          f"permutation {'on' if spec.use_permutation else 'off'})")
+    for m in diag.members:
+        print(f"  layer {m.layer}: mean matched correlation {m.mean_matched_correlation:.6f}")
     report = tie_report(merged.store)
     print(f"parameters: total {report.total_parameters}, "
           f"unique {report.unique_parameters} "
@@ -126,11 +120,10 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _finish_sweep(args, report: SelectionReport, best: TransformerModel,
-                  kind: str) -> int:
+def _finish_sweep(args, report: SelectionReport, best: TransformerModel) -> int:
     save_model(best, args.out)
     atomic_write_text(args.report, report.to_json())
-    print(format_report(report, kind=kind))
+    print(format_report(report))
     print(f"wrote {args.out} and {args.report}")
     return 0
 
@@ -143,7 +136,7 @@ def _cmd_select(args) -> int:
         model, acts, args.k, data, EvalMetric.from_name(args.metric),
         anchor_position=args.anchor, use_permutation=not args.no_permute,
         include_final_window=args.include_final_window)
-    return _finish_sweep(args, report, best, "merge")
+    return _finish_sweep(args, report, best)
 
 
 def _cmd_drop(args) -> int:
@@ -151,7 +144,7 @@ def _cmd_drop(args) -> int:
     data = _load_eval_data(model, args.eval_data)
     report, best = select_best_drop(model, args.count, data,
                                     EvalMetric.from_name(args.metric))
-    return _finish_sweep(args, report, best, "drop")
+    return _finish_sweep(args, report, best)
 
 
 def _cmd_eval(args) -> int:
@@ -290,8 +283,9 @@ def main(argv=None) -> int:
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(f"no directory for output {path!r}")
         return _COMMANDS[args.command](args)
-    except OSError as exc:
-        print(f"ffmerge: i/o error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        what = "i/o error" if isinstance(exc, OSError) else "out of memory"
+        print(f"ffmerge: {what}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"ffmerge: error: {exc}", file=sys.stderr)

@@ -157,7 +157,7 @@ class TransformerModel:
         vocab) logits, or (batch, n_classes) for a classifier. Token ids
         must be integers in the vocabulary.
         """
-        logits, _ = _run(self, tokens)
+        logits, _ = _run(self, _check_tokens(self.config, tokens))
         return logits.astype(np.float32)
 
     def _p(self, name: str) -> np.ndarray:
@@ -216,17 +216,17 @@ def _check_tokens(config: ModelConfig, tokens) -> np.ndarray:
     return toks.astype(np.int64, copy=False)
 
 
-def _run(model: TransformerModel, tokens, tap: str | None = None, start: int = 0,
+def _run(model: TransformerModel, toks: np.ndarray, tap: str | None = None, start: int = 0,
          x: np.ndarray | None = None, stop: int | None = None):
     """Forward pass in float64; optionally collects per-layer tap matrices.
 
-    ``tokens`` is one sequence (n,) or an equal-length batch (b, n); logits
-    and taps keep that leading shape, a classifier's pooled logits drop n.
+    ``toks`` is one checked int64 sequence (n,) or equal-length batch (b, n),
+    not checked again here; logits and taps keep that leading shape, a
+    classifier's pooled logits drop n.
     ``x`` resumes the pass at layer ``start`` from the stream entering it;
     ``stop`` ends it before layer ``stop``, with no head and logits None.
     """
     cfg = model.config
-    toks = _check_tokens(cfg, tokens)
     lead, n = toks.shape, toks.shape[-1]
     p = model._p
     if x is None:
@@ -261,11 +261,12 @@ def _run(model: TransformerModel, tokens, tap: str | None = None, start: int = 0
 
 
 def _batches(model: TransformerModel, sequences):
-    """Yield (indices into ``sequences``, token matrix) per batch of
+    """Yield (indices into ``sequences``, int64 token matrix) per batch of
     equal-length sequences, grouped by length in first-seen order and split
-    at ``MAX_BATCH_TOKENS`` tokens (at least one sequence a batch). All
-    tokens are checked in sequence order before the first batch, so an
-    error names the first bad token in ``sequences``."""
+    at ``MAX_BATCH_TOKENS`` tokens (at least one sequence a batch). This is
+    the one token check of ``evaluate``, ``residual_prefix`` and capture:
+    each sequence once, in order, before the first batch, so an error names
+    the first bad token in ``sequences``."""
     checked = [_check_tokens(model.config, seq) for seq in sequences]
     groups: dict[int, list[int]] = {}
     for j, toks in enumerate(checked):
@@ -396,22 +397,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _scored(model: TransformerModel, dataset: Dataset):
-    """(sequences, prediction count, labels) of what ``evaluate`` scores."""
+    """(batches, prediction count, labels) of what ``evaluate`` scores;
+    labels are checked before tokens."""
     if not dataset.sequences:
         raise ValueError("cannot evaluate on an empty dataset")
-    if model.config.mode == "lm":
-        for seq in dataset.sequences:  # a bad token fails before any filtering
-            _check_tokens(model.config, seq)
-        seqs = [seq for seq in dataset.sequences if len(seq) >= 2]
-        if not seqs:
-            raise ValueError("dataset has no sequences of length >= 2")
-        return seqs, sum(len(seq) - 1 for seq in seqs), None
-    if dataset.labels is None:
-        raise ValueError("classifier evaluation requires labels")
-    labels = np.asarray(dataset.labels, dtype=np.int64)
-    if (labels < 0).any() or (labels >= model.config.n_classes).any():
-        raise ValueError("label out of range")
-    return dataset.sequences, len(dataset.sequences), labels
+    labels = None
+    if model.config.mode == "classifier":
+        if dataset.labels is None:
+            raise ValueError("classifier evaluation requires labels")
+        labels = np.asarray(dataset.labels, dtype=np.int64)
+        if (labels < 0).any() or (labels >= model.config.n_classes).any():
+            raise ValueError("label out of range")
+    batches = list(_batches(model, dataset.sequences))
+    # an LM sequence of length 1 is batched like the rest and predicts nothing
+    count = len(labels) if labels is not None else sum(len(s) - 1 for s in dataset.sequences)
+    if not count:
+        raise ValueError("dataset has no sequences of length >= 2")
+    return batches, count, labels
 
 
 @dataclass(frozen=True)
@@ -427,8 +429,9 @@ class ResidualPrefix:
 
 
 def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
-    """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s resume."""
-    tokens = [toks for _, toks in _batches(model, _scored(model, dataset)[0])]
+    """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s
+    resume; ``dataset`` is checked as ``evaluate`` checks it, each token once."""
+    tokens = [toks for _, toks in _scored(model, dataset)[0]]
     return ResidualPrefix(model, dataset, stop, tokens, [
         _run(model, toks, "resid_out", stop=stop)[1] for toks in tokens])
 
@@ -437,10 +440,11 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
              resume: tuple[ResidualPrefix, int] | None = None) -> float:
     """Score the model on a dataset.
 
-    LM mode scores next-token prediction over every position; classifier
-    mode scores one pooled prediction per sequence against its label.
-    Cross-entropy is the mean in nats, perplexity its exp (``math.inf``
-    once that overflows a float), accuracy the top-1 hit rate.
+    LM mode scores next-token prediction over every position (a length-1
+    sequence is batched and scores nothing); classifier mode scores one
+    pooled prediction per sequence against its label. Each token is checked
+    once, in ``_batches``. Cross-entropy is the mean in nats, perplexity its
+    exp (``math.inf`` once that overflows a float), accuracy the top-1 hit rate.
 
     ``resume=(prefix, start)`` runs only layers >= start and the head from the
     prefix model's stream, for the same score bit for bit. It is refused unless
@@ -449,8 +453,7 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
     in ``n_layers``, and every ``embed.*`` and ``layer<i>.*`` tensor with
     i < start is the prefix model's very array. A prefix holds stop x tokens x d_model x 8 B.
     """
-    seqs, count, labels = _scored(model, dataset)
-    batches = list(_batches(model, seqs))
+    batches, count, labels = _scored(model, dataset)
     prefix, start = resume or (None, 0)
     if prefix is not None:
         base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
@@ -468,17 +471,15 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
         if unshared:
             raise ValueError(f"cannot resume at {start}: {unshared[0]!r} is not shared")
     # per-sequence sums, added up below in dataset order
-    ce_seq = np.zeros(len(seqs))
-    hits = np.zeros(len(seqs), dtype=np.int64)
+    ce_seq = np.zeros(len(dataset.sequences))
+    hits = np.zeros(len(dataset.sequences), dtype=np.int64)
     for b, (idx, toks) in enumerate(batches):
         logits, _ = (_run(model, toks) if prefix is None else
                      _run(model, toks, start=start, x=prefix.streams[b][start - 1]))
         if model.config.mode == "lm":
-            logits = logits[:, :-1]
-            targets = np.stack([seqs[j][1:] for j in idx]).astype(np.int64)
+            logits, targets = logits[:, :-1], toks[:, 1:]
         else:  # one pooled prediction per sequence
-            targets = labels[idx][:, None]
-            logits = logits[:, None]
+            logits, targets = logits[:, None], labels[idx][:, None]
         picked = np.take_along_axis(_log_softmax(logits), targets[..., None], -1)
         ce_seq[idx] = -picked[..., 0].sum(axis=1)
         hits[idx] = (logits.argmax(axis=-1) == targets).sum(axis=1)

@@ -20,7 +20,11 @@ def column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"x must be 2-D, got shape {x64.shape}")
     if x64.shape[0] < 1:
         raise ValueError("column_stats requires at least one row")
-    if not np.isfinite(x64).all():
+    with np.errstate(invalid="ignore"):  # Inf - Inf; refused just below
+        mean = x64.mean(axis=0)
+    # a NaN or Inf entry makes its column mean NaN or Inf; only then scan x
+    if not np.isfinite(mean).all() and not np.isfinite(x64).all():
         raise ValueError("x contains NaN or Inf")
-    # E[x^2] - mean^2 can go slightly negative from rounding; clamp.
-    return x64.mean(axis=0), np.sqrt(np.maximum(x64.var(axis=0), 0.0))
+    # np.var's own steps (one temporary, squared in place, mean), so the bits match
+    d = x64 - mean
+    return mean, np.sqrt(np.multiply(d, d, out=d).mean(axis=0))

@@ -91,7 +91,6 @@ class MergeDiagnostics:
     """What a window merge did: the window, the anchor, per-member matches."""
 
     spec: MergeSpec
-    anchor_layer: int
     members: tuple[MemberAlignment, ...]
 
 
@@ -158,6 +157,4 @@ def merge_window(model: TransformerModel, acts: ActivationSet, spec: MergeSpec,
         [(name, source.get(name, name)) for name in model.store.names],
         replace={name: merged[base]
                  for name, base in zip(anchor_names, ff_param_basenames(cfg))})
-    diag = MergeDiagnostics(spec=spec, anchor_layer=anchor_layer,
-                            members=tuple(members))
-    return TransformerModel(cfg, store), diag
+    return TransformerModel(cfg, store), MergeDiagnostics(spec, tuple(members))

@@ -154,6 +154,8 @@ class TestSelectCommand:
         assert report.best.start == 2
         printed = capsys.readouterr().out
         assert "layers 2-4" in printed
+        assert printed.startswith("merge selection: k=3 anchor=first permutation=on\n")
+        assert "note: recovery fine-tuning" in printed
         load_model(out)
 
 
@@ -168,6 +170,9 @@ class TestDropCommand:
         report = SelectionReport.from_json(report_path.read_text())
         assert len(report.candidates) == 6
         assert report.anchor_position is None
+        printed = capsys.readouterr().out
+        assert printed.startswith("drop selection: count=1\ncandidates:\n")
+        assert "note:" not in printed
         pruned = load_model(out)
         assert pruned.config.n_layers == 5
 

@@ -738,7 +738,8 @@ class TestBatchedForward:
         model = _diff_model("gelu", "pre_ln", True, "lm", seed=70)
         n = model.config.max_seq_len
         per_batch = engine.MAX_BATCH_TOKENS // n
-        data = _ragged(model.config, [n] * (per_batch + 3) + [7, n], seed=71)
+        # the length-1 sequence is batched like the rest and scores nothing
+        data = _ragged(model.config, [n] * (per_batch + 3) + [7, 1, n], seed=71)
         _assert_matches_reference(model, data, max_samples=(per_batch + 4) * n)
         shapes = []
         run = engine._run
@@ -749,7 +750,60 @@ class TestBatchedForward:
 
         monkeypatch.setattr(engine, "_run", recording_run)
         evaluate(model, data, EvalMetric("cross_entropy"))
-        assert shapes == [(per_batch, n), (4, n), (1, 7)]
+        assert shapes == [(per_batch, n), (4, n), (1, 7), (1, 1)]
+
+    @pytest.mark.parametrize("mode", ["lm", "cls"])
+    def test_each_sequence_checked_once_per_call(self, monkeypatch, mode):
+        model = _diff_model("gelu", "pre_ln", True, mode, seed=73)
+        data = _ragged(model.config, [1, 3, 3, 9, 1, 2, 9, 3], seed=74)
+        metric = EvalMetric("cross_entropy")
+        prefix = engine.residual_prefix(model, data, 1)
+        checked = []
+        check = engine._check_tokens
+
+        def counting_check(config, tokens):
+            checked.append(len(tokens))
+            return check(config, tokens)
+
+        monkeypatch.setattr(engine, "_check_tokens", counting_check)
+        for call in (lambda: evaluate(model, data, metric),
+                     lambda: evaluate(model, data, metric, resume=(prefix, 1)),
+                     lambda: engine.residual_prefix(model, data, 1),
+                     lambda: capture_activations(model, data, "ff_out", 1000)):
+            checked.clear()
+            call()
+            assert checked == [len(seq) for seq in data.sequences]
+        checked.clear()
+        model.forward(data.sequences[3])
+        assert checked == [9]
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    def test_lm_length_one_sequences_score_nothing(self, kind):
+        # bit for bit the score of the dataset without them
+        model = _diff_model("gelu", "post_ln", True, "lm", seed=75)
+        data = _ragged(model.config, [1, 5, 1, 1, 3, 5, 1, 2], seed=76)
+        kept = Dataset(sequences=[seq for seq in data.sequences if len(seq) > 1])
+        assert evaluate(model, data, EvalMetric(kind)) == \
+            evaluate(model, kept, EvalMetric(kind))
+
+    def test_refusal_order(self):
+        lm = _diff_model("gelu", "pre_ln", True, "lm", seed=77)
+        ones = [np.array([5], dtype=np.uint32)] * 3
+        with pytest.raises(ValueError, match="no sequences of length >= 2"):
+            evaluate(lm, Dataset(sequences=ones), EvalMetric("accuracy"))
+        bad = ones + [np.array([999], dtype=np.uint32)]
+        with pytest.raises(ValueError, match="token id 999"):
+            evaluate(lm, Dataset(sequences=bad), EvalMetric("accuracy"))
+        # a classifier's labels are checked before its tokens
+        cls = _diff_model("gelu", "pre_ln", True, "cls", seed=77)
+        with pytest.raises(ValueError, match="requires labels"):
+            evaluate(cls, Dataset(sequences=bad), EvalMetric("accuracy"))
+        with pytest.raises(ValueError, match="label out of range"):
+            evaluate(cls, Dataset(sequences=bad, labels=[0, 1, 2, 3]),
+                     EvalMetric("accuracy"))
+        with pytest.raises(ValueError, match="token id 999"):
+            evaluate(cls, Dataset(sequences=bad, labels=[0, 1, 2, 2]),
+                     EvalMetric("accuracy"))
 
     @pytest.mark.parametrize("placement", ["pre_ln", "post_ln"])
     def test_greedy_matches_per_sequence_loop(self, placement):

@@ -178,7 +178,7 @@ class TestMergeWindow:
                     target = merged.store.alias_target(base)
                     assert target == base.replace(f"layer{layer}.",
                                                   f"layer{anchor}.")
-        assert diag.anchor_layer == anchor
+        assert diag.spec == spec
         assert len(diag.members) == fixture.group_len - 1
 
     def test_lossless_merge_on_permuted_copies(self):

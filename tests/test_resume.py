@@ -72,6 +72,23 @@ class TestResumeMatchesStandalone:
             assert (evaluate(model, data, XENT, resume=(prefix, start))
                     == evaluate(model, data, XENT))
 
+    @pytest.mark.parametrize("placement", ["pre_ln", "post_ln"])
+    def test_lm_length_one_sequences(self, placement):
+        # they run in the prefix as a batch of their own and score nothing
+        model = small_model("gelu", placement, "lm", seed=9)
+        data = ragged(model.config, [1, 3, 1, 4, 1, 3, 1], seed=10)
+        prefix = residual_prefix(model, data, N_LAYERS)
+        assert [toks.shape for toks in prefix.tokens] == [(4, 1), (2, 3), (1, 4)]
+        acts = capture_activations(model, data, "ff_pre_act", max_samples=1000)
+        report, _ = select_best_window(model, acts, 2, data, XENT,
+                                       include_final_window=True)
+        for cand in report.candidates:
+            direct = merge_window(model, acts, MergeSpec(cand.start, 2))[0]
+            assert cand.score == evaluate(direct, data, XENT)
+        report, _ = select_best_drop(model, 1, data, XENT)
+        for cand in report.candidates:
+            assert cand.score == evaluate(drop_layers(model, cand.start, 1), data, XENT)
+
 
 @pytest.fixture
 def base():

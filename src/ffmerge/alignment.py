@@ -84,9 +84,11 @@ def cross_correlation(ref: tuple[np.ndarray, np.ndarray],
         raise ValueError(f"activation shapes differ: {a.shape} vs {b.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples to correlate")
-    cov = (a.T @ b) / a.shape[0]
+    corr = a.T @ b
+    corr /= a.shape[0]
     denom = np.outer(std_a, std_b)
-    corr = np.clip(cov / np.where(denom == 0.0, 1.0, denom), -1.0, 1.0)
+    denom[denom == 0.0] = 1.0
+    np.clip(np.divide(corr, denom, out=corr), -1.0, 1.0, out=corr)
     corr[std_a == 0.0, :] = 0.0
     corr[:, std_b == 0.0] = 0.0
     return corr

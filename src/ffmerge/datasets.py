@@ -38,6 +38,17 @@ class Dataset:
         return len(self.sequences)
 
 
+def _u32(values, what: str) -> np.ndarray:
+    """``values`` as u32; a value outside it would wrap into another valid id."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    bad = np.flatnonzero((values < 0) | (values > 0xFFFFFFFF))
+    if bad.size:
+        raise ValueError(f"{what} {values.flat[bad[0]]} at position {bad[0]} is outside [0, 2**32)")
+    return values.astype("<u4")
+
+
 def _write_u32_file(path, magic: bytes, values: np.ndarray) -> None:
     values = np.ascontiguousarray(values, dtype="<u4")
     payload = magic + struct.pack("<Q", values.size) + values.tobytes()
@@ -58,13 +69,13 @@ def _read_u32_file(path, magic: bytes) -> np.ndarray:
 def write_token_file(path, sequences: list[np.ndarray], separator_id: int) -> None:
     """Flatten sequences into one token stream, separator-delimited."""
     parts = []
-    for seq in sequences:
-        seq = np.asarray(seq, dtype=np.int64)
+    for i, seq in enumerate(sequences):
+        seq = _u32(seq, f"sequence {i}: token")
         if (seq == separator_id).any():
             raise ValueError("sequence contains the reserved separator id")
         parts.append(seq)
-        parts.append(np.array([separator_id], dtype=np.int64))
-    flat = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+        parts.append(np.array([separator_id], dtype="<u4"))
+    flat = np.concatenate(parts) if parts else np.array([], dtype="<u4")
     _write_u32_file(path, TOKENS_MAGIC, flat)
 
 
@@ -82,7 +93,7 @@ def read_token_file(path, separator_id: int) -> list[np.ndarray]:
 
 
 def write_label_file(path, labels: np.ndarray) -> None:
-    _write_u32_file(path, LABELS_MAGIC, np.asarray(labels))
+    _write_u32_file(path, LABELS_MAGIC, _u32(labels, "label"))
 
 
 def read_label_file(path) -> np.ndarray:

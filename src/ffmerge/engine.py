@@ -8,8 +8,8 @@ tolerance used elsewhere. Evaluation only: no training, dropout, or
 generation machinery.
 
 A forward takes one token sequence or a batch of equal-length ones;
-``evaluate`` and ``capture_activations`` run a dataset as equal-length
-batches and put per-sequence results back in dataset order.
+``evaluate`` and ``capture_activations`` run a dataset as right-padded
+batches, longest first, and put per-sequence results back in dataset order.
 
 GELU is pinned to the tanh approximation
 ``0.5*z*(1 + tanh(sqrt(2/pi)*(z + 0.044715*(z*z*z))))`` so snapshots stay
@@ -34,8 +34,8 @@ METRIC_KINDS = ("cross_entropy", "perplexity", "accuracy")
 METRIC_ALIASES = {"xent": "cross_entropy", "ppl": "perplexity", "acc": "accuracy"}
 
 LN_EPS = 1e-5
-# evaluate and capture forward equal-length sequences in batches of at most
-# this many tokens, which bounds the float64 working set of one forward
+# evaluate and capture forward right-padded batches of at most this many
+# padded tokens, which bounds the float64 working set of one forward
 MAX_BATCH_TOKENS = 2048
 
 
@@ -65,13 +65,25 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 
 def gelu(z: np.ndarray) -> np.ndarray:
-    # tanh approximation, fixed for reproducibility
-    return 0.5 * z * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
-                                    * (z + 0.044715 * (z * z * z))))
+    # tanh approximation, fixed for reproducibility; 1 + tanh(.) is 0 or in
+    # [2**-53, 2], so halving it before the product gives 0.5 * z * (...)'s bits
+    t = z * z
+    t *= z
+    t *= 0.044715
+    t += z
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    t *= z
+    return t
 
 
 def swish1(z: np.ndarray) -> np.ndarray:
-    return z / (1.0 + np.exp(-z))
+    t = np.negative(z)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(z, t, out=t)
 
 
 _ACTIVATIONS = {"relu": relu, "gelu": gelu}
@@ -85,14 +97,15 @@ def _ff_apply(params: FFParams, x64: np.ndarray, kind: str):
     """
     w = lambda base: params[base].T.astype(np.float64)
     if kind == "swiglu":
-        hidden = swish1(x64 @ w("w_up")) * (x64 @ w("v_gate"))
+        hidden = swish1(x64 @ w("w_up"))
+        hidden *= x64 @ w("v_gate")
         return hidden, hidden @ w("w_down")
     hidden = x64 @ w("w_in")
     if "b_in" in params:
-        hidden = hidden + w("b_in")
+        hidden += w("b_in")
     y = _ACTIVATIONS[kind](hidden) @ w("w_out")
     if "b_out" in params:
-        y = y + w("b_out")
+        y += w("b_out")
     return hidden, y
 
 
@@ -171,33 +184,38 @@ def ff_params(model: TransformerModel, layer: int) -> FFParams:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * gain + bias
+    xc = x - x.mean(axis=-1, keepdims=True)
+    # np.var's steps on the one x - mean buffer: square, sum, divide by n
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc /= np.sqrt(var + LN_EPS)
+    xc *= gain
+    xc += bias
+    return xc
+
+
+def _attention_weights(q: np.ndarray, k: np.ndarray, mask) -> np.ndarray:
+    """Softmax over keys of q k^T / sqrt(dh) + ``mask`` (0 or -inf, or None)."""
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(q.shape[-1])
+    if mask is not None:
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _attention(model: TransformerModel, layer: int, x: np.ndarray,
-               n: int) -> np.ndarray:
+               n: int, mask) -> np.ndarray:
     """Self-attention over the length-``n`` sequences stacked in ``x``."""
     cfg = model.config
-    p = model._p
+    p = lambda name: model._p(f"layer{layer}.attn.{name}")
     b = x.shape[0] // n
     h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-    q = x @ p(f"layer{layer}.attn.wq").T + p(f"layer{layer}.attn.bq")
-    k = x @ p(f"layer{layer}.attn.wk").T + p(f"layer{layer}.attn.bk")
-    v = x @ p(f"layer{layer}.attn.wv").T + p(f"layer{layer}.attn.bv")
-    q = q.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-    k = k.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-    v = v.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
-    if cfg.mode == "lm":
-        causal = np.triu(np.full((n, n), -np.inf), k=1)
-        scores = scores + causal
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights = weights / weights.sum(axis=-1, keepdims=True)
-    out = (weights @ v).transpose(0, 2, 1, 3).reshape(b * n, cfg.d_model)
-    return out @ p(f"layer{layer}.attn.wo").T + p(f"layer{layer}.attn.bo")
+    q, k, v = ((x @ p(f"w{c}").T + p(f"b{c}")).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+               for c in "qkv")
+    out = (_attention_weights(q, k, mask) @ v).transpose(0, 2, 1, 3).reshape(b * n, cfg.d_model)
+    return out @ p("wo").T + p("bo")
 
 
 def _check_tokens(config: ModelConfig, tokens) -> np.ndarray:
@@ -217,12 +235,13 @@ def _check_tokens(config: ModelConfig, tokens) -> np.ndarray:
 
 
 def _run(model: TransformerModel, toks: np.ndarray, tap: str | None = None, start: int = 0,
-         x: np.ndarray | None = None, stop: int | None = None):
+         x: np.ndarray | None = None, stop: int | None = None, lens: np.ndarray | None = None):
     """Forward pass in float64; optionally collects per-layer tap matrices.
 
-    ``toks`` is one checked int64 sequence (n,) or equal-length batch (b, n),
-    not checked again here; logits and taps keep that leading shape, a
-    classifier's pooled logits drop n.
+    ``toks`` is one checked int64 sequence (n,) or batch (b, n), not checked
+    again here; logits and taps keep that leading shape, a classifier's
+    pooled logits drop n. Row r of a right-padded batch is ``lens[r]`` long:
+    no query sees a padded key; the caller skips padded logits and tap rows.
     ``x`` resumes the pass at layer ``start`` from the stream entering it;
     ``stop`` ends it before layer ``stop``, with no head and logits None.
     """
@@ -232,20 +251,24 @@ def _run(model: TransformerModel, toks: np.ndarray, tap: str | None = None, star
     if x is None:
         x = p("embed.tok")[toks] + p("embed.pos")[:n]
     x = x.reshape(-1, cfg.d_model)
+    valid = np.arange(n) < (n if lens is None else lens[:, None])
+    # one mask per batch; in LM mode the causal one hides every padded key
+    mask = (np.triu(np.full((n, n), -np.inf), k=1) if cfg.mode == "lm" else
+            None if valid.all() else np.where(valid, 0.0, -np.inf)[:, None, None])
     collected: dict[int, np.ndarray] = {}
     for i in range(start, cfg.n_layers if stop is None else stop):
         ln1 = (p(f"layer{i}.ln1.gain"), p(f"layer{i}.ln1.bias"))
         ln2 = (p(f"layer{i}.ln2.gain"), p(f"layer{i}.ln2.bias"))
         if cfg.norm_placement == "pre_ln":
-            a = _attention(model, i, _layer_norm(x, *ln1), n)
+            a = _attention(model, i, _layer_norm(x, *ln1), n, mask)
             x = x + a
         else:
-            a = _attention(model, i, x, n)
+            a = _attention(model, i, x, n, mask)
             x = _layer_norm(x + a, *ln1)
         ff_in = _layer_norm(x, *ln2) if cfg.norm_placement == "pre_ln" else x
         hidden, y = _ff_apply(ff_params(model, i), ff_in, cfg.ff_kind)
         x = x + y if cfg.norm_placement == "pre_ln" else _layer_norm(x + y, *ln2)
-        if tap is not None:  # resid_out, the residual stream a layer leaves
+        if tap is not None:  # resid_out is x itself, so x is never written in place
             collected[i] = {"attn_out": a, "ff_pre_act": hidden, "ff_out": y,
                             "resid_out": x}[tap]
     taps = {i: m.reshape(*lead, -1) for i, m in collected.items()}
@@ -255,27 +278,29 @@ def _run(model: TransformerModel, toks: np.ndarray, tap: str | None = None, star
         x = _layer_norm(x, p("final_ln.gain"), p("final_ln.bias"))
     if cfg.mode == "classifier":
         seqs = x.reshape(-1, n, cfg.d_model)
-        x = seqs[:, 0] if cfg.pooling == "cls" else seqs.mean(axis=1)
+        x = (seqs[:, 0] if cfg.pooling == "cls" else  # the mean of a row's own positions
+             np.where(valid[..., None], seqs, 0.0).sum(axis=1) / valid.sum(axis=-1)[..., None])
         lead = lead[:-1]
     return (x @ p("head.w").T + p("head.b")).reshape(*lead, -1), taps
 
 
 def _batches(model: TransformerModel, sequences):
-    """Yield (indices into ``sequences``, int64 token matrix) per batch of
-    equal-length sequences, grouped by length in first-seen order and split
-    at ``MAX_BATCH_TOKENS`` tokens (at least one sequence a batch). This is
-    the one token check of ``evaluate``, ``residual_prefix`` and capture:
+    """Yield (indices into ``sequences``, their lengths, int64 token matrix)
+    per batch, longest first (a stable sort), each right-padded with token 0
+    and at most ``MAX_BATCH_TOKENS`` padded tokens unless one sequence. This
+    is the one token check of ``evaluate``, ``residual_prefix`` and capture:
     each sequence once, in order, before the first batch, so an error names
     the first bad token in ``sequences``."""
     checked = [_check_tokens(model.config, seq) for seq in sequences]
-    groups: dict[int, list[int]] = {}
-    for j, toks in enumerate(checked):
-        groups.setdefault(len(toks), []).append(j)
-    for n, idx in groups.items():
-        step = max(1, MAX_BATCH_TOKENS // n)
-        for start in range(0, len(idx), step):
-            batch = idx[start:start + step]
-            yield batch, np.stack([checked[j] for j in batch])
+    order = sorted(range(len(checked)), key=lambda j: -len(checked[j]))
+    while order:
+        step = max(1, MAX_BATCH_TOKENS // len(checked[order[0]]))
+        idx, order = np.array(order[:step]), order[step:]
+        lens = np.array([len(checked[j]) for j in idx])
+        toks = np.zeros((len(idx), lens[0]), dtype=np.int64)
+        for row, j in zip(toks, idx):
+            row[:len(checked[j])] = checked[j]
+        yield idx, lens, toks
 
 
 # -- activation capture -------------------------------------------------------
@@ -336,14 +361,14 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
     count = min(int(rows[len(prefix) - 1]), max_samples)
     parts: dict[int, list] = {i: [None] * len(prefix)
                               for i in range(model.config.n_layers)}
-    for idx, toks in _batches(model, prefix):
-        for i, mats in _run(model, toks, tap)[1].items():
-            for j, mat in zip(idx, mats):
-                parts[i][j] = mat
-    per_layer = {
-        i: np.concatenate(mats)[:count].astype(np.float32)
-        for i, mats in parts.items()
-    }
+    for idx, lens, toks in _batches(model, prefix):
+        taps = _run(model, toks, tap, lens=lens)[1]
+        while taps:  # each layer's float64 batch tap is dropped once cast
+            i, mats = taps.popitem()
+            for j, n, mat in zip(idx, lens, mats):
+                parts[i][j] = mat[:n].astype(np.float32)
+    per_layer = {i: np.concatenate(parts.pop(i))[:count]
+                 for i in range(model.config.n_layers)}
     return ActivationSet(tap=tap, per_layer=per_layer, sample_count=count)
 
 
@@ -419,21 +444,21 @@ def _scored(model: TransformerModel, dataset: Dataset):
 @dataclass(frozen=True)
 class ResidualPrefix:
     """``model``'s streams leaving layers 0..stop-1 (``resid_out`` taps), per
-    batch, with the token matrix of each batch it ran."""
+    batch, with the (lengths, padded token matrix) of each batch it ran."""
 
     model: TransformerModel
     dataset: Dataset
     stop: int
-    tokens: list
+    batches: list
     streams: list
 
 
 def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
     """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s
     resume; ``dataset`` is checked as ``evaluate`` checks it, each token once."""
-    tokens = [toks for _, toks in _scored(model, dataset)[0]]
-    return ResidualPrefix(model, dataset, stop, tokens, [
-        _run(model, toks, "resid_out", stop=stop)[1] for toks in tokens])
+    batches = [(lens, toks) for _, lens, toks in _scored(model, dataset)[0]]
+    return ResidualPrefix(model, dataset, stop, batches, [
+        _run(model, toks, "resid_out", stop=stop, lens=lens)[1] for lens, toks in batches])
 
 
 def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
@@ -451,7 +476,7 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
     ``dataset`` is the prefix's own object and still yields the batches the
     prefix ran, token for token, 1 <= start <= stop, the config differs only
     in ``n_layers``, and every ``embed.*`` and ``layer<i>.*`` tensor with
-    i < start is the prefix model's very array. A prefix holds stop x tokens x d_model x 8 B.
+    i < start is the prefix model's very array. A prefix holds stop x padded tokens x d_model x 8 B.
     """
     batches, count, labels = _scored(model, dataset)
     prefix, start = resume or (None, 0)
@@ -461,8 +486,9 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
             n not in model.store or model.store.get(n) is not base.store.get(n))]
         if dataset is not prefix.dataset:
             raise ValueError("cannot resume: the prefix was built on another dataset")
-        if len(batches) != len(prefix.tokens) or not all(
-                np.array_equal(toks, ran) for (_, toks), ran in zip(batches, prefix.tokens)):
+        if len(batches) != len(prefix.batches) or not all(
+                np.array_equal(lens, ran_lens) and np.array_equal(toks, ran)
+                for (_, lens, toks), (ran_lens, ran) in zip(batches, prefix.batches)):
             raise ValueError("cannot resume: the dataset's tokens changed since the prefix")
         if not 0 < start <= prefix.stop:
             raise ValueError(f"cannot resume at {start}: prefix holds 1..{prefix.stop}")
@@ -473,16 +499,17 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
     # per-sequence sums, added up below in dataset order
     ce_seq = np.zeros(len(dataset.sequences))
     hits = np.zeros(len(dataset.sequences), dtype=np.int64)
-    for b, (idx, toks) in enumerate(batches):
-        logits, _ = (_run(model, toks) if prefix is None else
-                     _run(model, toks, start=start, x=prefix.streams[b][start - 1]))
-        if model.config.mode == "lm":
+    for b, (idx, lens, toks) in enumerate(batches):
+        logits, _ = (_run(model, toks, lens=lens) if prefix is None else
+                     _run(model, toks, start=start, x=prefix.streams[b][start - 1], lens=lens))
+        if model.config.mode == "lm":  # each row predicts up to its own end
             logits, targets = logits[:, :-1], toks[:, 1:]
+            scored = np.arange(targets.shape[1]) < lens[:, None] - 1
         else:  # one pooled prediction per sequence
-            logits, targets = logits[:, None], labels[idx][:, None]
+            logits, targets, scored = logits[:, None], labels[idx][:, None], True
         picked = np.take_along_axis(_log_softmax(logits), targets[..., None], -1)
-        ce_seq[idx] = -picked[..., 0].sum(axis=1)
-        hits[idx] = (logits.argmax(axis=-1) == targets).sum(axis=1)
+        ce_seq[idx] = -np.where(scored, picked[..., 0], 0.0).sum(axis=1)
+        hits[idx] = ((logits.argmax(axis=-1) == targets) & scored).sum(axis=1)
     ce_sum = 0.0
     for value in ce_seq:
         ce_sum += float(value)

@@ -53,6 +53,18 @@ def uncentered_cross_correlation(ref, other) -> np.ndarray:
     return corr
 
 
+def cross_correlation_expression(ref, other) -> np.ndarray:
+    """``cross_correlation``'s arithmetic as plain expressions, verbatim from
+    before it divided and clipped in place."""
+    (a, std_a), (b, std_b) = ref, other
+    cov = (a.T @ b) / a.shape[0]
+    denom = np.outer(std_a, std_b)
+    corr = np.clip(cov / np.where(denom == 0.0, 1.0, denom), -1.0, 1.0)
+    corr[std_a == 0.0, :] = 0.0
+    corr[:, std_b == 0.0] = 0.0
+    return corr
+
+
 @st.composite
 def capture_pairs(draw):
     """Two activation matrices of one shape, each float32 or float64, with
@@ -135,6 +147,18 @@ class TestCrossCorrelation:
         want = uncentered_cross_correlation(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=capture_pairs())
+    def test_in_place_arithmetic_matches_the_expression(self, pair):
+        ref, other = centered(pair[0]), centered(pair[1])
+        for arr in (*ref, *other):
+            arr.setflags(write=False)  # an in-place write into an input raises
+        with np.errstate(divide="raise", invalid="raise"):  # no unit's 0 std divides
+            got = cross_correlation(ref, other)
+        want = cross_correlation_expression(ref, other)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_matches_pearson_oracle(self):
         rng = np.random.default_rng(71)

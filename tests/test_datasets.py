@@ -60,6 +60,25 @@ class TestTokenFiles:
         with pytest.raises(ValueError, match="magic"):
             read_token_file(path, separator_id=0)
 
+    @pytest.mark.parametrize("seq,message", [
+        (np.array([1, 2**32 + 5], dtype=np.int64), r"sequence 1: token 4294967301 at position 1"),
+        (np.array([3, 4, -1], dtype=np.int64), r"sequence 1: token -1 at position 2"),
+        (np.array([2**64 - 1], dtype=np.uint64), r"token 18446744073709551615 at position 0"),
+        (np.array([1.0, 2.0]), "must be integers, got dtype float64"),
+        ([True], "must be integers, got dtype bool"),
+    ])
+    def test_value_outside_uint32_refused(self, tmp_path, seq, message):
+        # each would have been written wrapped, as another valid token id
+        path = tmp_path / "d.toks"
+        with pytest.raises(ValueError, match=message):
+            write_token_file(path, [np.array([7]), seq], separator_id=0)
+        assert not path.exists()
+
+    def test_uint32_extremes_round_trip(self, tmp_path):
+        path = tmp_path / "d.toks"
+        write_token_file(path, [np.array([2**32 - 1, 1], dtype=np.int64)], separator_id=0)
+        assert [s.tolist() for s in read_token_file(path, separator_id=0)] == [[2**32 - 1, 1]]
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "d.toks"
         path.write_bytes(TOKENS_MAGIC + struct.pack("<Q", 4) + b"\0\0\0\0")
@@ -77,6 +96,17 @@ class TestLabelFiles:
         path = tmp_path / "d.lbls"
         write_label_file(path, np.array([1], dtype=np.uint32))
         assert path.read_bytes()[:8] == LABELS_MAGIC
+
+    @pytest.mark.parametrize("labels,message", [
+        (np.array([0, -1]), "label -1 at position 1"),
+        (np.array([2**32, 0], dtype=np.int64), "label 4294967296 at position 0"),
+        (np.array([0.0, 1.0]), "must be integers, got dtype float64"),
+    ])
+    def test_value_outside_uint32_refused(self, tmp_path, labels, message):
+        path = tmp_path / "d.lbls"
+        with pytest.raises(ValueError, match=message):
+            write_label_file(path, labels)
+        assert not path.exists()
 
     def test_label_path_convention(self):
         assert label_path_for("data/train.toks") == "data/train.lbls"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ffmerge import engine
 from ffmerge.alignment import Permutation, apply_permutation
@@ -226,6 +227,160 @@ class TestSwigluForward:
             gated_o, y_o = swiglu_oracle(params, x)
             np.testing.assert_allclose(gated, gated_o, atol=1e-5)
             np.testing.assert_allclose(y, y_o, atol=1e-5)
+
+
+# -- in-place kernels against their plain expressions -------------------------
+# Each kernel's plain expression, kept verbatim from before the kernels
+# reused one buffer (the softmax takes its mask as an argument); the kernels
+# must match them bit for bit, on read-only inputs.
+
+
+def gelu_expression(z):
+    return 0.5 * z * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                    * (z + 0.044715 * (z * z * z))))
+
+
+def swish1_expression(z):
+    return z / (1.0 + np.exp(-z))
+
+
+def layer_norm_expression(x, gain, bias):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + engine.LN_EPS) * gain + bias
+
+
+def attention_weights_expression(q, k, mask):
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(q.shape[-1])
+    if mask is not None:
+        scores = scores + mask
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+# every finite float64: subnormals, and values whose cube or exp overflows
+any_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, max_side=6)
+
+
+class TestKernelsInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(z=hnp.arrays(np.float64, shapes, elements=any_finite))
+    def test_activations(self, z):
+        read_only(z)
+        with np.errstate(all="ignore"):
+            assert_same_bits(engine.gelu(z), gelu_expression(z))
+            assert_same_bits(engine.swish1(z), swish1_expression(z))
+
+    @pytest.mark.parametrize("z", [5e-324, -5e-324, 3e-310, 1e-17, 1.7e308,
+                                   -1.7e308, 8.98e307, -0.0, 0.0])
+    def test_activation_edges(self, z):
+        z = np.array([z, -z, 1.0])
+        with np.errstate(all="ignore"):
+            assert_same_bits(engine.gelu(z), gelu_expression(z))
+            assert_same_bits(engine.swish1(z), swish1_expression(z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+           d=st.integers(1, 9))
+    def test_layer_norm(self, data, lead, d):
+        values = st.floats(-1e6, 1e6, width=64)
+        x = data.draw(hnp.arrays(np.float64, (*lead, d), elements=values))
+        gain, bias = (data.draw(hnp.arrays(np.float64, d, elements=values))
+                      for _ in range(2))
+        read_only(x, gain, bias)
+        assert_same_bits(engine._layer_norm(x, gain, bias),
+                         layer_norm_expression(x, gain, bias))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), b=st.integers(1, 3), h=st.integers(1, 3),
+           n=st.integers(1, 7), dh=st.integers(1, 4),
+           masking=st.sampled_from(["none", "causal", "keys"]))
+    def test_attention_softmax(self, data, b, h, n, dh, masking):
+        values = st.floats(-30, 30, width=64)
+        q, k = (data.draw(hnp.arrays(np.float64, (b, h, n, dh), elements=values))
+                for _ in range(2))
+        mask = None
+        if masking == "causal":
+            mask = np.triu(np.full((n, n), -np.inf), k=1)
+        elif masking == "keys":  # each row keeps at least one key
+            lens = np.array(data.draw(st.lists(st.integers(1, n), min_size=b,
+                                               max_size=b)))
+            mask = np.where(np.arange(n) < lens[:, None], 0.0, -np.inf)[:, None, None]
+        read_only(q, k, *([] if mask is None else [mask]))
+        got = engine._attention_weights(q, k, mask)
+        assert_same_bits(got, attention_weights_expression(q, k, mask))
+        if mask is not None:  # a masked key gets weight 0
+            assert (got[np.broadcast_to(np.isneginf(mask), got.shape)] == 0.0).all()
+
+
+class TestNoWritesIntoInputs:
+    """Inputs, returned taps and resume streams are never written: each run
+    here takes read-only arrays, so an in-place write would raise
+    (``TestKernelsInPlace`` runs the kernels themselves so)."""
+
+    @pytest.mark.parametrize("kind", ["relu", "gelu", "swiglu"])
+    def test_ff_forward(self, kind):
+        rng = np.random.default_rng(17)
+        params = random_swiglu(rng) if kind == "swiglu" else random_ff(rng)
+        x = rng.normal(size=(5, 6))  # float64, so ff_forward casts no copy
+        want = ff_forward(params, x.copy(), kind)
+        read_only(x, *params.values())
+        got = ff_forward(params, x, kind)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("mode", ["lm", "cls", "mean"])
+    def test_run_and_resume(self, mode):
+        model = _diff_model("gelu", "post_ln", True, mode, seed=19)
+        data = _ragged(model.config, [3, 7, 1, 7, 5], seed=20)
+        for idx, lens, toks in engine._batches(model, data.sequences):
+            read_only(idx, lens, toks)
+            logits, taps = engine._run(model, toks, "resid_out", lens=lens)
+            stream = read_only(taps[0])[0]
+            again, _ = engine._run(model, toks, start=1, x=stream, lens=lens)
+            assert_same_bits(again, logits)
+
+    @pytest.mark.parametrize("mode", ["lm", "cls"])
+    def test_resume_leaves_prefix_streams_unchanged(self, mode):
+        model = _diff_model("swiglu", "pre_ln", False, mode, seed=21)
+        data = _ragged(model.config, [2, 9, 4, 9, 1, 6], seed=22)
+        prefix = engine.residual_prefix(model, data, 2)
+        before = [{i: s.tobytes() for i, s in streams.items()}
+                  for streams in prefix.streams]
+        for start in (1, 2):
+            assert (evaluate(model, data, EvalMetric("cross_entropy"),
+                             resume=(prefix, start))
+                    == evaluate(model, data, EvalMetric("cross_entropy")))
+        assert [{i: s.tobytes() for i, s in streams.items()}
+                for streams in prefix.streams] == before
+
+    def test_ff_pre_act_tap_is_not_the_activation_buffer(self, monkeypatch):
+        model = _diff_model("gelu", "pre_ln", True, "lm", seed=23)
+        toks = np.array([[4, 9, 2, 6], [5, 1, 0, 0]])
+        activated = []
+
+        def recording_gelu(z):
+            activated.append((z.copy(), engine.gelu(z)))
+            return activated[-1][1]
+
+        monkeypatch.setitem(engine._ACTIVATIONS, "gelu", recording_gelu)
+        _, taps = engine._run(model, toks, "ff_pre_act", lens=np.array([4, 2]))
+        assert len(activated) == model.config.n_layers
+        for i, (pre_act, act) in enumerate(activated):
+            assert not np.shares_memory(taps[i], act)
+            assert taps[i].reshape(-1).tobytes() == pre_act.reshape(-1).tobytes()
 
 
 def edited(model: TransformerModel, tensors: dict) -> TransformerModel:
@@ -693,20 +848,31 @@ def _ragged(cfg, lengths, seed):
     return Dataset(sequences=seqs, labels=labels)
 
 
+def _assert_batch_matches_reference(model, seqs, lens, toks, tap):
+    """Each row of one ``_run`` batch, read up to its own length, against
+    the per-sequence reference."""
+    logits, taps = engine._run(model, toks, tap, lens=lens)
+    for j, (seq, n) in enumerate(zip(seqs, lens)):
+        ref_logits, ref_taps = _reference_run(model, seq, tap)
+        got = logits[j, :n] if model.config.mode == "lm" else logits[j]
+        np.testing.assert_allclose(got, ref_logits, rtol=0, atol=1e-12)
+        for i in ref_taps:
+            np.testing.assert_allclose(taps[i][j, :n], ref_taps[i], rtol=0, atol=1e-12)
+
+
 def _assert_matches_reference(model, data, max_samples):
     for tap in TAPS:
-        # _run on each equal-length group stacked as one batch
+        # _run on each equal-length group stacked as one unpadded batch
         by_len = {}
         for seq in data.sequences:
             by_len.setdefault(len(seq), []).append(seq)
-        for seqs in by_len.values():
-            logits, taps = engine._run(model, np.stack(seqs), tap)
-            for j, seq in enumerate(seqs):
-                ref_logits, ref_taps = _reference_run(model, seq, tap)
-                np.testing.assert_allclose(logits[j], ref_logits, rtol=0, atol=1e-12)
-                for i in ref_taps:
-                    np.testing.assert_allclose(taps[i][j], ref_taps[i],
-                                               rtol=0, atol=1e-12)
+        for n, seqs in by_len.items():
+            _assert_batch_matches_reference(model, seqs, np.full(len(seqs), n),
+                                            np.stack(seqs).astype(np.int64), tap)
+        # and on the padded batches evaluate and capture run, lengths mixed
+        for idx, lens, toks in engine._batches(model, data.sequences):
+            _assert_batch_matches_reference(model, [data.sequences[j] for j in idx],
+                                            lens, toks, tap)
         acts = capture_activations(model, data, tap, max_samples)
         for i, ref in _reference_capture(model, data, tap, max_samples).items():
             got = acts.per_layer[i]
@@ -738,19 +904,42 @@ class TestBatchedForward:
         model = _diff_model("gelu", "pre_ln", True, "lm", seed=70)
         n = model.config.max_seq_len
         per_batch = engine.MAX_BATCH_TOKENS // n
-        # the length-1 sequence is batched like the rest and scores nothing
+        # the short sequences are padded into the last length-n batch; the
+        # length-1 one scores nothing
         data = _ragged(model.config, [n] * (per_batch + 3) + [7, 1, n], seed=71)
         _assert_matches_reference(model, data, max_samples=(per_batch + 4) * n)
-        shapes = []
+        batches = []
         run = engine._run
 
-        def recording_run(model, tokens, tap=None):
-            shapes.append(np.shape(tokens))
-            return run(model, tokens, tap)
+        def recording_run(model, tokens, tap=None, **kwargs):
+            batches.append((np.shape(tokens), kwargs["lens"].tolist()))
+            return run(model, tokens, tap, **kwargs)
 
         monkeypatch.setattr(engine, "_run", recording_run)
         evaluate(model, data, EvalMetric("cross_entropy"))
-        assert shapes == [(per_batch, n), (4, n), (1, 7), (1, 1)]
+        assert batches == [((per_batch, n), [n] * per_batch),
+                           ((6, n), [n] * 4 + [7, 1])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 16), min_size=1, max_size=30),
+           max_tokens=st.integers(1, 64))
+    def test_batches_pack_longest_first_within_the_token_bound(self, lengths,
+                                                               max_tokens):
+        model = _diff_model("relu", "pre_ln", False, "lm", seed=78)
+        data = _ragged(model.config, lengths, seed=79)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "MAX_BATCH_TOKENS", max_tokens)
+            batches = list(engine._batches(model, data.sequences))
+        order = np.concatenate([idx for idx, _, _ in batches])
+        # every sequence once, longest first, equal lengths in dataset order
+        assert order.tolist() == sorted(range(len(lengths)), key=lambda j: -lengths[j])
+        for idx, lens, toks in batches:
+            assert toks.dtype == np.int64 and toks.shape == (len(idx), lens[0])
+            assert toks.size <= max_tokens or len(idx) == 1
+            for j, n, row in zip(idx, lens, toks):
+                assert n == lengths[j]
+                assert row[:n].tolist() == data.sequences[j].tolist()
+                assert not row[n:].any()
 
     @pytest.mark.parametrize("mode", ["lm", "cls"])
     def test_each_sequence_checked_once_per_call(self, monkeypatch, mode):

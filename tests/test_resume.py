@@ -74,11 +74,12 @@ class TestResumeMatchesStandalone:
 
     @pytest.mark.parametrize("placement", ["pre_ln", "post_ln"])
     def test_lm_length_one_sequences(self, placement):
-        # they run in the prefix as a batch of their own and score nothing
+        # they run in the prefix padded beside the longer ones and score nothing
         model = small_model("gelu", placement, "lm", seed=9)
         data = ragged(model.config, [1, 3, 1, 4, 1, 3, 1], seed=10)
         prefix = residual_prefix(model, data, N_LAYERS)
-        assert [toks.shape for toks in prefix.tokens] == [(4, 1), (2, 3), (1, 4)]
+        assert [(lens.tolist(), toks.shape) for lens, toks in prefix.batches] == [
+            ([4, 3, 3, 1, 1, 1, 1], (7, 4))]
         acts = capture_activations(model, data, "ff_pre_act", max_samples=1000)
         report, _ = select_best_window(model, acts, 2, data, XENT,
                                        include_final_window=True)
@@ -128,6 +129,17 @@ class TestResumeRefused:
             seqs.append(seqs[1][:3].copy())
         else:  # the only sequence of its length, so its batch goes
             del seqs[3]
+        with pytest.raises(ValueError, match="tokens changed"):
+            evaluate(model, data, XENT, resume=(prefix, 1))
+
+    def test_trailing_token_zero_removed(self):
+        # the padded token matrix is unchanged, only a length is not: a
+        # classifier's streams attended to the removed position
+        model = small_model("gelu", "pre_ln", "mean", seed=7)
+        data = Dataset(sequences=[np.array([7, 3, 2, 9]), np.array([5, 0])],
+                       labels=np.array([0, 1]))
+        prefix = residual_prefix(model, data, 2)
+        data.sequences[1] = data.sequences[1][:1]
         with pytest.raises(ValueError, match="tokens changed"):
             evaluate(model, data, XENT, resume=(prefix, 1))
 

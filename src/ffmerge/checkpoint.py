@@ -25,7 +25,9 @@ offsets. A reader accepts a file only if its header is, byte for byte, the
 one the writer produces for the tensors and metadata it describes, and the
 data region ends with the last tensor; so a parse/serialize round trip is
 byte-identical. Writes are atomic (temp file in the target directory, then
-rename).
+rename), and the file gets the umask's mode. A read file lands in one
+buffer with its data region on a 64-byte boundary, and each payload is a
+read-only view into it: the buffer lives while any of its tensors does.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class TruncatedFileError(CheckpointFormatError):
 def _check_tensor(name: str, array) -> np.ndarray:
     """A finite, read-only C-contiguous float32 ``array``, taken over if it is one."""
     arr = np.ascontiguousarray(array, dtype=np.float32)  # at least 1-D
+    if not arr.flags.aligned:  # a view at an odd offset of a file image
+        arr = arr.copy()
     if not np.isfinite(arr).all():
         raise ValueError(f"tensor {name!r} contains NaN or Inf")
     arr.flags.writeable = False
@@ -75,7 +79,9 @@ class ParameterStore:
     float32 array is taken over, not copied), and a ``str`` value makes
     ``name`` an alias of that owner, resolving to its very array. An alias
     may not name itself, another alias or a missing entry. Payloads are
-    never rebound, so stores share them: an edited model is a ``copy``.
+    never rebound, so stores share them: an edited model is a ``copy``. A
+    store read from a file holds views into that file's one buffer, which
+    stays alive while any of its tensors does.
     """
 
     def __init__(self, entries: dict):
@@ -192,13 +198,17 @@ def tie_report(store: ParameterStore) -> TieReport:
 # -- low-level container ---------------------------------------------------
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a temp file plus rename."""
+def atomic_write_bytes(path, payload) -> None:
+    """Write bytes-like ``payload`` to ``path`` via a temp file plus rename;
+    the file gets the mode ``open(path, "wb")`` would create it with."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0o077)  # reading the umask sets it: set it back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ffmc-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates 0600
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -229,25 +239,28 @@ def _header(store: ParameterStore, meta: dict) -> bytes:
     return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
-def serialize_container(store: ParameterStore, meta: dict) -> bytes:
-    """Encode a store plus metadata object as FFMC-v1 bytes."""
-    chunks: list[bytes] = []
-    for name in store.names:
-        if store.is_alias(name):
-            continue
-        arr = store.get(name)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"tensor {name!r} contains NaN or Inf")
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+def serialize_container(store: ParameterStore, meta: dict) -> bytearray:
+    """Encode a store plus metadata object as FFMC-v1 bytes: the file image
+    is allocated once and each owned payload copied into it once."""
     header = _header(store, meta)
-    return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *chunks])
+    owners = {name: store.get(name) for name in store.names if not store.is_alias(name)}
+    end = 16 + len(header)
+    out = bytearray(end + sum(arr.nbytes for arr in owners.values()))
+    with memoryview(out) as image:  # slice-assigning ``out`` itself copies the source
+        image[:end] = MAGIC + struct.pack("<Q", len(header)) + header
+        for name, arr in owners.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"tensor {name!r} contains NaN or Inf")
+            image[end:end + arr.nbytes] = memoryview(np.ascontiguousarray(arr, "<f4")).cast("B")
+            end += arr.nbytes
+    return out
 
 
 def write_container(store: ParameterStore, meta: dict, path) -> None:
     atomic_write_bytes(path, serialize_container(store, meta))
 
 
-def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
+def parse_container(data) -> tuple[ParameterStore, dict]:
     """Decode FFMC-v1 bytes into a store and its metadata object.
 
     A file parses only if its header is, byte for byte, the one
@@ -255,19 +268,23 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
     describes, and its data region ends with the last tensor. The header
     is decoded, each owner's data is sliced by its shape in header order,
     the store is built (refusing non-finite payloads and bad aliases), and
-    the header is then compared with the canonical one.
+    the header is then compared with the canonical one. Each payload is a
+    read-only view into ``data``; a writable input is copied once first.
     """
+    data = memoryview(data).cast("B")
+    if not data.readonly:  # later edits of the input must not reach a payload
+        data = memoryview(bytes(data))
     if len(data) < 16:
         raise TruncatedFileError("file shorter than the fixed 16-byte prefix",
                                  offset=len(data))
     if data[:8] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:8]!r}, expected {MAGIC!r}", offset=0)
+        raise BadMagicError(f"bad magic {bytes(data[:8])!r}, expected {MAGIC!r}", offset=0)
     (header_len,) = struct.unpack("<Q", data[8:16])
     data_start = 16 + header_len
     if data_start > len(data):
         raise TruncatedFileError(
             f"header claims {header_len} bytes but file ends early", offset=16)
-    found = data[16:data_start]
+    found = bytes(data[16:data_start])
     try:
         header = json.loads(found.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -301,7 +318,7 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
                 f"file size {len(data)}", offset=end)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=end)
         try:
-            entries[name] = arr.reshape(shape).copy()
+            entries[name] = arr.reshape(shape)
         except ValueError as exc:  # more dimensions than numpy allows
             raise CheckpointFormatError(f"entry {name!r} has invalid shape: {exc}",
                                         offset=16) from exc
@@ -328,6 +345,16 @@ def parse_container(data: bytes) -> tuple[ParameterStore, dict]:
 
 
 def read_container(path) -> tuple[ParameterStore, dict]:
+    """Parse a container file read with one ``readinto`` into one buffer,
+    placed so the data region starts on a 64-byte boundary."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_container(data)
+        data = fh.read(16)
+        if len(data) == 16:  # sized by fstat, which gives 0 for a pipe
+            raw = np.empty(max(os.fstat(fh.fileno()).st_size, 16) + 64, dtype=np.uint8)
+            start = -(raw.ctypes.data + 16 + struct.unpack("<Q", data[8:])[0]) % 64
+            buf = raw[start:start + len(raw) - 64]
+            buf[:16] = np.frombuffer(data, dtype=np.uint8)
+            data = buf[:16 + fh.readinto(buf[16:])]
+            data.flags.writeable = False
+        rest = fh.read()  # a pipe, or a file longer than fstat said: read on to EOF
+    return parse_container(bytes(data) + rest if rest else data)

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from ffmerge import engine
+from ffmerge.fixtures import default_config, random_model
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _tracing_targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing",
                                                   BENCHMARKS / "tracing.py")
     module = importlib.util.module_from_spec(spec)
@@ -26,7 +29,11 @@ def _tracing_targets():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = writes
-    return [(mod, attr) for mod, attr, _, _ in module.TARGETS]
+    return module
+
+
+def _tracing_targets():
+    return [(mod, attr) for mod, attr, _, _ in _tracing().TARGETS]
 
 
 def _resolve(module_name: str, attr: str):
@@ -75,3 +82,28 @@ def test_workload_names_exist():
     assert ("ffmerge.cli", "main") in used
     for module_name, attr in used:
         _resolve(module_name, attr)
+
+
+def test_container_spans_count_the_file(tmp_path):
+    # a writer or reader that bypasses these four fails here, not only in
+    # the benchmark's span self-check
+    model = random_model(default_config(n_layers=1, d_model=4, d_ff=8), seed=0)
+    path = tmp_path / "m.ffmc"
+    tracer = _tracing().Tracer("contract")
+    tracer.install()
+    try:
+        tracer.begin("round-trip", 0)
+        engine.save_model(model, path)
+        engine.load_model(path)
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span["name"], []).append(span)
+    size = path.stat().st_size
+    for name in ("serialize_container", "atomic_write_bytes", "read_container",
+                 "parse_container"):
+        assert len(spans.get(f"checkpoint.{name}", [])) == 1, name
+    for name in ("serialize_container", "atomic_write_bytes", "parse_container"):
+        assert spans[f"checkpoint.{name}"][0]["counts"]["bytes"] == size, name

@@ -4,6 +4,9 @@ errors with positions, and tie accounting."""
 import json
 import os
 import struct
+import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -609,3 +612,106 @@ class TestFileRoundTrip:
     def test_write_into_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             atomic_write_bytes(tmp_path / "nope" / "out.bin", b"x")
+
+
+def capture_like_store() -> ParameterStore:
+    """Eight 256x512 float32 layers, the shape of an activation dump."""
+    rng = np.random.default_rng(4)
+    return ParameterStore({f"acts.layer{i}": rng.normal(size=(256, 512)).astype(np.float32)
+                           for i in range(8)})
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes allocated while ``fn`` runs, above those held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadViews:
+    """``read_container`` reads a file into one buffer, and each payload is
+    a read-only view into it, the data region on a 64-byte boundary."""
+
+    @settings(max_examples=64, deadline=None)
+    @given(pad=st.integers(0, 63))
+    def test_payloads_are_aligned_read_only_views(self, pad):
+        # the pad walks the header length through every residue mod 64
+        table = {"a": np.arange(3, dtype=np.float32), "b": "a",
+                 "c": np.linspace(-1, 1, 10, dtype=np.float32).reshape(2, 5)}
+        store = ParameterStore(table)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.ffmc")
+            write_container(store, {"pad": "x" * pad}, path)
+            parsed, meta = read_container(path)
+        assert meta == {"pad": "x" * pad}
+        assert parsed.get("a").ctypes.data % 64 == 0
+        for name in parsed.names:
+            arr = parsed.get(name)
+            assert arr.flags.aligned and not arr.flags.writeable
+            np.testing.assert_array_equal(arr, store.get(name))
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    @pytest.mark.parametrize("pad", range(4))
+    def test_edits_of_a_bytearray_input_do_not_reach_payloads(self, pad):
+        # one of the four pads puts the payloads at float32-aligned offsets
+        data = bytearray(aliased_container({"pad": "x" * pad}))
+        store, _ = parse_container(data)
+        before = {name: store.get(name).copy() for name in store.names}
+        data[16:] = bytes(len(data) - 16)
+        data.extend(b"\0")  # no buffer of the input is still exported
+        for name, value in before.items():
+            np.testing.assert_array_equal(store.get(name), value)
+
+    def test_read_through_a_pipe(self):
+        rng = np.random.default_rng(5)
+        store = ParameterStore({"w": rng.normal(size=(300, 100)).astype(np.float32),
+                                "v": "w"})
+        data = serialize_container(store, {"via": "pipe"})
+        assert len(data) > 65536  # more than one pipe buffer
+        r, w = os.pipe()
+
+        def feed():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            parsed, meta = read_container(f"/dev/fd/{r}")
+        finally:
+            writer.join(timeout=10)
+            os.close(r)
+        assert not writer.is_alive()
+        assert meta == {"via": "pipe"}
+        assert serialize_container(parsed, meta) == data
+
+    def test_truncated_file_fails_as_its_bytes_do(self, tmp_path):
+        data = aliased_container()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        path = tmp_path / "cut.ffmc"
+        for cut in (0, 7, 15, 16, 17 + header_len // 2, 16 + header_len,
+                    len(data) - 13, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(TruncatedFileError) as from_bytes:
+                parse_container(data[:cut])
+            with pytest.raises(TruncatedFileError) as from_file:
+                read_container(path)
+            assert str(from_file.value) == str(from_bytes.value)
+            assert from_file.value.offset == from_bytes.value.offset
+
+    def test_read_peaks_below_1_1_times_the_file(self, tmp_path):
+        path = tmp_path / "acts.ffmc"
+        write_container(capture_like_store(), {"tap": "ff_out"}, path)
+        assert traced_peak(lambda: read_container(path)) < 1.1 * path.stat().st_size
+
+    def test_write_peaks_below_1_1_times_the_payload(self, tmp_path):
+        store = capture_like_store()
+        payload = sum(store.get(name).nbytes for name in store.names)
+        peak = traced_peak(lambda: write_container(store, {"tap": "ff_out"},
+                                                   tmp_path / "acts.ffmc"))
+        assert peak < 1.1 * payload

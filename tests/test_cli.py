@@ -1,6 +1,8 @@
 """Command-line tests driven through main() with temp files."""
 
 import json
+import os
+import stat
 import struct
 from dataclasses import replace
 
@@ -537,3 +539,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_output_files_get_the_umask_mode(tmp_path, mask):
+    # a checkpoint, a token file, an activation dump and a JSON report
+    cfg = default_config(n_layers=2, d_model=8, d_ff=16)
+    paths = {name: str(tmp_path / name)
+             for name in ("model.ffmc", "data.toks", "acts.ffmc", "cka.json")}
+    old = os.umask(mask)
+    try:
+        save_model(random_model(cfg, seed=0), paths["model.ffmc"])
+        write_token_file(paths["data.toks"], token_sequences(cfg, 4, 8, seed=1).sequences,
+                         cfg.separator_id)
+        assert main(["capture", "--model", paths["model.ffmc"], "--data", paths["data.toks"],
+                     "--tap", "ff-out", "--max-samples", "16",
+                     "--out", paths["acts.ffmc"]]) == 0
+        assert main(["cka", "--acts", paths["acts.ffmc"], "--out", paths["cka.json"],
+                     "--format", "json"]) == 0
+    finally:
+        os.umask(old)
+    for path in paths.values():
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~mask, path

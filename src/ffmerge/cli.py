@@ -15,15 +15,15 @@ import sys
 from .analysis import cka_matrix
 from .checkpoint import atomic_write_text, tie_report
 from .datasets import label_path_for, load_dataset
-from .engine import (EvalMetric, TransformerModel, capture_activations, evaluate,
-                     load_model, read_activations, save_model, write_activations)
+from .config import FF_KINDS
+from .engine import (METRIC_ALIASES, TAPS, EvalMetric, TransformerModel, capture_activations,
+                     evaluate, load_model, read_activations, save_model, write_activations)
 from .fixtures import FIXTURE_KINDS, gen_fixture
 from .merging import ANCHOR_POSITIONS, MergeSpec, merge_window
 from .selection import SelectionReport, select_best_drop, select_best_window
 
-TAP_FLAGS = {"ff-pre-act": "ff_pre_act", "ff-out": "ff_out",
-             "attn-out": "attn_out"}
-METRIC_FLAGS = ("xent", "ppl", "acc")
+TAP_FLAGS = {tap.replace("_", "-"): tap for tap in TAPS}
+METRIC_FLAGS = tuple(METRIC_ALIASES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,12 +79,9 @@ def format_report(report: SelectionReport) -> str:
 
 
 def _load_eval_data(model: TransformerModel, path):
-    sep = model.config.separator_id
-    if model.config.mode == "classifier":
-        sidecar = label_path_for(path)
-        labels = sidecar if os.path.exists(sidecar) else None
-        return load_dataset(path, sep, label_path=labels)
-    return load_dataset(path, sep)
+    sidecar = label_path_for(path)
+    labels = sidecar if model.config.mode == "classifier" and os.path.exists(sidecar) else None
+    return load_dataset(path, model.config.separator_id, label_path=labels)
 
 
 def _cmd_capture(args) -> int:
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--d-model", type=int, required=True)
     p.add_argument("--d-ff", type=int, required=True)
-    p.add_argument("--ff-kind", default="gelu", choices=("relu", "gelu", "swiglu"))
+    p.add_argument("--ff-kind", default="gelu", choices=FF_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 

@@ -21,21 +21,31 @@ TOKENS_MAGIC = b"FFMTOKS1"
 LABELS_MAGIC = b"FFMLBLS1"
 
 
-@dataclass
-class Dataset:
-    """Token sequences, with per-sequence labels in classifier settings."""
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values)  # a copy, which no later edit of ``values`` reaches
+    arr.flags.writeable = False
+    return arr
 
-    sequences: list[np.ndarray]
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Token sequences, with per-sequence labels in classifier settings, frozen
+    once built: a tuple of read-only copies of the sequences and a read-only copy
+    of the labels (a 1-D integer array, one per sequence), which no later edit
+    of the caller's list or arrays reaches."""
+
+    sequences: tuple[np.ndarray, ...]
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.sequences):
-            raise ValueError(
-                f"{len(self.labels)} labels for {len(self.sequences)} sequences"
-            )
-
-    def __len__(self) -> int:
-        return len(self.sequences)
+        object.__setattr__(self, "sequences", tuple(map(_frozen, self.sequences)))
+        labels = None if self.labels is None else _frozen(self.labels)
+        if labels is not None and (labels.ndim != 1 or labels.dtype.kind not in "iu"):
+            raise ValueError(f"labels must be a 1-D integer array, got {labels.ndim}-D "
+                             f"dtype {labels.dtype}")
+        if labels is not None and len(labels) != len(self.sequences):
+            raise ValueError(f"{len(labels)} labels for {len(self.sequences)} sequences")
+        object.__setattr__(self, "labels", labels)
 
 
 def _u32(values, what: str) -> np.ndarray:
@@ -80,16 +90,11 @@ def write_token_file(path, sequences: list[np.ndarray], separator_id: int) -> No
 
 
 def read_token_file(path, separator_id: int) -> list[np.ndarray]:
-    """Split the token stream at the separator id; empty segments are dropped."""
+    """The token stream split at the separator id, as views of one array;
+    empty segments are dropped."""
     flat = _read_u32_file(path, TOKENS_MAGIC)
-    sequences = []
-    start = 0
-    boundaries = list(np.flatnonzero(flat == separator_id)) + [flat.size]
-    for b in boundaries:
-        if b > start:
-            sequences.append(flat[start:b].copy())
-        start = b + 1
-    return sequences
+    ends = np.flatnonzero(flat == separator_id)
+    return [flat[a:b] for a, b in zip(np.r_[0, ends + 1], np.r_[ends, flat.size]) if b > a]
 
 
 def write_label_file(path, labels: np.ndarray) -> None:

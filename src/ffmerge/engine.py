@@ -288,9 +288,9 @@ def _batches(model: TransformerModel, sequences):
     """Yield (indices into ``sequences``, their lengths, int64 token matrix)
     per batch, longest first (a stable sort), each right-padded with token 0
     and at most ``MAX_BATCH_TOKENS`` padded tokens unless one sequence. This
-    is the one token check of ``evaluate``, ``residual_prefix`` and capture:
-    each sequence once, in order, before the first batch, so an error names
-    the first bad token in ``sequences``."""
+    is the one token check of ``evaluate`` (unless resumed),
+    ``residual_prefix`` and capture: each sequence once, in order, before the
+    first batch, so an error names the first bad token in ``sequences``."""
     checked = [_check_tokens(model.config, seq) for seq in sequences]
     order = sorted(range(len(checked)), key=lambda j: -len(checked[j]))
     while order:
@@ -444,21 +444,22 @@ def _scored(model: TransformerModel, dataset: Dataset):
 @dataclass(frozen=True)
 class ResidualPrefix:
     """``model``'s streams leaving layers 0..stop-1 (``resid_out`` taps), per
-    batch, with the (lengths, padded token matrix) of each batch it ran."""
+    batch of the (batches, count, labels) ``_scored`` made of the frozen
+    dataset, which a resumed ``evaluate`` scores as they are."""
 
     model: TransformerModel
     dataset: Dataset
     stop: int
-    batches: list
+    scored: tuple
     streams: list
 
 
 def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
     """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s
     resume; ``dataset`` is checked as ``evaluate`` checks it, each token once."""
-    batches = [(lens, toks) for _, lens, toks in _scored(model, dataset)[0]]
-    return ResidualPrefix(model, dataset, stop, batches, [
-        _run(model, toks, "resid_out", stop=stop, lens=lens)[1] for lens, toks in batches])
+    scored = _scored(model, dataset)
+    return ResidualPrefix(model, dataset, stop, scored, [
+        _run(model, toks, "resid_out", stop=stop, lens=lens)[1] for _, lens, toks in scored[0]])
 
 
 def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
@@ -472,13 +473,13 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
     exp (``math.inf`` once that overflows a float), accuracy the top-1 hit rate.
 
     ``resume=(prefix, start)`` runs only layers >= start and the head from the
-    prefix model's stream, for the same score bit for bit. It is refused unless
-    ``dataset`` is the prefix's own object and still yields the batches the
-    prefix ran, token for token, 1 <= start <= stop, the config differs only
-    in ``n_layers``, and every ``embed.*`` and ``layer<i>.*`` tensor with
-    i < start is the prefix model's very array. A prefix holds stop x padded tokens x d_model x 8 B.
+    prefix model's stream, for the same score bit for bit. A dataset is frozen
+    once built, so a resumed call scores the batches the prefix checked and
+    checks no token again. It is refused unless ``dataset`` is the prefix's
+    own object, 1 <= start <= stop, the config differs only in ``n_layers``,
+    and every ``embed.*`` and ``layer<i>.*`` tensor with i < start is the
+    prefix model's very array. A prefix holds stop x padded tokens x d_model x 8 B.
     """
-    batches, count, labels = _scored(model, dataset)
     prefix, start = resume or (None, 0)
     if prefix is not None:
         base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
@@ -486,16 +487,13 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
             n not in model.store or model.store.get(n) is not base.store.get(n))]
         if dataset is not prefix.dataset:
             raise ValueError("cannot resume: the prefix was built on another dataset")
-        if len(batches) != len(prefix.batches) or not all(
-                np.array_equal(lens, ran_lens) and np.array_equal(toks, ran)
-                for (_, lens, toks), (ran_lens, ran) in zip(batches, prefix.batches)):
-            raise ValueError("cannot resume: the dataset's tokens changed since the prefix")
         if not 0 < start <= prefix.stop:
             raise ValueError(f"cannot resume at {start}: prefix holds 1..{prefix.stop}")
         if replace(model.config, n_layers=base.config.n_layers) != base.config:
             raise ValueError("cannot resume: the config differs from the prefix model's")
         if unshared:
             raise ValueError(f"cannot resume at {start}: {unshared[0]!r} is not shared")
+    batches, count, labels = _scored(model, dataset) if prefix is None else prefix.scored
     # per-sequence sums, added up below in dataset order
     ce_seq = np.zeros(len(dataset.sequences))
     hits = np.zeros(len(dataset.sequences), dtype=np.int64)

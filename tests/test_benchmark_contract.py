@@ -1,15 +1,18 @@
 """The names the benchmark harness under ``benchmarks/`` reaches into the
 package for must exist, so a change that deletes one fails here first.
 
-``benchmarks/tracing.py`` is loaded read-only for its ``TARGETS`` table; the
-other harness files are only parsed, for the ``module.attribute`` names they
+``benchmarks/tracing.py`` is loaded read-only for its ``TARGETS`` table,
+and ``benchmarks/workloads.py`` to run one checked pass of every workload;
+the harness files are also parsed, for the ``module.attribute`` names they
 use of the ``ffmerge`` modules they import.
 """
 
 import ast
 import importlib
 import importlib.util
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -20,10 +23,14 @@ from ffmerge.fixtures import default_config, random_model
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("_bench_tracing",
-                                                  BENCHMARKS / "tracing.py")
+def _harness(name: str):
+    """``benchmarks/<name>.py`` as a module. It is registered in
+    ``sys.modules`` first, where ``@dataclass`` looks up the module of a
+    class whose annotations are strings."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:  # leave no bytecode cache under benchmarks/
         spec.loader.exec_module(module)
@@ -33,7 +40,7 @@ def _tracing():
 
 
 def _tracing_targets():
-    return [(mod, attr) for mod, attr, _, _ in _tracing().TARGETS]
+    return [(mod, attr) for mod, attr, _, _ in _harness("tracing").TARGETS]
 
 
 def _resolve(module_name: str, attr: str):
@@ -89,7 +96,7 @@ def test_container_spans_count_the_file(tmp_path):
     # the benchmark's span self-check
     model = random_model(default_config(n_layers=1, d_model=4, d_ff=8), seed=0)
     path = tmp_path / "m.ffmc"
-    tracer = _tracing().Tracer("contract")
+    tracer = _harness("tracing").Tracer("contract")
     tracer.install()
     try:
         tracer.begin("round-trip", 0)
@@ -107,3 +114,20 @@ def test_container_spans_count_the_file(tmp_path):
         assert len(spans.get(f"checkpoint.{name}", [])) == 1, name
     for name in ("serialize_container", "atomic_write_bytes", "parse_container"):
         assert spans[f"checkpoint.{name}"][0]["counts"]["bytes"] == size, name
+
+
+@pytest.mark.parametrize("name", sorted(_harness("workloads").WORKLOADS))
+def test_workload_pass_passes_its_checks(name, tmp_path):
+    # set-up, reference values and one pass of every stage at seed 0: a
+    # change the benchmark would report as incorrect output fails here first
+    workloads = _harness("workloads")
+    workload = workloads.WORKLOADS[name]
+    run = workloads.Run(str(tmp_path / name), 0)
+    workload.setup(run)
+    workload.prepare_checks(run)
+    for stage in workload.stages:
+        action = stage.prepare(run)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            value = action()
+        assert stage.check(run, value, out.getvalue()) == [], stage.metric

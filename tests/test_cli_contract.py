@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffmerge.cli import main
-from ffmerge.datasets import write_token_file
+from ffmerge.datasets import Dataset, write_token_file
 from ffmerge.engine import capture_activations, save_model, write_activations
 from ffmerge.fixtures import default_config, permuted_copy_model, token_sequences
 
@@ -81,8 +81,8 @@ def originals(tmp_path_factory):
     base = tmp_path_factory.mktemp("contract")
     cfg = default_config(n_layers=4, d_model=8, d_ff=16, ff_kind="relu")
     model = permuted_copy_model(cfg, seed=3).model
-    data = token_sequences(cfg, 5, 6, seed=4)
-    data.sequences.append(np.array([5], dtype=np.int64))
+    data = Dataset(sequences=[*token_sequences(cfg, 5, 6, seed=4).sequences,
+                              np.array([5], dtype=np.int64)])
     paths = {name: base / name for name in INPUTS}
     save_model(model, paths["model"])
     write_activations(capture_activations(model, data, "ff_pre_act", 40), paths["acts"])

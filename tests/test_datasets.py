@@ -1,6 +1,7 @@
 """Token and label file round trips and error handling."""
 
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -21,7 +22,27 @@ class TestDataset:
             Dataset(sequences=seqs([1, 2]), labels=np.array([0, 1]))
 
     def test_len(self):
-        assert len(Dataset(sequences=seqs([1], [2, 3]))) == 2
+        data = Dataset(sequences=seqs([1], [2, 3]))
+        assert isinstance(data.sequences, tuple) and len(data.sequences) == 2
+
+    @pytest.mark.parametrize("labels,message", [
+        (np.array([0.7, 1.9]), "1-D integer array, got 1-D dtype float64"),
+        (np.array([True, False]), "1-D integer array, got 1-D dtype bool"),
+        (np.array([[0], [1]]), "1-D integer array, got 2-D dtype int64"),
+        ([0.0, 1.0], "got 1-D dtype float64"),
+    ])
+    def test_non_integer_labels_refused(self, labels, message):
+        # each would have been truncated or cast to class ids silently
+        with pytest.raises(ValueError, match=message):
+            Dataset(sequences=seqs([1, 2], [3]), labels=labels)
+
+    def test_frozen_once_built(self):
+        # the tuple and its read-only arrays are held in test_resume.py
+        data = Dataset(sequences=seqs([1, 2], [3]), labels=np.array([0, 1]))
+        with pytest.raises(FrozenInstanceError):
+            data.sequences = seqs([4])
+        with pytest.raises(ValueError, match="read-only"):
+            data.labels[0] = 1
 
 
 class TestTokenFiles:
@@ -117,5 +138,5 @@ class TestLabelFiles:
         write_token_file(toks, seqs([1, 2], [3]), separator_id=0)
         write_label_file(lbls, np.array([1, 0], dtype=np.uint32))
         ds = load_dataset(toks, separator_id=0, label_path=lbls)
-        assert len(ds) == 2
+        assert len(ds.sequences) == 2
         np.testing.assert_array_equal(ds.labels, [1, 0])

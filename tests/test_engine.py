@@ -513,7 +513,7 @@ class TestForward:
             evaluate(model, data, EvalMetric("cross_entropy"))
         with pytest.raises(ValueError, match="token id 999 out of vocabulary"):
             capture_activations(model, data, "ff_out", max_samples=4)
-        kept = Dataset(sequences=[np.array([9], dtype=np.uint32)] + data.sequences[1:])
+        kept = Dataset(sequences=[np.array([9], dtype=np.uint32), *data.sequences[1:]])
         assert evaluate(model, kept, EvalMetric("cross_entropy")) == \
             evaluate(model, Dataset(sequences=data.sequences[1:]),
                      EvalMetric("cross_entropy"))
@@ -943,6 +943,7 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("mode", ["lm", "cls"])
     def test_each_sequence_checked_once_per_call(self, monkeypatch, mode):
+        # a resumed evaluate scores the prefix's checked batches and checks none
         model = _diff_model("gelu", "pre_ln", True, mode, seed=73)
         data = _ragged(model.config, [1, 3, 3, 9, 1, 2, 9, 3], seed=74)
         metric = EvalMetric("cross_entropy")
@@ -955,13 +956,15 @@ class TestBatchedForward:
             return check(config, tokens)
 
         monkeypatch.setattr(engine, "_check_tokens", counting_check)
-        for call in (lambda: evaluate(model, data, metric),
-                     lambda: evaluate(model, data, metric, resume=(prefix, 1)),
-                     lambda: engine.residual_prefix(model, data, 1),
-                     lambda: capture_activations(model, data, "ff_out", 1000)):
+        every = [len(seq) for seq in data.sequences]
+        for call, expected in (
+                (lambda: evaluate(model, data, metric), every),
+                (lambda: evaluate(model, data, metric, resume=(prefix, 1)), []),
+                (lambda: engine.residual_prefix(model, data, 1), every),
+                (lambda: capture_activations(model, data, "ff_out", 1000), every)):
             checked.clear()
             call()
-            assert checked == [len(seq) for seq in data.sequences]
+            assert checked == expected
         checked.clear()
         model.forward(data.sequences[3])
         assert checked == [9]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffmerge import engine
 from ffmerge.datasets import Dataset
 from ffmerge.engine import (EvalMetric, TransformerModel, capture_activations,
                             evaluate, ff_params, load_model, residual_prefix,
@@ -78,7 +79,7 @@ class TestResumeMatchesStandalone:
         model = small_model("gelu", placement, "lm", seed=9)
         data = ragged(model.config, [1, 3, 1, 4, 1, 3, 1], seed=10)
         prefix = residual_prefix(model, data, N_LAYERS)
-        assert [(lens.tolist(), toks.shape) for lens, toks in prefix.batches] == [
+        assert [(lens.tolist(), toks.shape) for _, lens, toks in prefix.scored[0]] == [
             ([4, 3, 3, 1, 1, 1, 1], (7, 4))]
         acts = capture_activations(model, data, "ff_pre_act", max_samples=1000)
         report, _ = select_best_window(model, acts, 2, data, XENT,
@@ -89,6 +90,31 @@ class TestResumeMatchesStandalone:
         report, _ = select_best_drop(model, 1, data, XENT)
         for cand in report.candidates:
             assert cand.score == evaluate(drop_layers(model, cand.start, 1), data, XENT)
+
+
+class TestSweepChecksTokens:
+    @pytest.mark.parametrize("sweep", ["window", "drop"])
+    def test_each_eval_sequence_at_most_twice(self, monkeypatch, sweep):
+        # once in the prefix and once for the start-0 candidate, which runs
+        # whole; every resumed candidate scores the prefix's checked batches
+        model = small_model("gelu", "pre_ln", "lm", seed=11)
+        data = ragged(model.config, [5, 3, 5, 2], seed=12)
+        acts = capture_activations(model, data, "ff_pre_act", max_samples=1000)
+        checked = []
+        check = engine._check_tokens
+
+        def counting_check(config, tokens):
+            checked.append(len(tokens))
+            return check(config, tokens)
+
+        monkeypatch.setattr(engine, "_check_tokens", counting_check)
+        if sweep == "window":
+            report, _ = select_best_window(model, acts, 2, data, XENT,
+                                           include_final_window=True)
+        else:
+            report, _ = select_best_drop(model, 1, data, XENT)
+        assert len(report.candidates) >= 3
+        assert len(checked) <= 2 * len(data.sequences)
 
 
 @pytest.fixture
@@ -118,30 +144,55 @@ class TestResumeRefused:
 
     @pytest.mark.parametrize("edit", ["reverse", "retoken", "append", "remove"])
     def test_dataset_edited_after_the_prefix(self, base, edit):
-        # the same object, but no longer the tokens the prefix ran
+        # a dataset is frozen, so it still holds the tokens the prefix ran;
+        # an append would be a new length and a batch of its own, a remove
+        # the only sequence of its length
         model, data, prefix = base
-        seqs = data.sequences
-        if edit == "reverse":
-            seqs[1] = seqs[1][::-1].copy()
-        elif edit == "retoken":
-            seqs[3][0] = (seqs[3][0] + 1) % model.config.vocab_size
-        elif edit == "append":  # a new length, so a batch of its own
-            seqs.append(seqs[1][:3].copy())
-        else:  # the only sequence of its length, so its batch goes
-            del seqs[3]
-        with pytest.raises(ValueError, match="tokens changed"):
-            evaluate(model, data, XENT, resume=(prefix, 1))
+        seqs, before = data.sequences, [s.tolist() for s in data.sequences]
+        error = {"retoken": ValueError, "append": AttributeError}.get(edit, TypeError)
+        with pytest.raises(error):
+            if edit == "reverse":
+                seqs[1] = seqs[1][::-1].copy()
+            elif edit == "retoken":
+                seqs[3][0] = (seqs[3][0] + 1) % model.config.vocab_size
+            elif edit == "append":
+                seqs.append(seqs[1][:3].copy())
+            else:
+                del seqs[3]
+        assert [s.tolist() for s in data.sequences] == before
+        assert (evaluate(model, data, XENT, resume=(prefix, 1))
+                == evaluate(model, data, XENT))
 
     def test_trailing_token_zero_removed(self):
-        # the padded token matrix is unchanged, only a length is not: a
-        # classifier's streams attended to the removed position
+        # dropping it leaves the padded token matrix as it was and changes
+        # only a length, which a classifier's streams attended to; neither
+        # the caller's list nor the dataset's own tuple can drop it now
         model = small_model("gelu", "pre_ln", "mean", seed=7)
-        data = Dataset(sequences=[np.array([7, 3, 2, 9]), np.array([5, 0])],
-                       labels=np.array([0, 1]))
+        seqs = [np.array([7, 3, 2, 9]), np.array([5, 0])]
+        data = Dataset(sequences=seqs, labels=np.array([0, 1]))
         prefix = residual_prefix(model, data, 2)
-        data.sequences[1] = data.sequences[1][:1]
-        with pytest.raises(ValueError, match="tokens changed"):
-            evaluate(model, data, XENT, resume=(prefix, 1))
+        seqs[1] = seqs[1][:1]
+        with pytest.raises(TypeError):
+            data.sequences[1] = data.sequences[1][:1]
+        assert data.sequences[1].tolist() == [5, 0]
+        assert (evaluate(model, data, XENT, resume=(prefix, 1))
+                == evaluate(model, data, XENT))
+
+    def test_callers_edits_after_the_prefix(self):
+        # a classifier whose caller's list grows keeps its own sequences, so
+        # labels and sequences still pair up one to one
+        model = small_model("gelu", "pre_ln", "cls", seed=8)
+        seqs, labels = [np.array([7, 3, 2, 9]), np.array([5, 1])], np.array([0, 2])
+        data = Dataset(sequences=seqs, labels=labels)
+        prefix = residual_prefix(model, data, 2)
+        seqs[0][1] = 4
+        seqs[1] = seqs[1][::-1]
+        seqs.append(np.array([6, 6]))
+        labels[0] = 1
+        assert [s.tolist() for s in data.sequences] == [[7, 3, 2, 9], [5, 1]]
+        assert data.labels.tolist() == [0, 2]
+        assert (evaluate(model, data, XENT, resume=(prefix, 1))
+                == evaluate(model, data, XENT))
 
     @pytest.mark.parametrize("start", [-1, 0, 3])
     def test_start_outside_the_prefix(self, base, start):

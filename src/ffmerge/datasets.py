@@ -30,15 +30,18 @@ def _frozen(values) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Token sequences, with per-sequence labels in classifier settings, frozen
-    once built: a tuple of read-only copies of the sequences and a read-only copy
-    of the labels (a 1-D integer array, one per sequence), which no later edit
-    of the caller's list or arrays reaches."""
+    once built: a tuple of read-only copies of the sequences (each 1-D) and a
+    read-only copy of the labels (a 1-D integer array, one per sequence), which
+    no later edit of the caller's list or arrays reaches."""
 
     sequences: tuple[np.ndarray, ...]
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sequences", tuple(map(_frozen, self.sequences)))
+        for i, seq in enumerate(self.sequences):
+            if seq.ndim != 1:
+                raise ValueError(f"sequence {i} must be 1-D, got {seq.ndim}-D")
         labels = None if self.labels is None else _frozen(self.labels)
         if labels is not None and (labels.ndim != 1 or labels.dtype.kind not in "iu"):
             raise ValueError(f"labels must be a 1-D integer array, got {labels.ndim}-D "

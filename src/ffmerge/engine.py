@@ -288,9 +288,9 @@ def _batches(model: TransformerModel, sequences):
     """Yield (indices into ``sequences``, their lengths, int64 token matrix)
     per batch, longest first (a stable sort), each right-padded with token 0
     and at most ``MAX_BATCH_TOKENS`` padded tokens unless one sequence. This
-    is the one token check of ``evaluate`` (unless resumed),
-    ``residual_prefix`` and capture: each sequence once, in order, before the
-    first batch, so an error names the first bad token in ``sequences``."""
+    is the one token check of ``residual_prefix``, and so of ``evaluate``,
+    and of capture: each sequence once, in order, before the first batch, so
+    an error names the first bad token in ``sequences``."""
     checked = [_check_tokens(model.config, seq) for seq in sequences]
     order = sorted(range(len(checked)), key=lambda j: -len(checked[j]))
     while order:
@@ -421,9 +421,24 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _scored(model: TransformerModel, dataset: Dataset):
-    """(batches, prediction count, labels) of what ``evaluate`` scores;
-    labels are checked before tokens."""
+@dataclass(frozen=True)
+class ResidualPrefix:
+    """``dataset`` checked and batched for ``evaluate``, with ``model``'s
+    streams. Each batch is (indices, lengths, int64 tokens, streams), where
+    ``streams[i]`` enters layer i for i in 0..stop: None at 0, which ``_run``
+    embeds, then layer i - 1's ``resid_out``; stop x padded tokens x d_model x 8 B."""
+
+    model: TransformerModel
+    dataset: Dataset
+    stop: int
+    batches: tuple
+    count: int
+    labels: np.ndarray | None
+
+
+def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
+    """Check and batch ``dataset`` for ``evaluate`` (labels, then each token
+    once, then the prediction count) and run ``model``'s layers 0..stop-1."""
     if not dataset.sequences:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = None
@@ -438,28 +453,10 @@ def _scored(model: TransformerModel, dataset: Dataset):
     count = len(labels) if labels is not None else sum(len(s) - 1 for s in dataset.sequences)
     if not count:
         raise ValueError("dataset has no sequences of length >= 2")
-    return batches, count, labels
-
-
-@dataclass(frozen=True)
-class ResidualPrefix:
-    """``model``'s streams leaving layers 0..stop-1 (``resid_out`` taps), per
-    batch of the (batches, count, labels) ``_scored`` made of the frozen
-    dataset, which a resumed ``evaluate`` scores as they are."""
-
-    model: TransformerModel
-    dataset: Dataset
-    stop: int
-    scored: tuple
-    streams: list
-
-
-def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> ResidualPrefix:
-    """Run layers 0..stop-1 of ``model``, with no head, for ``evaluate``'s
-    resume; ``dataset`` is checked as ``evaluate`` checks it, each token once."""
-    scored = _scored(model, dataset)
-    return ResidualPrefix(model, dataset, stop, scored, [
-        _run(model, toks, "resid_out", stop=stop, lens=lens)[1] for _, lens, toks in scored[0]])
+    # layer 0's stream is left for _run to embed; its taps come in layer order
+    return ResidualPrefix(model, dataset, stop, tuple((idx, lens, toks, [None, *(
+        _run(model, toks, "resid_out", stop=stop, lens=lens)[1].values() if stop else ())])
+        for idx, lens, toks in batches), count, labels)
 
 
 def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
@@ -468,53 +465,49 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
 
     LM mode scores next-token prediction over every position (a length-1
     sequence is batched and scores nothing); classifier mode scores one
-    pooled prediction per sequence against its label. Each token is checked
-    once, in ``_batches``. Cross-entropy is the mean in nats, perplexity its
-    exp (``math.inf`` once that overflows a float), accuracy the top-1 hit rate.
+    pooled prediction per sequence against its label. Cross-entropy is the
+    mean in nats, perplexity its exp (``math.inf`` once that overflows a
+    float), accuracy the top-1 hit rate.
 
-    ``resume=(prefix, start)`` runs only layers >= start and the head from the
-    prefix model's stream, for the same score bit for bit. A dataset is frozen
-    once built, so a resumed call scores the batches the prefix checked and
-    checks no token again. It is refused unless ``dataset`` is the prefix's
-    own object, 1 <= start <= stop, the config differs only in ``n_layers``,
-    and every ``embed.*`` and ``layer<i>.*`` tensor with i < start is the
-    prefix model's very array. A prefix holds stop x padded tokens x d_model x 8 B.
+    Every score resumes: ``resume=(prefix, start)`` runs layers >= start and
+    the head over the prefix's checked batches from the streams entering
+    layer start, for the same score bit for bit; it defaults to
+    ``(residual_prefix(model, dataset, 0), 0)``. It is refused unless
+    ``dataset`` is the prefix's own object, 0 <= start <= stop, the config
+    differs only in ``n_layers``, and every ``embed.*`` and ``layer<i>.*``
+    tensor with i < start is the prefix model's very array.
     """
-    prefix, start = resume or (None, 0)
-    if prefix is not None:
-        base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
-        unshared = [n for n in model_tensor_names(base.config) if n.startswith(below) and (
-            n not in model.store or model.store.get(n) is not base.store.get(n))]
-        if dataset is not prefix.dataset:
-            raise ValueError("cannot resume: the prefix was built on another dataset")
-        if not 0 < start <= prefix.stop:
-            raise ValueError(f"cannot resume at {start}: prefix holds 1..{prefix.stop}")
-        if replace(model.config, n_layers=base.config.n_layers) != base.config:
-            raise ValueError("cannot resume: the config differs from the prefix model's")
-        if unshared:
-            raise ValueError(f"cannot resume at {start}: {unshared[0]!r} is not shared")
-    batches, count, labels = _scored(model, dataset) if prefix is None else prefix.scored
+    prefix, start = resume or (residual_prefix(model, dataset, 0), 0)
+    base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
+    unshared = [n for n in model_tensor_names(base.config) if n.startswith(below) and (
+        n not in model.store or model.store.get(n) is not base.store.get(n))]
+    if dataset is not prefix.dataset:
+        raise ValueError("cannot resume: the prefix was built on another dataset")
+    if not 0 <= start <= prefix.stop:
+        raise ValueError(f"cannot resume at {start}: prefix holds 0..{prefix.stop}")
+    if replace(model.config, n_layers=base.config.n_layers) != base.config:
+        raise ValueError("cannot resume: the config differs from the prefix model's")
+    if unshared:
+        raise ValueError(f"cannot resume at {start}: {unshared[0]!r} is not shared")
     # per-sequence sums, added up below in dataset order
     ce_seq = np.zeros(len(dataset.sequences))
     hits = np.zeros(len(dataset.sequences), dtype=np.int64)
-    for b, (idx, lens, toks) in enumerate(batches):
-        logits, _ = (_run(model, toks, lens=lens) if prefix is None else
-                     _run(model, toks, start=start, x=prefix.streams[b][start - 1], lens=lens))
+    for idx, lens, toks, streams in prefix.batches:
+        logits, _ = _run(model, toks, start=start, x=streams[start], lens=lens)
         if model.config.mode == "lm":  # each row predicts up to its own end
             logits, targets = logits[:, :-1], toks[:, 1:]
             scored = np.arange(targets.shape[1]) < lens[:, None] - 1
         else:  # one pooled prediction per sequence
-            logits, targets, scored = logits[:, None], labels[idx][:, None], True
+            logits, targets, scored = logits[:, None], prefix.labels[idx][:, None], True
         picked = np.take_along_axis(_log_softmax(logits), targets[..., None], -1)
         ce_seq[idx] = -np.where(scored, picked[..., 0], 0.0).sum(axis=1)
         hits[idx] = ((logits.argmax(axis=-1) == targets) & scored).sum(axis=1)
     ce_sum = 0.0
     for value in ce_seq:
         ce_sum += float(value)
-    correct = int(hits.sum())
     if metric.kind == "accuracy":
-        return correct / count
-    ce = ce_sum / count
+        return int(hits.sum()) / prefix.count
+    ce = ce_sum / prefix.count
     if metric.kind == "cross_entropy":
         return ce
     try:

@@ -279,6 +279,8 @@ def greedy_sequences(model: TransformerModel, n_sequences: int, seq_len: int,
     as a worse score.
     """
     cfg = model.config
+    if cfg.mode != "lm":
+        raise ValueError(f"greedy generation needs an lm model, got mode {cfg.mode!r}")
     if not 1 <= prompt_len < seq_len or seq_len > cfg.max_seq_len:
         raise ValueError("need 1 <= prompt_len < seq_len <= max_seq_len")
     rng = np.random.default_rng(seed)

@@ -357,14 +357,16 @@ class TestNoWritesIntoInputs:
         model = _diff_model("swiglu", "pre_ln", False, mode, seed=21)
         data = _ragged(model.config, [2, 9, 4, 9, 1, 6], seed=22)
         prefix = engine.residual_prefix(model, data, 2)
-        before = [{i: s.tobytes() for i, s in streams.items()}
-                  for streams in prefix.streams]
-        for start in (1, 2):
+        # streams[i] enters layer i; layer 0's is the embedding _run makes
+        assert all(len(streams) == 3 and streams[0] is None
+                   for *_, streams in prefix.batches)
+        before = [[s.tobytes() for s in streams[1:]] for *_, streams in prefix.batches]
+        for start in (0, 1, 2):
             assert (evaluate(model, data, EvalMetric("cross_entropy"),
                              resume=(prefix, start))
                     == evaluate(model, data, EvalMetric("cross_entropy")))
-        assert [{i: s.tobytes() for i, s in streams.items()}
-                for streams in prefix.streams] == before
+        assert [[s.tobytes() for s in streams[1:]]
+                for *_, streams in prefix.batches] == before
 
     def test_ff_pre_act_tap_is_not_the_activation_buffer(self, monkeypatch):
         model = _diff_model("gelu", "pre_ln", True, "lm", seed=23)
@@ -996,6 +998,18 @@ class TestBatchedForward:
         with pytest.raises(ValueError, match="token id 999"):
             evaluate(cls, Dataset(sequences=bad, labels=[0, 1, 2, 2]),
                      EvalMetric("accuracy"))
+
+    @pytest.mark.parametrize("seq,ndim", [(np.array(5), 0), (np.array([[1, 2], [3, 4]]), 2)],
+                             ids=["0-D", "2-D"])
+    @pytest.mark.parametrize("call", ["evaluate", "capture"])
+    def test_sequence_not_1d_refused(self, seq, ndim, call):
+        # refused by name when the dataset is built, before a 0-D one reaches
+        # len() or a 2-D one numpy's broadcast into a padded batch row
+        model = _diff_model("gelu", "pre_ln", True, "lm", seed=80)
+        run = {"evaluate": lambda data: evaluate(model, data, EvalMetric("accuracy")),
+               "capture": lambda data: capture_activations(model, data, "ff_out", 100)}[call]
+        with pytest.raises(ValueError, match=f"sequence 1 must be 1-D, got {ndim}-D"):
+            run(Dataset(sequences=[np.array([1, 2, 3]), seq]))
 
     @pytest.mark.parametrize("placement", ["pre_ln", "post_ln"])
     def test_greedy_matches_per_sequence_loop(self, placement):

@@ -206,3 +206,9 @@ class TestGreedySequences:
             greedy_sequences(model, 2, 8, seed=63, prompt_len=8)
         with pytest.raises(ValueError):
             greedy_sequences(model, 2, cfg.max_seq_len + 1, seed=63)
+
+    def test_classifier_refused(self):
+        cfg = replace(default_config(n_layers=1, d_model=16, d_ff=32),
+                      mode="classifier", n_classes=3)
+        with pytest.raises(ValueError, match="needs an lm model, got mode 'classifier'"):
+            greedy_sequences(random_model(cfg, seed=64), 2, 8, seed=65)

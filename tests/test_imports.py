@@ -1,8 +1,10 @@
-"""Every module under src/ffmerge uses each name it imports.
+"""Every module under src/ffmerge uses each name it imports, and something
+in src/ffmerge reads each module-level private name.
 
-No linter ships with the project, so this AST walk is the check. It catches
-the import a deleted helper leaves behind. ``__init__.py`` is skipped: it
-imports names to re-export them.
+No linter ships with the project, so these AST walks are the check. They
+catch the import a deleted helper leaves behind, and the private helper a
+refactor stops calling. ``__init__.py`` is skipped for imports: it imports
+names to re-export them.
 """
 
 import ast
@@ -44,3 +46,40 @@ def test_counts_uses_in_annotations_and_attributes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_x`` names, not dunders, that a def, class or
+    assignment in one of ``sources`` ({module: source}) binds and that none
+    of them reads, as a name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name[:1] == "_" and name[:2] != "__" and name not in read]
+
+
+def test_finds_an_unread_private_name():
+    sources = {"a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _B\n"
+                    "def _g(): pass\nclass _C: pass\ndef pub(): pass\n_h = 0\n",
+               "b": "from .a import _f\nfrom . import a\na._C()\n"}
+    assert unread_private_names(sources) == ["a line 1: _A", "a line 6: _g", "a line 9: _h"]
+
+
+def test_package_has_no_unread_private_name():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

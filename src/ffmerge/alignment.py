@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import FF_HIDDEN_AXIS
 from .engine import FFParams
-from .linalg import column_stats
+from .linalg import center, column_stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,17 +55,16 @@ class Permutation:
 
 
 def centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One activation matrix made ready to correlate: a fresh float64 copy
-    of ``x`` less its column means, and its column standard deviations.
+    """One activation matrix made ready to correlate: ``linalg.center``'s
+    float64 copy of ``x`` less its column means, and the column standard
+    deviations ``linalg.column_stats`` takes from that copy.
 
-    ``x`` itself is never written to. A caller that correlates one layer
-    with several others centers it once and passes the pair to each
-    ``cross_correlation``.
+    The mean is subtracted once and ``x`` itself is never written to. A
+    caller that correlates one layer with several others centers it once
+    and passes the pair to each ``cross_correlation``.
     """
-    xc = np.array(x, dtype=np.float64)
-    mean, std = column_stats(xc)
-    xc -= mean
-    return xc, std
+    xc = center(x)
+    return xc, column_stats(xc)
 
 
 def cross_correlation(ref: tuple[np.ndarray, np.ndarray],

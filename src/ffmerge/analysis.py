@@ -5,7 +5,8 @@ transforms and isotropic rescaling of either side. Computed pairwise over
 the layers of an activation capture it shows which sublayers compute alike,
 which is what makes some windows merge losslessly and others not.
 
-A matrix over L layers costs L Gram products (one per layer, for its norm)
+Layers are centered by ``linalg.center``, as alignment centers them. A
+matrix over L layers costs L Gram products (one per layer, for its norm)
 and L(L-1)/2 cross products, one per layer pair. Layers are centered again
 for every pair rather than cached, so memory stays at about two float64
 copies of one layer however many layers there are.
@@ -20,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ActivationSet
-
-
-def _centered(x) -> np.ndarray:
-    """A float64 copy of ``x`` with its column means subtracted."""
-    a = np.array(x, dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # Inf - Inf; _gram_norm refuses it
-        a -= a.mean(axis=0)
-    return a
+from .linalg import center
 
 
 def _gram_norm(a: np.ndarray, what: str) -> float:
@@ -56,11 +50,12 @@ def linear_cka(x, y, *, norms: tuple[float, float] | None = None) -> float:
     """
     if np.ndim(x) != 2 or np.ndim(y) != 2:
         raise ValueError("linear_cka needs 2-D feature matrices")
-    a, b = _centered(x), _centered(y)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] < 2:
+    rows = (np.shape(x)[0], np.shape(y)[0])
+    if rows[0] != rows[1]:
+        raise ValueError(f"row counts differ: {rows[0]} vs {rows[1]}")
+    if rows[0] < 2:
         raise ValueError("need at least 2 rows")
+    a, b = center(x), center(y)
     if norms is None:
         da, db = _gram_norm(a, "Gram norm of x"), _gram_norm(b, "Gram norm of y")
     else:
@@ -130,8 +125,10 @@ def cka_matrix(acts: ActivationSet) -> CkaMatrix:
     layers = acts.layers()
     if len(layers) < 2:
         raise ValueError("need at least 2 layers to compare")
+    if acts.sample_count < 2:
+        raise ValueError("need at least 2 rows")
     mats = [acts.per_layer[layer] for layer in layers]
-    norms = [_gram_norm(_centered(m), f"layer {layer} Gram norm")
+    norms = [_gram_norm(center(m), f"layer {layer} Gram norm")
              for layer, m in zip(layers, mats)]
     n = len(layers)
     values = np.diag([1.0 if norm > 0.0 else 0.0 for norm in norms])

@@ -1,30 +1,31 @@
-"""Column statistics of dense activation matrices, used by alignment.
-
-Statistics accumulate in float64, which keeps correlation numbers stable
-across permutations of the summation order.
-"""
+"""The one centering of activation matrices, shared by alignment and CKA,
+and the column standard deviations alignment takes from it, in float64."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and population standard deviations (divide by n).
+def center(x: np.ndarray) -> np.ndarray:
+    """A fresh float64 copy of 2-D ``x`` less its column means; ``x`` is not
+    written. NaN or Inf in ``x`` leaves NaN in its column, for callers to refuse."""
+    xc = np.array(x, dtype=np.float64)
+    if xc.ndim != 2:
+        raise ValueError(f"x must be 2-D, got shape {xc.shape}")
+    if xc.shape[0] < 1:
+        raise ValueError("x must hold at least one row")
+    with np.errstate(invalid="ignore"):  # Inf - Inf
+        xc -= xc.mean(axis=0)
+    return xc
 
-    Standard deviations are >= 0; a zero entry marks a constant column and
-    is left for callers to handle (nothing here divides by it).
-    """
-    x64 = np.asarray(x, dtype=np.float64)
-    if x64.ndim != 2:
-        raise ValueError(f"x must be 2-D, got shape {x64.shape}")
-    if x64.shape[0] < 1:
-        raise ValueError("column_stats requires at least one row")
-    with np.errstate(invalid="ignore"):  # Inf - Inf; refused just below
-        mean = x64.mean(axis=0)
-    # a NaN or Inf entry makes its column mean NaN or Inf; only then scan x
-    if not np.isfinite(mean).all() and not np.isfinite(x64).all():
+
+def column_stats(xc: np.ndarray) -> np.ndarray:
+    """Population stds of a ``center`` result's columns, bit for bit
+    ``x.std(axis=0)`` in float64 (``np.var``'s steps: square, then mean).
+
+    A zero marks a constant column. NaN or Inf in ``x`` gives a NaN std and
+    is refused; a finite column whose sum overflows gets an infinite std."""
+    std = np.sqrt(np.multiply(xc, xc).mean(axis=0))
+    if np.isnan(std).any():
         raise ValueError("x contains NaN or Inf")
-    # np.var's own steps (one temporary, squared in place, mean), so the bits match
-    d = x64 - mean
-    return mean, np.sqrt(np.multiply(d, d, out=d).mean(axis=0))
+    return std

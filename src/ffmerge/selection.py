@@ -35,14 +35,15 @@ def enumerate_windows(n_layers: int, k: int,
 
 @dataclass(frozen=True)
 class WindowCandidate:
-    """One scored candidate: the window start and its evaluation score."""
+    """One scored candidate: the window start and its evaluation score,
+    finite or +inf (an overflowing perplexity); NaN and -inf are refused."""
 
     start: int
     score: float
 
     def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise ValueError(f"candidate score must be finite, got {self.score}")
+        if not (np.isfinite(self.score) or self.score == np.inf):
+            raise ValueError(f"candidate score must be finite or +inf, got {self.score}")
 
 
 @dataclass(frozen=True)

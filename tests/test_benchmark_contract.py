@@ -1,8 +1,9 @@
 """The names the benchmark harness under ``benchmarks/`` reaches into the
 package for must exist, so a change that deletes one fails here first.
 
-``benchmarks/tracing.py`` is loaded read-only for its ``TARGETS`` table,
-and ``benchmarks/workloads.py`` to run one checked pass of every workload;
+``benchmarks/tracing.py`` is loaded read-only for its ``TARGETS`` table and
+its ``Tracer``, ``benchmarks/workloads.py`` to run one checked pass of every
+workload, and ``benchmarks/layers.py`` for the span self-check of that pass;
 the harness files are also parsed, for the ``module.attribute`` names they
 use of the ``ffmerge`` modules they import.
 """
@@ -117,17 +118,32 @@ def test_container_spans_count_the_file(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(_harness("workloads").WORKLOADS))
-def test_workload_pass_passes_its_checks(name, tmp_path):
+def test_workload_pass_passes_its_checks(name, tmp_path, monkeypatch):
     # set-up, reference values and one pass of every stage at seed 0: a
-    # change the benchmark would report as incorrect output fails here first
+    # change the benchmark would report as incorrect output fails here first.
+    # The harness's tracer is installed as ``run.py --trace 1`` installs it,
+    # so a refactor that stops a traced function firing fails here too.
     workloads = _harness("workloads")
+    tracing = _harness("tracing")
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # layers.py imports it
+    layers = _harness("layers")
     workload = workloads.WORKLOADS[name]
     run = workloads.Run(str(tmp_path / name), 0)
-    workload.setup(run)
-    workload.prepare_checks(run)
-    for stage in workload.stages:
-        action = stage.prepare(run)
-        out = io.StringIO()
-        with redirect_stdout(out):
-            value = action()
-        assert stage.check(run, value, out.getvalue()) == [], stage.metric
+    tracer = tracing.Tracer(name)
+    tracer.install()
+    try:
+        tracer.begin("setup", -1)
+        workload.setup(run)
+        tracer.end()
+        workload.prepare_checks(run)
+        for stage in workload.stages:
+            action = stage.prepare(run)
+            out = io.StringIO()
+            tracer.begin(stage.metric, 0)
+            with redirect_stdout(out):
+                value = action()
+            tracer.end()
+            assert stage.check(run, value, out.getvalue()) == [], stage.metric
+    finally:
+        tracer.uninstall()
+    assert layers.span_self_check(tracer, workload.builder, [0]) == []

@@ -266,17 +266,20 @@ class TestEvalCommand:
         assert capsys.readouterr().out == "ppl inf\n"
 
     @pytest.mark.parametrize("command", ["select", "drop"])
-    def test_perplexity_overflow_fails_sweep(self, workdir, capsys, command):
+    def test_perplexity_overflow_ranks_sweep(self, workdir, capsys, command):
+        # eval prints ppl inf for this model, so every candidate of a sweep
+        # scores +inf too: the sweep ranks them and keeps the smallest start
+        report_path = workdir["dir"] / "x.json"
         argv = [command, "--model", overflowing_model(workdir),
                 "--eval-data", workdir["eval_data"], "--metric", "ppl",
-                "--out", str(workdir["dir"] / "x.ffmc"),
-                "--report", str(workdir["dir"] / "x.json")]
+                "--out", str(workdir["dir"] / "x.ffmc"), "--report", str(report_path)]
         argv += (["--acts", workdir["acts"], "--k", "3"] if command == "select"
                  else ["--count", "1"])
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "candidate score must be finite" in err
+        assert main(argv) == 0
+        assert "score inf" in capsys.readouterr().out
+        report = SelectionReport.from_json(report_path.read_text())
+        assert all(c.score == float("inf") for c in report.candidates)
+        assert report.best == report.candidates[0]
 
 
 def overflowing_model(workdir) -> str:

@@ -1,4 +1,5 @@
-"""Column statistics tests against straight-line scalar oracles."""
+"""Centering and column statistics tests against straight-line scalar
+oracles and numpy's own mean and std."""
 
 import warnings
 
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ffmerge.linalg import column_stats
+from ffmerge import analysis
+from ffmerge.alignment import centered
+from ffmerge.linalg import center, column_stats
+
+
+def stats(x):
+    """Column stds through the two steps ``alignment.centered`` takes."""
+    return column_stats(center(x))
 
 
 def column_stats_oracle(x):
@@ -38,9 +46,10 @@ class TestColumnStats:
     @given(x=matrices())
     def test_bit_equal_to_var_formula(self, x):
         x64 = np.asarray(x, dtype=np.float64)
-        means, stds = column_stats(x)
-        assert means.tobytes() == x64.mean(axis=0).tobytes()
+        xc, stds = centered(x)
+        assert xc.tobytes() == (x64 - x64.mean(axis=0)).tobytes()
         assert stds.tobytes() == np.sqrt(np.maximum(x64.var(axis=0), 0.0)).tobytes()
+        assert stds.tobytes() == x64.std(axis=0).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(x=matrices(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
@@ -55,61 +64,83 @@ class TestColumnStats:
         with warnings.catch_warnings(), \
                 pytest.raises(ValueError, match="x contains NaN or Inf"):
             warnings.simplefilter("error", RuntimeWarning)
-            column_stats(x)
+            centered(x)
 
     def test_finite_column_whose_sum_overflows_is_not_refused(self):
         with pytest.warns(RuntimeWarning, match="overflow"):
-            means, stds = column_stats(np.array([[1e308, 1.0], [1e308, 3.0]]))
-        assert means[0] == np.inf and means[1] == 2.0 and stds[1] == 1.0
+            xc, stds = centered(np.array([[1e308, 1.0], [1e308, 3.0]]))
+        # the mean of column 0 is +Inf, so its centered entries are -Inf
+        assert (xc[:, 0] == -np.inf).all() and xc[:, 1].tolist() == [-1.0, 1.0]
+        assert stds[0] == np.inf and stds[1] == 1.0
 
     def test_two_point_column(self):
-        means, stds = column_stats(np.array([[1.0], [3.0]], dtype=np.float32))
-        np.testing.assert_array_equal(means, [2.0])
+        xc, stds = centered(np.array([[1.0], [3.0]], dtype=np.float32))
+        np.testing.assert_array_equal(xc, [[-1.0], [1.0]])
         np.testing.assert_array_equal(stds, [1.0])
 
     def test_constant_column_zero_std(self):
-        means, stds = column_stats(np.array([[5.0], [5.0], [5.0]], dtype=np.float32))
-        np.testing.assert_array_equal(means, [5.0])
+        xc, stds = centered(np.array([[5.0], [5.0], [5.0]], dtype=np.float32))
+        np.testing.assert_array_equal(xc, np.zeros((3, 1)))
         np.testing.assert_array_equal(stds, [0.0])
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 8)).astype(np.float32)
-        means, stds = column_stats(x)
+        xc, stds = centered(x)
         oracle_means, oracle_stds = column_stats_oracle(x)
-        np.testing.assert_allclose(means, oracle_means, atol=1e-6)
+        np.testing.assert_allclose(x - xc, np.broadcast_to(oracle_means, x.shape),
+                                   atol=1e-6)
         np.testing.assert_allclose(stds, oracle_stds, atol=1e-6)
 
     def test_stds_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.normal(size=(10, 5)).astype(np.float32)
-            assert (column_stats(x)[1] >= 0).all()
+            assert (stats(x) >= 0).all()
 
     def test_permuted_columns_permute_stats(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 6)).astype(np.float32)
         perm = rng.permutation(6)
-        base_means, base_stds = column_stats(x)
-        moved_means, moved_stds = column_stats(np.ascontiguousarray(x[:, perm]))
-        np.testing.assert_array_equal(moved_means, base_means[perm])
+        base_xc, base_stds = centered(x)
+        moved_xc, moved_stds = centered(np.ascontiguousarray(x[:, perm]))
+        np.testing.assert_array_equal(moved_xc, base_xc[:, perm])
         np.testing.assert_array_equal(moved_stds, base_stds[perm])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            column_stats(np.zeros((0, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="at least one row"):
+            stats(np.zeros((0, 3), dtype=np.float32))
 
     def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            column_stats(np.zeros(3))
+        for bad in (np.zeros(3), np.zeros((2, 3, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="2-D"):
+                stats(bad)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
-            column_stats(np.array([[np.nan, 0.0]]))
+            stats(np.array([[np.nan, 0.0]]))
 
     def test_float64_input_kept_exact(self):
         # statistics of float64 data are taken on the data, not on a
-        # float32 rounding of it
+        # float32 rounding of it, and the data is not written
         x = np.array([[0.1], [0.3]])
-        means, _ = column_stats(x)
-        assert means[0] == (0.1 + 0.3) / 2
+        before = x.copy()
+        xc, _ = centered(x)
+        assert xc[0, 0] == 0.1 - (0.1 + 0.3) / 2
+        assert xc is not x and x.tobytes() == before.tobytes()
+
+
+def test_alignment_and_cka_center_the_same_bits(monkeypatch):
+    # CKA centers through the same routine as alignment, not a copy of it
+    rng = np.random.default_rng(6)
+    x = (rng.normal(size=(64, 12)) * 3.0 + 1.5).astype(np.float32)
+    seen = []
+
+    def recording(a):
+        seen.append(center(a))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "center", recording)
+    analysis.linear_cka(x, x[:, ::-1])
+    assert len(seen) == 2
+    assert seen[0].tobytes() == centered(x)[0].tobytes()

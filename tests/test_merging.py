@@ -1,18 +1,22 @@
 """Merging tests: window specs, parameter averaging against scalar
 oracles, whole-model window merging with alias tying, centering each
-window layer once, and refusing a capture that holds NaN or Inf."""
+window layer once, refusing a capture that holds NaN or Inf, and the
+merge's indifference to how each member's hidden units are ordered."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ffmerge.merging as merging_mod
 from ffmerge.alignment import Permutation, apply_permutation
-from ffmerge.checkpoint import tie_report
-from ffmerge.config import ff_tensor_names
-from ffmerge.engine import (ActivationSet, EvalMetric, FFParams,
-                            capture_activations, ff_forward, ff_params)
+from ffmerge.checkpoint import serialize_container, tie_report
+from ffmerge.config import MODES, NORM_PLACEMENTS, ff_param_basenames, ff_tensor_names
+from ffmerge.datasets import Dataset
+from ffmerge.engine import (ActivationSet, EvalMetric, FFParams, TransformerModel,
+                            capture_activations, evaluate, ff_forward, ff_params)
 from ffmerge.fixtures import (default_config, permuted_copy_model,
                               random_model, token_sequences)
 from ffmerge.merging import MergeSpec, merge_ff, merge_window
@@ -395,3 +399,82 @@ class TestNonFiniteCapture:
                                data, EvalMetric("cross_entropy"))
         assert any(entry.name == "centered" for entry in info.traceback)
         assert solves == []
+
+
+def surgery_case(kind: str, placement: str, mode: str, seed: int):
+    """A random 4-layer model with d_ff 8 and a labelled token set."""
+    cfg = replace(default_config(n_layers=4, d_model=8, d_ff=8, ff_kind=kind),
+                  norm_placement=placement, mode=mode,
+                  n_classes=3 if mode == "classifier" else None)
+    tokens = token_sequences(cfg, 6, 10, seed=seed + 1)
+    data = Dataset(tokens.sequences, np.arange(6) % 3 if mode == "classifier" else None)
+    return random_model(cfg, seed), data
+
+
+def permute_hidden(model: TransformerModel, layer: int, mapping) -> TransformerModel:
+    """``model`` with one layer's feed-forward hidden units reordered: the
+    same function, up to round-off in the sum over hidden units."""
+    permuted = apply_permutation(ff_params(model, layer), Permutation(np.array(mapping)))
+    cfg = model.config
+    return TransformerModel(cfg, model.store.copy(replace={
+        name: permuted[base]
+        for name, base in zip(ff_tensor_names(cfg, layer), ff_param_basenames(cfg))}))
+
+
+def merged_with_capture(model: TransformerModel, data: Dataset, spec: MergeSpec):
+    acts = capture_activations(model, data, "ff_pre_act", max_samples=60)
+    return merge_window(model, acts, spec)[0]
+
+
+def store_bytes(model: TransformerModel) -> bytes:
+    return serialize_container(model.store, model.config.to_dict())
+
+
+class TestMergeIgnoresHiddenUnitOrder:
+    """Metamorphic properties of the align-then-average merge. Reordering a
+    member's hidden units is a function-preserving change of the model;
+    the capture is retaken from the reordered model, as a user would."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["relu", "gelu", "swiglu"]),
+           placement=st.sampled_from(NORM_PLACEMENTS), mode=st.sampled_from(MODES),
+           anchor=st.sampled_from(["first", "middle", "last"]),
+           start=st.integers(0, 1), seed=st.integers(0, 2**16), data=st.data())
+    def test_member_order_leaves_merged_tensors_unchanged(
+            self, kind, placement, mode, anchor, start, seed, data):
+        model, tokens = surgery_case(kind, placement, mode, seed)
+        spec = MergeSpec(start=start, k=3, anchor_position=anchor)
+        member = data.draw(st.sampled_from(
+            [i for i in spec.layers if i != spec.anchor_layer]))
+        mapping = data.draw(st.permutations(range(8)))
+        assume(mapping != list(range(8)))
+        moved = permute_hidden(model, member, mapping)
+        assert store_bytes(moved) != store_bytes(model)
+        assert (store_bytes(merged_with_capture(moved, tokens, spec))
+                == store_bytes(merged_with_capture(model, tokens, spec)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["relu", "gelu", "swiglu"]),
+           placement=st.sampled_from(NORM_PLACEMENTS), mode=st.sampled_from(MODES),
+           anchor=st.sampled_from(["first", "middle", "last"]),
+           start=st.integers(0, 1), seed=st.integers(0, 2**16),
+           mapping=st.permutations(range(8)))
+    def test_anchor_order_reorders_merged_tensors(
+            self, kind, placement, mode, anchor, start, seed, mapping):
+        assume(mapping != list(range(8)))
+        model, tokens = surgery_case(kind, placement, mode, seed)
+        spec = MergeSpec(start=start, k=3, anchor_position=anchor)
+        merged = merged_with_capture(model, tokens, spec)
+        moved = merged_with_capture(permute_hidden(model, spec.anchor_layer, mapping),
+                                    tokens, spec)
+        want = apply_permutation(ff_params(merged, spec.anchor_layer),
+                                 Permutation(np.array(mapping)))
+        for i in spec.layers:  # every member is tied to the reordered tensors
+            got = ff_params(moved, i)
+            assert all(got[base].tobytes() == want[base].tobytes() for base in want)
+        window = tuple(f"layer{i}.ff." for i in spec.layers)
+        assert all(moved.store.get(n).tobytes() == merged.store.get(n).tobytes()
+                   for n in merged.store.names if not n.startswith(window))
+        metric = EvalMetric("cross_entropy")
+        assert abs(evaluate(moved, tokens, metric)
+                   - evaluate(merged, tokens, metric)) <= 1e-12

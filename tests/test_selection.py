@@ -1,5 +1,6 @@
 """Selection tests: window enumeration, the one candidate sweep behind
-merge selection and the layer-drop baseline, and the selection report."""
+merge selection and the layer-drop baseline, the selection report, and
+sweep scores that do not depend on how hidden units are ordered."""
 
 import json
 import tracemalloc
@@ -7,12 +8,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ffmerge.engine as engine_mod
 import ffmerge.selection as selection_mod
 from ffmerge.checkpoint import serialize_container, tie_report
-from ffmerge.config import ff_tensor_names
-from ffmerge.engine import ActivationSet, EvalMetric, capture_activations, evaluate
+from ffmerge.alignment import Permutation, apply_permutation
+from ffmerge.config import MODES, NORM_PLACEMENTS, ff_param_basenames, ff_tensor_names
+from ffmerge.datasets import Dataset
+from ffmerge.engine import (ActivationSet, EvalMetric, TransformerModel,
+                            capture_activations, evaluate, ff_params)
 from ffmerge.fixtures import (default_config, duplicate_model,
                               greedy_sequences, permuted_copy_model,
                               random_model, token_sequences,
@@ -78,8 +84,19 @@ class TestSelectionReport:
                             best=WindowCandidate(4, 0.1))
 
     def test_candidate_score_must_be_finite(self):
-        with pytest.raises(ValueError):
-            WindowCandidate(0, float("nan"))
+        for bad in (float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="finite or \\+inf"):
+                WindowCandidate(0, bad)
+
+    def test_infinite_scores_round_trip(self):
+        # an overflowing perplexity is +inf; JSON writes it as Infinity
+        cands = (WindowCandidate(0, float("inf")), WindowCandidate(1, 2.5),
+                 WindowCandidate(2, float("inf")))
+        report = SelectionReport(k=2, anchor_position=None, use_permutation=False,
+                                 candidates=cands, best=cands[1])
+        text = report.to_json()
+        assert '"score": Infinity' in text
+        assert SelectionReport.from_json(text) == report
 
 
 def selection_fixture():
@@ -359,9 +376,26 @@ class TestSweep:
         cfg, fixture, acts, eval_data = selection_fixture()
         sweep, _ = SWEEPS[kind]
         monkeypatch.setattr(selection_mod, "evaluate",
-                            lambda *args, **kwargs: float("inf"))
+                            lambda *args, **kwargs: float("nan"))
         with pytest.raises(ValueError, match="candidate score must be finite"):
             sweep(fixture.model, acts, eval_data, EvalMetric("cross_entropy"))
+
+    def test_infinite_scores_rank_and_tie(self, kind, monkeypatch):
+        # every candidate but the last overflows to +inf: the finite one
+        # wins; when all overflow, the tie rule keeps the smallest start
+        cfg, fixture, acts, eval_data = selection_fixture()
+        sweep, build = SWEEPS[kind]
+        metric = EvalMetric("perplexity")
+        n = len(sweep(fixture.model, acts, eval_data, metric)[0].candidates)
+        scores = iter([float("inf")] * (n - 1) + [7.0])
+        monkeypatch.setattr(selection_mod, "evaluate", lambda *a, **kw: next(scores))
+        report, _ = sweep(fixture.model, acts, eval_data, metric)
+        assert report.best == report.candidates[-1] == WindowCandidate(
+            report.candidates[-1].start, 7.0)
+        monkeypatch.setattr(selection_mod, "evaluate", lambda *a, **kw: float("inf"))
+        report, best = sweep(fixture.model, acts, eval_data, metric)
+        assert report.best == report.candidates[0]
+        assert store_bytes(best) == store_bytes(build(fixture.model, acts, 0))
 
 
 class TestWindowSweepMemory:
@@ -403,3 +437,42 @@ class TestWindowSweepMemory:
         finally:
             tracemalloc.stop()
         assert peak < (k + 2) * rows * cfg.d_ff * 8
+
+
+class TestSweepIgnoresHiddenUnitOrder:
+    """Reordering one layer's feed-forward hidden units keeps the model's
+    function, so it must keep every aligned sweep score; an unaligned sweep
+    averages mismatched units and must notice, or the first property could
+    not fail. The capture is retaken from the reordered model."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from(["relu", "gelu", "swiglu"]),
+           placement=st.sampled_from(NORM_PLACEMENTS), mode=st.sampled_from(MODES),
+           anchor=st.sampled_from(["first", "middle", "last"]),
+           layer=st.integers(0, 3), seed=st.integers(0, 2**16),
+           mapping=st.permutations(range(8)))
+    def test_aligned_scores_stay_and_unaligned_move(
+            self, kind, placement, mode, anchor, layer, seed, mapping):
+        assume(mapping != list(range(8)))
+        cfg = replace(default_config(n_layers=4, d_model=8, d_ff=8, ff_kind=kind),
+                      norm_placement=placement, mode=mode,
+                      n_classes=3 if mode == "classifier" else None)
+        model = random_model(cfg, seed)
+        tokens = token_sequences(cfg, 6, 10, seed=seed + 1)
+        data = Dataset(tokens.sequences,
+                       np.arange(6) % 3 if mode == "classifier" else None)
+        permuted = apply_permutation(ff_params(model, layer), Permutation(np.array(mapping)))
+        moved = TransformerModel(cfg, model.store.copy(replace={
+            name: permuted[base]
+            for name, base in zip(ff_tensor_names(cfg, layer), ff_param_basenames(cfg))}))
+
+        def scores(m, use_permutation):
+            acts = capture_activations(m, data, "ff_pre_act", max_samples=60)
+            report, _ = select_best_window(
+                m, acts, 3, data, EvalMetric("cross_entropy"), anchor_position=anchor,
+                use_permutation=use_permutation, include_final_window=True)
+            return np.array([c.score for c in report.candidates])
+
+        # windows 0-2 and 1-3 together hold every layer
+        assert np.abs(scores(moved, True) - scores(model, True)).max() <= 1e-12
+        assert np.abs(scores(moved, False) - scores(model, False)).max() > 1e-6

@@ -8,8 +8,6 @@ the merge sweep and the drop sweep at a matched parameter budget side by
 side.
 """
 
-import numpy as np
-
 from ffmerge.engine import EvalMetric, capture_activations, evaluate
 from ffmerge.fixtures import (default_config, greedy_sequences,
                               permuted_copy_model, token_sequences,

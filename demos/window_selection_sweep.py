@@ -7,8 +7,6 @@ trial merge of every contiguous window on held-out sequences singles it
 out: damaged windows cost cross-entropy, the redundant one costs nothing.
 """
 
-import numpy as np
-
 from ffmerge.engine import EvalMetric, capture_activations, evaluate
 from ffmerge.fixtures import (default_config, greedy_sequences,
                               permuted_copy_model, token_sequences)

@@ -192,84 +192,62 @@ def _cmd_gen_fixture(args) -> int:
     return 0
 
 
+# Every flag, once: its add_argument keywords.
+_FLAGS = {
+    "--model": dict(required=True),
+    "--data": dict(required=True),
+    "--acts": dict(required=True),
+    "--eval-data": dict(required=True),
+    "--tap": dict(required=True, choices=sorted(TAP_FLAGS)),
+    "--max-samples": dict(type=int, required=True),
+    "--window": dict(required=True, help="START:END, start inclusive, end exclusive"),
+    "--k": dict(type=int, required=True),
+    "--count": dict(type=int, required=True),
+    "--metric": dict(required=True, choices=METRIC_FLAGS),
+    "--anchor": dict(default="first", choices=ANCHOR_POSITIONS),
+    "--no-permute": dict(action="store_true",
+                         help="average in stored unit order (vanilla merge)"),
+    "--include-final-window": dict(action="store_true"),
+    "--format": dict(default="csv", choices=("csv", "json")),
+    "--kind": dict(required=True, choices=FIXTURE_KINDS),
+    "--layers": dict(type=int, required=True),
+    "--d-model": dict(type=int, required=True),
+    "--d-ff": dict(type=int, required=True),
+    "--ff-kind": dict(default="gelu", choices=FF_KINDS),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(required=True),
+    "--report": dict(required=True),
+}
+
+# Every subcommand, once: its handler, help line and flags in order.
+_SUBCOMMANDS = {
+    "capture": (_cmd_capture, "record per-layer activations",
+                "--model --data --tap --max-samples --out"),
+    "merge": (_cmd_merge, "merge one window of feed-forwards",
+              "--model --acts --window --anchor --no-permute --out"),
+    "select": (_cmd_select, "score every window and keep the best",
+               "--model --acts --k --eval-data --metric --anchor --no-permute "
+               "--include-final-window --out --report"),
+    "drop": (_cmd_drop, "score every contiguous layer drop",
+             "--model --count --eval-data --metric --out --report"),
+    "eval": (_cmd_eval, "score a model on token data", "--model --data --metric"),
+    "cka": (_cmd_cka, "pairwise CKA matrix of a capture", "--acts --out --format"),
+    "info": (_cmd_info, "print model shape and tie accounting", "--model"),
+    "gen-fixture": (_cmd_gen_fixture, "build a constructed test model",
+                    "--kind --layers --d-model --d-ff --ff-kind --seed --out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffmerge",
                      description="Merge and tie adjacent transformer "
                                  "feed-forward sublayers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("capture", help="record per-layer activations")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--tap", required=True, choices=sorted(TAP_FLAGS))
-    p.add_argument("--max-samples", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("merge", help="merge one window of feed-forwards")
-    p.add_argument("--model", required=True)
-    p.add_argument("--acts", required=True)
-    p.add_argument("--window", required=True,
-                   help="START:END, start inclusive, end exclusive")
-    p.add_argument("--anchor", default="first", choices=ANCHOR_POSITIONS)
-    p.add_argument("--no-permute", action="store_true",
-                   help="average in stored unit order (vanilla merge)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("select", help="score every window and keep the best")
-    p.add_argument("--model", required=True)
-    p.add_argument("--acts", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eval-data", required=True)
-    p.add_argument("--metric", required=True, choices=METRIC_FLAGS)
-    p.add_argument("--anchor", default="first", choices=ANCHOR_POSITIONS)
-    p.add_argument("--no-permute", action="store_true")
-    p.add_argument("--include-final-window", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", required=True)
-
-    p = sub.add_parser("drop", help="score every contiguous layer drop")
-    p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--eval-data", required=True)
-    p.add_argument("--metric", required=True, choices=METRIC_FLAGS)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", required=True)
-
-    p = sub.add_parser("eval", help="score a model on token data")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--metric", required=True, choices=METRIC_FLAGS)
-
-    p = sub.add_parser("cka", help="pairwise CKA matrix of a capture")
-    p.add_argument("--acts", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-
-    p = sub.add_parser("info", help="print model shape and tie accounting")
-    p.add_argument("--model", required=True)
-
-    p = sub.add_parser("gen-fixture", help="build a constructed test model")
-    p.add_argument("--kind", required=True, choices=FIXTURE_KINDS)
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--d-model", type=int, required=True)
-    p.add_argument("--d-ff", type=int, required=True)
-    p.add_argument("--ff-kind", default="gelu", choices=FF_KINDS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
+    for name, (_, help_line, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_COMMANDS = {
-    "capture": _cmd_capture,
-    "merge": _cmd_merge,
-    "select": _cmd_select,
-    "drop": _cmd_drop,
-    "eval": _cmd_eval,
-    "cka": _cmd_cka,
-    "info": _cmd_info,
-    "gen-fixture": _cmd_gen_fixture,
-}
 
 
 def main(argv=None) -> int:
@@ -279,7 +257,7 @@ def main(argv=None) -> int:
         for path in (getattr(args, "out", None), getattr(args, "report", None)):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(f"no directory for output {path!r}")
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (OSError, MemoryError) as exc:
         what = "i/o error" if isinstance(exc, OSError) else "out of memory"
         print(f"ffmerge: {what}: {exc}", file=sys.stderr)

@@ -315,7 +315,6 @@ class ActivationSet:
 
     tap: str
     per_layer: dict[int, np.ndarray]
-    sample_count: int
 
     def __post_init__(self):
         if self.tap not in TAPS:
@@ -327,11 +326,10 @@ class ActivationSet:
             raise ValueError(f"per-layer matrices must be 2-D, got {sorted(shapes)}")
         if len(shapes) != 1:
             raise ValueError(f"inconsistent per-layer shapes: {sorted(shapes)}")
-        (shape,) = shapes
-        if shape[0] != self.sample_count:
-            raise ValueError(
-                f"sample_count {self.sample_count} does not match matrices {shape}"
-            )
+
+    @property
+    def sample_count(self) -> int:
+        return next(iter(self.per_layer.values())).shape[0]
 
     @property
     def width(self) -> int:
@@ -358,7 +356,6 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
     # only the sequences needed to reach max_samples rows
     rows = np.cumsum([len(seq) for seq in dataset.sequences])
     prefix = dataset.sequences[:np.searchsorted(rows, max_samples) + 1]
-    count = min(int(rows[len(prefix) - 1]), max_samples)
     parts: dict[int, list] = {i: [None] * len(prefix)
                               for i in range(model.config.n_layers)}
     for idx, lens, toks in _batches(model, prefix):
@@ -367,9 +364,9 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
             i, mats = taps.popitem()
             for j, n, mat in zip(idx, lens, mats):
                 parts[i][j] = mat[:n].astype(np.float32)
-    per_layer = {i: np.concatenate(parts.pop(i))[:count]
+    per_layer = {i: np.concatenate(parts.pop(i))[:max_samples]
                  for i in range(model.config.n_layers)}
-    return ActivationSet(tap=tap, per_layer=per_layer, sample_count=count)
+    return ActivationSet(tap=tap, per_layer=per_layer)
 
 
 def write_activations(acts: ActivationSet, path) -> None:
@@ -391,7 +388,11 @@ def read_activations(path) -> ActivationSet:
     count = meta.get("sample_count")
     if not isinstance(count, int) or isinstance(count, bool):
         raise ValueError(f"{path}: sample_count must be an integer, got {count!r}")
-    return ActivationSet(tap=meta["tap"], per_layer=per_layer, sample_count=count)
+    acts = ActivationSet(tap=meta["tap"], per_layer=per_layer)
+    if count != acts.sample_count:
+        raise ValueError(f"{path}: sample_count {count} does not match "
+                         f"{acts.sample_count} rows")
+    return acts
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -24,9 +24,8 @@ import numpy as np
 
 from .alignment import Permutation, apply_permutation
 from .checkpoint import ParameterStore
-from .config import (ATTN_PARAM_NAMES, ModelConfig, expected_shapes,
-                     ff_param_basenames, ff_shapes, layer_tensor_names,
-                     model_tensor_names)
+from .config import (ModelConfig, expected_shapes, ff_param_basenames, ff_shapes,
+                     layer_tensor_names, model_tensor_names)
 from .datasets import Dataset
 from .engine import FFParams, TransformerModel
 
@@ -48,8 +47,14 @@ def _build(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> TransformerModel
 
 
 def _base_tensors(cfg: ModelConfig, rng: np.random.Generator,
-                  ln_noise: float) -> dict[str, np.ndarray]:
-    """Embeddings, attention, layer norms, and head; feed-forwards excluded."""
+                  scale: float) -> dict[str, np.ndarray]:
+    """Embeddings, attention, layer norms, and head; feed-forwards excluded.
+
+    ``scale`` multiplies the std of attention and norm noise. At 0.0 the
+    draws still advance ``rng`` but come out exactly +0.0: zero attention
+    and identity norms, on the same random stream as ``scale`` 1.0. (A
+    draw multiplied by 0.0 would give -0.0 for a negative draw.)
+    """
     d = cfg.d_model
     t: dict[str, np.ndarray] = {
         "embed.tok": rng.normal(0.0, 1.0, (cfg.vocab_size, d)),
@@ -59,15 +64,15 @@ def _base_tensors(cfg: ModelConfig, rng: np.random.Generator,
     }
     for i in range(cfg.n_layers):
         for w in ("wq", "wk", "wv", "wo"):
-            t[f"layer{i}.attn.{w}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
+            t[f"layer{i}.attn.{w}"] = rng.normal(0.0, scale / np.sqrt(d), (d, d))
         for b in ("bq", "bk", "bv", "bo"):
-            t[f"layer{i}.attn.{b}"] = rng.normal(0.0, 0.01, d)
+            t[f"layer{i}.attn.{b}"] = rng.normal(0.0, 0.01 * scale, d)
         for ln in ("ln1", "ln2"):
-            t[f"layer{i}.{ln}.gain"] = 1.0 + rng.normal(0.0, ln_noise, d)
-            t[f"layer{i}.{ln}.bias"] = rng.normal(0.0, ln_noise, d)
+            t[f"layer{i}.{ln}.gain"] = 1.0 + rng.normal(0.0, 0.1 * scale, d)
+            t[f"layer{i}.{ln}.bias"] = rng.normal(0.0, 0.1 * scale, d)
     if cfg.norm_placement == "pre_ln":
-        t["final_ln.gain"] = 1.0 + rng.normal(0.0, ln_noise, d)
-        t["final_ln.bias"] = rng.normal(0.0, ln_noise, d)
+        t["final_ln.gain"] = 1.0 + rng.normal(0.0, 0.1 * scale, d)
+        t["final_ln.bias"] = rng.normal(0.0, 0.1 * scale, d)
     return t
 
 
@@ -120,29 +125,10 @@ def _install_ff(tensors: dict[str, np.ndarray], cfg: ModelConfig, layer: int,
         tensors[f"layer{layer}.ff.{base}"] = params[base].copy()
 
 
-def _zero_attention(tensors: dict[str, np.ndarray], cfg: ModelConfig,
-                    layer: int) -> None:
-    d = cfg.d_model
-    for name in ATTN_PARAM_NAMES:
-        shape = (d, d) if name.startswith("w") else d
-        tensors[f"layer{layer}.attn.{name}"] = np.zeros(shape, dtype=np.float32)
-
-
-def _identity_norms(tensors: dict[str, np.ndarray], cfg: ModelConfig) -> None:
-    d = cfg.d_model
-    for i in range(cfg.n_layers):
-        for ln in ("ln1", "ln2"):
-            tensors[f"layer{i}.{ln}.gain"] = np.ones(d, dtype=np.float32)
-            tensors[f"layer{i}.{ln}.bias"] = np.zeros(d, dtype=np.float32)
-    if cfg.norm_placement == "pre_ln":
-        tensors["final_ln.gain"] = np.ones(d, dtype=np.float32)
-        tensors["final_ln.bias"] = np.zeros(d, dtype=np.float32)
-
-
 def random_model(cfg: ModelConfig, seed: int) -> TransformerModel:
     """Independent gaussian weights everywhere."""
     rng = np.random.default_rng(seed)
-    tensors = _base_tensors(cfg, rng, ln_noise=0.1)
+    tensors = _base_tensors(cfg, rng, scale=1.0)
     for i in range(cfg.n_layers):
         _install_ff(tensors, cfg, i, _random_ff(cfg, rng))
     return _build(cfg, tensors)
@@ -153,11 +139,9 @@ def duplicate_model(cfg: ModelConfig, seed: int) -> TransformerModel:
     feed-forward (stored per layer, not tied). All layers see identical
     inputs and produce identical activations."""
     rng = np.random.default_rng(seed)
-    tensors = _base_tensors(cfg, rng, ln_noise=0.0)
-    _identity_norms(tensors, cfg)
+    tensors = _base_tensors(cfg, rng, scale=0.0)
     shared = _uniform_output_ff(cfg, rng)
     for i in range(cfg.n_layers):
-        _zero_attention(tensors, cfg, i)
         _install_ff(tensors, cfg, i, shared)
     return _build(cfg, tensors)
 
@@ -196,12 +180,10 @@ def permuted_copy_model(cfg: ModelConfig, seed: int,
             f"{cfg.n_layers} layers or is too short"
         )
     rng = np.random.default_rng(seed)
-    tensors = _base_tensors(cfg, rng, ln_noise=0.0)
-    _identity_norms(tensors, cfg)
+    tensors = _base_tensors(cfg, rng, scale=0.0)
     base = _uniform_output_ff(cfg, rng)
     planted: dict[int, Permutation] = {}
     for i in range(cfg.n_layers):
-        _zero_attention(tensors, cfg, i)
         if group_start <= i < group_start + group_len:
             if i == group_start:
                 perm = Permutation.identity(cfg.d_ff)

@@ -7,9 +7,10 @@ import numpy as np
 
 
 def center(x: np.ndarray) -> np.ndarray:
-    """A fresh float64 copy of 2-D ``x`` less its column means; ``x`` is not
-    written. NaN or Inf in ``x`` leaves NaN in its column, for callers to refuse."""
-    xc = np.array(x, dtype=np.float64)
+    """A fresh C-ordered float64 copy of 2-D ``x`` less its column means, the
+    same bits whatever ``x``'s memory order; ``x`` is not written. NaN or Inf
+    in ``x`` leaves NaN in its column, for callers to refuse."""
+    xc = np.array(x, dtype=np.float64, order="C")
     if xc.ndim != 2:
         raise ValueError(f"x must be 2-D, got shape {xc.shape}")
     if xc.shape[0] < 1:

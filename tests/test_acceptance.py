@@ -11,7 +11,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, solve_assignment)

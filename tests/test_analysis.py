@@ -203,7 +203,7 @@ class TestCkaMatrix:
         per_layer = {layer: rng.normal(size=(10, 4)).astype(np.float32)
                      for layer in (0, 2, 5)}
         per_layer[2][3, 0] = bad
-        acts = ActivationSet(tap="ff_out", per_layer=per_layer, sample_count=10)
+        acts = ActivationSet(tap="ff_out", per_layer=per_layer)
         with pytest.raises(ValueError, match="^layer 2 Gram norm is nan"):
             cka_matrix(acts)
 
@@ -257,8 +257,7 @@ def captures(draw):
         values[:, :, col] = values[:, :1, col]
     layers = draw(st.lists(st.integers(0, 40), min_size=n_layers,
                            max_size=n_layers, unique=True))
-    return ActivationSet(tap="ff_out", sample_count=rows,
-                         per_layer=dict(zip(layers, values)))
+    return ActivationSet(tap="ff_out", per_layer=dict(zip(layers, values)))
 
 
 class TestCkaMatrixAgainstPairs:
@@ -281,7 +280,7 @@ class TestCkaMatrixAgainstPairs:
     def test_peak_memory_stays_below_three_layer_copies(self, n_layers):
         rows, width = 4096, 16
         rng = np.random.default_rng(114)
-        acts = ActivationSet(tap="ff_out", sample_count=rows, per_layer={
+        acts = ActivationSet(tap="ff_out", per_layer={
             layer: rng.normal(size=(rows, width)).astype(np.float32)
             for layer in range(n_layers)})
         tracemalloc.start()

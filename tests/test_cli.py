@@ -1,5 +1,6 @@
 """Command-line tests driven through main() with temp files."""
 
+import argparse
 import json
 import os
 import stat
@@ -525,6 +526,44 @@ class TestGenFixtureCommand:
                   "--d-model", "8", "--d-ff", "16",
                   "--out", str(workdir["dir"] / "x.ffmc")])
         assert exc.value.code == 1
+
+
+# One minimal valid argv per subcommand, and every dest it parses to.
+MINIMAL_ARGS = {
+    "capture": ("--model m --data d --tap ff-out --max-samples 5 --out o",
+                dict(model="m", data="d", tap="ff-out", max_samples=5, out="o")),
+    "merge": ("--model m --acts a --window 0:2 --out o",
+              dict(model="m", acts="a", window="0:2", anchor="first",
+                   no_permute=False, out="o")),
+    "select": ("--model m --acts a --k 2 --eval-data e --metric xent --out o --report r",
+               dict(model="m", acts="a", k=2, eval_data="e", metric="xent",
+                    anchor="first", no_permute=False, include_final_window=False,
+                    out="o", report="r")),
+    "drop": ("--model m --count 1 --eval-data e --metric acc --out o --report r",
+             dict(model="m", count=1, eval_data="e", metric="acc", out="o", report="r")),
+    "eval": ("--model m --data d --metric ppl", dict(model="m", data="d", metric="ppl")),
+    "cka": ("--acts a --out o", dict(acts="a", out="o", format="csv")),
+    "info": ("--model m", dict(model="m")),
+    "gen-fixture": ("--kind random --layers 3 --d-model 8 --d-ff 16 --out o",
+                    dict(kind="random", layers=3, d_model=8, d_ff=16, ff_kind="gelu",
+                         seed=0, out="o")),
+}
+
+
+class TestParser:
+    def test_every_subcommand_has_a_case(self):
+        sub = next(a for a in cli_mod.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(MINIMAL_ARGS)
+
+    @pytest.mark.parametrize("command", list(MINIMAL_ARGS))
+    def test_minimal_argv_parses_to_every_default(self, command):
+        argv, want = MINIMAL_ARGS[command]
+        args = cli_mod.build_parser().parse_args([command, *argv.split()])
+        assert vars(args) == {"command": command, **want}
+        # ints parse as ints, not as equal floats or strings
+        assert {k: type(v) for k, v in vars(args).items()} == \
+            {"command": str, **{k: type(v) for k, v in want.items()}}
 
 
 class TestUsageErrors:

@@ -14,9 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from ffmerge import engine
 from ffmerge.alignment import Permutation, apply_permutation
-from ffmerge.checkpoint import ParameterStore
-from ffmerge.config import (ATTN_PARAM_NAMES, ModelConfig, ff_param_basenames,
-                            model_tensor_names)
+from ffmerge.checkpoint import ParameterStore, write_container
+from ffmerge.config import ATTN_PARAM_NAMES, ff_param_basenames, model_tensor_names
 from ffmerge.datasets import Dataset
 from ffmerge.engine import (METRIC_KINDS, TAPS, ActivationSet, EvalMetric, FFParams,
                             TransformerModel, capture_activations, evaluate,
@@ -633,14 +632,25 @@ class TestCapture:
             np.testing.assert_array_equal(back.per_layer[layer],
                                           acts.per_layer[layer])
 
+    @pytest.mark.parametrize("count", [0, 11, 13])
+    def test_header_count_must_match_rows(self, tmp_path, count):
+        store = ParameterStore({f"acts.layer{i}": np.ones((12, 4), dtype=np.float32)
+                                for i in (0, 1)})
+        path = tmp_path / "acts.ffmc"
+        write_container(store, {"tap": "ff_out", "sample_count": count}, path)
+        with pytest.raises(ValueError, match=f"sample_count {count} does not match 12 rows"):
+            read_activations(path)
+
+    def test_sample_count_is_the_row_count(self):
+        acts = ActivationSet(tap="ff_out", per_layer={3: np.zeros((5, 2)), 7: np.ones((5, 2))})
+        assert acts.sample_count == 5 and acts.width == 2
+
     def test_activation_set_validation(self):
         with pytest.raises(ValueError, match="tap"):
-            ActivationSet(tap="nope", per_layer={0: np.zeros((2, 2))},
-                          sample_count=2)
+            ActivationSet(tap="nope", per_layer={0: np.zeros((2, 2))})
         with pytest.raises(ValueError, match="shapes"):
             ActivationSet(tap="ff_out",
-                          per_layer={0: np.zeros((2, 2)), 1: np.zeros((3, 2))},
-                          sample_count=2)
+                          per_layer={0: np.zeros((2, 2)), 1: np.zeros((3, 2))})
 
 
 class TestEvaluate:

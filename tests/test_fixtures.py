@@ -9,7 +9,7 @@ import pytest
 from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, solve_assignment)
 from ffmerge.datasets import write_token_file
-from ffmerge.engine import capture_activations, ff_forward, ff_params
+from ffmerge.engine import capture_activations, ff_params
 from ffmerge.fixtures import (FIXTURE_KINDS, default_config, duplicate_model,
                               gen_fixture, greedy_sequences,
                               noisy_permuted_pair, permuted_copy_model,
@@ -108,6 +108,29 @@ class TestPermutedCopyModel:
             permuted_copy_model(cfg, seed=48, group_start=3, group_len=2)
         with pytest.raises(ValueError):
             permuted_copy_model(cfg, seed=48, group_start=0, group_len=1)
+
+
+@pytest.mark.parametrize("family", ["duplicate", "permuted-copy"])
+@pytest.mark.parametrize("ff_kind", ["relu", "gelu", "swiglu"])
+@pytest.mark.parametrize("norm", ["pre_ln", "post_ln"])
+@pytest.mark.parametrize("mode", ["lm", "classifier"])
+def test_planted_attention_is_zero_and_norms_identity(family, ff_kind, norm, mode):
+    # every attention tensor and norm bias is +0.0 (all bytes zero, so no
+    # -0.0), and every norm gain is exactly 1.0
+    cfg = replace(default_config(n_layers=4, d_model=8, d_ff=16, ff_kind=ff_kind),
+                  norm_placement=norm, mode=mode,
+                  n_classes=3 if mode == "classifier" else None)
+    model = (duplicate_model(cfg, seed=53) if family == "duplicate"
+             else permuted_copy_model(cfg, seed=53).model)
+    zero = [n for n in model.store.names if ".attn." in n or n.endswith(".bias")]
+    gains = [n for n in model.store.names if n.endswith(".gain")]
+    n_norms = 2 * cfg.n_layers + (norm == "pre_ln")
+    assert len(zero) == 8 * cfg.n_layers + n_norms and len(gains) == n_norms
+    for name in zero:
+        assert not model.store.get(name).tobytes().strip(b"\0"), name
+    for name in gains:
+        gain = model.store.get(name)
+        assert gain.tobytes() == np.ones_like(gain).tobytes(), name
 
 
 class TestZeroedLayerModel:

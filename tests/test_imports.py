@@ -1,10 +1,11 @@
-"""Every module under src/ffmerge uses each name it imports, and something
-in src/ffmerge reads each module-level private name.
+"""Every module under src/ffmerge, demos/ and tests/ uses each name it
+imports, and something in src/ffmerge reads each module-level private name.
 
 No linter ships with the project, so these AST walks are the check. They
 catch the import a deleted helper leaves behind, and the private helper a
-refactor stops calling. ``__init__.py`` is skipped for imports: it imports
-names to re-export them.
+refactor stops calling. ``src/ffmerge/__init__.py`` is skipped for imports:
+it imports names to re-export them. An import kept for its side effect
+says so with ``# noqa: F401`` on its line.
 """
 
 import ast
@@ -12,21 +13,26 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "ffmerge"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "ffmerge"
+# {test id: path}; package modules keep their bare stem as id
+MODULES = ({p.stem: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+           | {f"{folder}/{p.stem}": p for folder in ("demos", "tests")
+              for p in sorted((ROOT / folder).glob("*.py"))})
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by an import statement and never read in ``source``."""
+    """Names bound by an import statement, not marked ``# noqa: F401``, and
+    never read in ``source``."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and "# noqa: F401" not in lines[node.lineno - 1]):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
@@ -43,7 +49,12 @@ def test_counts_uses_in_annotations_and_attributes():
     assert unused_imports(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_noqa_marks_a_side_effect_import():
+    source = "import os  # noqa: F401\nimport json\nfrom a import (b,  # noqa: F401\n    c)\n"
+    assert unused_imports(source) == ["line 2: json"]
+
+
+@pytest.mark.parametrize("path", MODULES.values(), ids=MODULES)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

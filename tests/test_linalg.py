@@ -130,6 +130,41 @@ class TestColumnStats:
         assert xc is not x and x.tobytes() == before.tobytes()
 
 
+def layouts(x):
+    """``x`` as C-ordered, Fortran-ordered, row-strided and column-strided arrays."""
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+            "rows": np.repeat(x, 2, axis=0)[::2],
+            "cols": np.repeat(x, 2, axis=1)[:, ::2]}
+
+
+class TestMemoryOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(x=matrices())
+    def test_layout_does_not_change_bits(self, x):
+        c64 = np.array(x, dtype=np.float64, order="C")
+        for layout, arr in layouts(x).items():
+            xc, stds = centered(arr)
+            assert xc.tobytes() == (c64 - c64.mean(axis=0)).tobytes(), layout
+            assert stds.tobytes() == c64.std(axis=0).tobytes(), layout
+
+    def test_tall_float32_layouts_agree(self):
+        x = np.random.default_rng(7).normal(size=(300, 40)).astype(np.float32)
+        want = [a.tobytes() for a in centered(x)]
+        for layout, arr in layouts(x).items():
+            assert [a.tobytes() for a in centered(arr)] == want, layout
+
+    def test_fortran_column_with_cancelling_extremes_is_not_refused(self):
+        # summed row by row, each +1e308 meets its -1e308 and the mean is 0;
+        # numpy's pairwise sum of a Fortran column adds rows 0 and 8 first,
+        # which makes the mean inf + -inf = NaN and refuses the column
+        x = np.zeros((16, 2))
+        x[[0, 8], 0] = 1e308
+        x[[1, 9], 0] = -1e308
+        for layout, arr in layouts(x).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, stds = centered(arr)
+            assert stds.tolist() == [np.inf, 0.0], layout
+
 def test_alignment_and_cka_center_the_same_bits(monkeypatch):
     # CKA centers through the same routine as alignment, not a copy of it
     rng = np.random.default_rng(6)

@@ -402,9 +402,8 @@ class TestWindowSweepMemory:
     def test_capture_left_unchanged(self):
         # float64 layers are where a centering that wrote in place would land
         cfg, fixture, acts, eval_data = selection_fixture()
-        acts64 = ActivationSet(tap=acts.tap, sample_count=acts.sample_count,
-                               per_layer={i: m.astype(np.float64)
-                                          for i, m in acts.per_layer.items()})
+        acts64 = ActivationSet(tap=acts.tap, per_layer={
+            i: m.astype(np.float64) for i, m in acts.per_layer.items()})
         for captured in (acts, acts64):
             before = {i: m.copy() for i, m in captured.per_layer.items()}
             select_best_window(fixture.model, captured, 3, eval_data,
@@ -426,7 +425,7 @@ class TestWindowSweepMemory:
         model = random_model(cfg, seed=120)
         eval_data = token_sequences(cfg, 2, 8, seed=121)
         rng = np.random.default_rng(122)
-        acts = ActivationSet(tap="ff_pre_act", sample_count=rows, per_layer={
+        acts = ActivationSet(tap="ff_pre_act", per_layer={
             layer: rng.normal(size=(rows, cfg.d_ff)).astype(np.float32)
             for layer in range(n_layers)})
         monkeypatch.setattr(selection_mod, "evaluate", lambda *args, **kwargs: 0.5)

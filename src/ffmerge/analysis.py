@@ -71,11 +71,10 @@ def linear_cka(x, y, *, norms: tuple[float, float] | None = None) -> float:
 class CkaMatrix:
     """Pairwise CKA over the layers of one activation capture.
 
-    values[i, j] compares layer i with layer j in ascending layer order. A
-    layer whose features are constant (a dead layer) has an all-zero row and
-    column, diagonal included. ``cka_matrix`` writes the diagonal exactly,
-    1.0 or 0.0; a hand-built matrix may be off 1 by up to 1e-6. Every entry
-    must be finite.
+    values[i, j] compares layer i with layer j. A layer whose features are
+    constant (a dead layer) has an all-zero row and column, diagonal
+    included. ``cka_matrix`` writes the diagonal exactly, 1.0 or 0.0; a
+    hand-built matrix may be off 1 by up to 1e-6. Every entry must be finite.
     """
 
     values: np.ndarray
@@ -122,18 +121,15 @@ def cka_matrix(acts: ActivationSet) -> CkaMatrix:
     so the result is symmetric by construction. A layer whose Gram norm is
     not finite is refused by name.
     """
-    layers = acts.layers()
-    if len(layers) < 2:
+    mats = acts.per_layer
+    if len(mats) < 2:
         raise ValueError("need at least 2 layers to compare")
     if acts.sample_count < 2:
         raise ValueError("need at least 2 rows")
-    mats = [acts.per_layer[layer] for layer in layers]
-    norms = [_gram_norm(center(m), f"layer {layer} Gram norm")
-             for layer, m in zip(layers, mats)]
-    n = len(layers)
+    norms = [_gram_norm(center(m), f"layer {i} Gram norm") for i, m in enumerate(mats)]
     values = np.diag([1.0 if norm > 0.0 else 0.0 for norm in norms])
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
             values[i, j] = values[j, i] = linear_cka(
                 mats[i], mats[j], norms=(norms[i], norms[j]))
     return CkaMatrix(values=values, tap=acts.tap)

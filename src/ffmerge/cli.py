@@ -254,9 +254,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for path in (getattr(args, "out", None), getattr(args, "report", None)):
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
+        outputs = [p for p in (getattr(args, "out", None), getattr(args, "report", None)) if p]
+        for path in outputs:
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(f"no directory for output {path!r}")
+        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+            raise ValueError(f"--out and --report name one file, {outputs[0]!r}")
         return _SUBCOMMANDS[args.command][0](args)
     except (OSError, MemoryError) as exc:
         what = "i/o error" if isinstance(exc, OSError) else "out of memory"

@@ -26,7 +26,7 @@ import numpy as np
 from .checkpoint import (CheckpointFormatError, ParameterStore, read_container,
                          write_container)
 from .config import (FF_HIDDEN_AXIS, FF_KINDS, ModelConfig, expected_shapes,
-                     ff_param_basenames, model_tensor_names)
+                     ff_param_basenames, layer_tensor_names)
 from .datasets import Dataset
 
 TAPS = ("ff_pre_act", "ff_out", "attn_out")
@@ -308,20 +308,21 @@ def _batches(model: TransformerModel, sequences):
 
 @dataclass
 class ActivationSet:
-    """Per-layer feature matrices captured at one tap point.
+    """Per-layer feature matrices captured at one tap point: ``per_layer[i]``
+    is layer i's matrix, for every layer of the model in order.
 
     Row r holds the features of the same input position in every layer.
     """
 
     tap: str
-    per_layer: dict[int, np.ndarray]
+    per_layer: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if self.tap not in TAPS:
             raise ValueError(f"tap must be one of {TAPS}, got {self.tap!r}")
         if not self.per_layer:
             raise ValueError("activation set has no layers")
-        shapes = {m.shape for m in self.per_layer.values()}
+        shapes = {m.shape for m in self.per_layer}
         if any(len(shape) != 2 for shape in shapes):
             raise ValueError(f"per-layer matrices must be 2-D, got {sorted(shapes)}")
         if len(shapes) != 1:
@@ -329,14 +330,11 @@ class ActivationSet:
 
     @property
     def sample_count(self) -> int:
-        return next(iter(self.per_layer.values())).shape[0]
+        return self.per_layer[0].shape[0]
 
     @property
     def width(self) -> int:
-        return next(iter(self.per_layer.values())).shape[1]
-
-    def layers(self) -> list[int]:
-        return sorted(self.per_layer)
+        return self.per_layer[0].shape[1]
 
 
 def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
@@ -356,21 +354,20 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
     # only the sequences needed to reach max_samples rows
     rows = np.cumsum([len(seq) for seq in dataset.sequences])
     prefix = dataset.sequences[:np.searchsorted(rows, max_samples) + 1]
-    parts: dict[int, list] = {i: [None] * len(prefix)
-                              for i in range(model.config.n_layers)}
+    parts = [[None] * len(prefix) for _ in range(model.config.n_layers)]
     for idx, lens, toks in _batches(model, prefix):
         taps = _run(model, toks, tap, lens=lens)[1]
         while taps:  # each layer's float64 batch tap is dropped once cast
             i, mats = taps.popitem()
             for j, n, mat in zip(idx, lens, mats):
                 parts[i][j] = mat[:n].astype(np.float32)
-    per_layer = {i: np.concatenate(parts.pop(i))[:max_samples]
-                 for i in range(model.config.n_layers)}
+    # each layer's pieces are dropped once joined
+    per_layer = tuple(np.concatenate(parts.pop(0))[:max_samples] for _ in range(len(parts)))
     return ActivationSet(tap=tap, per_layer=per_layer)
 
 
 def write_activations(acts: ActivationSet, path) -> None:
-    store = ParameterStore({f"acts.layer{i}": acts.per_layer[i] for i in acts.layers()})
+    store = ParameterStore({f"acts.layer{i}": m for i, m in enumerate(acts.per_layer)})
     write_container(store, {"tap": acts.tap, "sample_count": acts.sample_count}, path)
 
 
@@ -378,17 +375,14 @@ def read_activations(path) -> ActivationSet:
     store, meta = read_container(path)
     if not isinstance(meta, dict) or "tap" not in meta:
         raise ValueError(f"{path} is not an activation dump")
-    per_layer = {}
-    for name in store.names:
-        index = name[len("acts.layer"):]
-        if (not name.startswith("acts.layer") or not index.isdecimal()
-                or index != str(int(index))):
-            raise ValueError(f"unexpected entry {name!r} in activation dump")
-        per_layer[int(index)] = store.get(name)
+    for i, name in enumerate(store.names):
+        if name != f"acts.layer{i}":
+            raise ValueError(f"unexpected entry {name!r} in activation dump, "
+                             f"expected 'acts.layer{i}'")
     count = meta.get("sample_count")
     if not isinstance(count, int) or isinstance(count, bool):
         raise ValueError(f"{path}: sample_count must be an integer, got {count!r}")
-    acts = ActivationSet(tap=meta["tap"], per_layer=per_layer)
+    acts = ActivationSet(tap=meta["tap"], per_layer=tuple(map(store.get, store.names)))
     if count != acts.sample_count:
         raise ValueError(f"{path}: sample_count {count} does not match "
                          f"{acts.sample_count} rows")
@@ -461,7 +455,7 @@ def residual_prefix(model: TransformerModel, dataset: Dataset, stop: int) -> Res
 
 
 def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
-             resume: tuple[ResidualPrefix, int] | None = None) -> float:
+             prefix: ResidualPrefix | None = None) -> float:
     """Score the model on a dataset.
 
     LM mode scores next-token prediction over every position (a length-1
@@ -470,26 +464,25 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
     mean in nats, perplexity its exp (``math.inf`` once that overflows a
     float), accuracy the top-1 hit rate.
 
-    Every score resumes: ``resume=(prefix, start)`` runs layers >= start and
-    the head over the prefix's checked batches from the streams entering
-    layer start, for the same score bit for bit; it defaults to
-    ``(residual_prefix(model, dataset, 0), 0)``. It is refused unless
-    ``dataset`` is the prefix's own object, 0 <= start <= stop, the config
-    differs only in ``n_layers``, and every ``embed.*`` and ``layer<i>.*``
-    tensor with i < start is the prefix model's very array.
+    Every score resumes from ``prefix`` (default ``residual_prefix(model,
+    dataset, 0)``): it runs the layers from the first one below
+    min(prefix.stop, n_layers) that is not the prefix model's, and the
+    head, over the prefix's checked batches, for the same score bit for
+    bit. It is refused unless ``dataset`` is the prefix's own object and
+    the config differs from the prefix model's only in ``n_layers``.
     """
-    prefix, start = resume or (residual_prefix(model, dataset, 0), 0)
-    base, below = prefix.model, ("embed.",) + tuple(f"layer{i}." for i in range(start))
-    unshared = [n for n in model_tensor_names(base.config) if n.startswith(below) and (
-        n not in model.store or model.store.get(n) is not base.store.get(n))]
+    prefix = residual_prefix(model, dataset, 0) if prefix is None else prefix
+    base = prefix.model
     if dataset is not prefix.dataset:
         raise ValueError("cannot resume: the prefix was built on another dataset")
-    if not 0 <= start <= prefix.stop:
-        raise ValueError(f"cannot resume at {start}: prefix holds 0..{prefix.stop}")
     if replace(model.config, n_layers=base.config.n_layers) != base.config:
         raise ValueError("cannot resume: the config differs from the prefix model's")
-    if unshared:
-        raise ValueError(f"cannot resume at {start}: {unshared[0]!r} is not shared")
+    # the first layer that holds another array; layers of identical arrays
+    # compute the identical stream, and another embedding changes them all
+    same = lambda names: all(model.store.get(n) is base.store.get(n) for n in names)
+    stop = min(prefix.stop, model.config.n_layers)
+    start = next((i for i in range(stop) if not same(layer_tensor_names(model.config, i))),
+                 stop) if same(("embed.tok", "embed.pos")) else 0
     # per-sequence sums, added up below in dataset order
     ce_seq = np.zeros(len(dataset.sequences))
     hits = np.zeros(len(dataset.sequences), dtype=np.int64)

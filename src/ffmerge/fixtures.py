@@ -30,6 +30,8 @@ from .datasets import Dataset
 from .engine import FFParams, TransformerModel
 
 FIXTURE_KINDS = ("duplicate", "permuted-copy", "random")
+NOISE_SCALE = 0.01  # noisy_permuted_pair's noise, as a share of each tensor's scale
+PROMPT_LEN = 2  # random tokens that start each greedy_sequences sequence
 
 
 def default_config(n_layers: int = 6, d_model: int = 16, d_ff: int = 64,
@@ -216,9 +218,9 @@ def zeroed_layer_model(cfg: ModelConfig, zero_layer: int,
     return TransformerModel(cfg, random_model(cfg, seed).store.copy(replace=zeros))
 
 
-def noisy_permuted_pair(cfg: ModelConfig, seed: int, noise_scale: float = 0.01):
+def noisy_permuted_pair(cfg: ModelConfig, seed: int):
     """A feed-forward plus a hidden-permuted copy with gaussian noise added
-    at ``noise_scale`` of each tensor's own scale.
+    at ``NOISE_SCALE`` of each tensor's own scale.
 
     Returns (base, noisy copy, planted permutation).
     """
@@ -228,7 +230,7 @@ def noisy_permuted_pair(cfg: ModelConfig, seed: int, noise_scale: float = 0.01):
 
     def jitter(arr: np.ndarray) -> np.ndarray:
         scale = float(arr.std())
-        noise = rng.normal(0.0, noise_scale * scale, arr.shape)
+        noise = rng.normal(0.0, NOISE_SCALE * scale, arr.shape)
         return (arr.astype(np.float64) + noise).astype(np.float32)
 
     # jitter every drawn tensor so the noise does not depend on has_ff_biases
@@ -251,10 +253,10 @@ def token_sequences(cfg: ModelConfig, n_sequences: int, seq_len: int,
 
 
 def greedy_sequences(model: TransformerModel, n_sequences: int, seq_len: int,
-                     seed: int, prompt_len: int = 2) -> Dataset:
+                     seed: int) -> Dataset:
     """Sequences the model itself continues greedily from random prompts.
 
-    Each sequence starts with ``prompt_len`` random tokens and is extended
+    Each sequence starts with ``PROMPT_LEN`` random tokens and is extended
     one argmax token at a time, all sequences in one batched forward per
     step; the separator id is never emitted. Such data scores the
     generating model well, so any surgery that damages the model shows up
@@ -263,12 +265,12 @@ def greedy_sequences(model: TransformerModel, n_sequences: int, seq_len: int,
     cfg = model.config
     if cfg.mode != "lm":
         raise ValueError(f"greedy generation needs an lm model, got mode {cfg.mode!r}")
-    if not 1 <= prompt_len < seq_len or seq_len > cfg.max_seq_len:
-        raise ValueError("need 1 <= prompt_len < seq_len <= max_seq_len")
+    if not PROMPT_LEN < seq_len <= cfg.max_seq_len:
+        raise ValueError(f"need {PROMPT_LEN} < seq_len <= max_seq_len")
     rng = np.random.default_rng(seed)
     ids = [i for i in range(cfg.vocab_size) if i != cfg.separator_id]
-    toks = np.array([rng.choice(ids, size=prompt_len) for _ in range(n_sequences)],
-                    dtype=np.int64).reshape(n_sequences, prompt_len)
+    toks = np.array([rng.choice(ids, size=PROMPT_LEN) for _ in range(n_sequences)],
+                    dtype=np.int64).reshape(n_sequences, PROMPT_LEN)
     while n_sequences and toks.shape[1] < seq_len:
         rows = model.forward(toks)[:, -1].astype(np.float64)
         rows[:, cfg.separator_id] = -np.inf

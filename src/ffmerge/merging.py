@@ -109,9 +109,10 @@ def merge_window(model: TransformerModel, acts: ActivationSet, spec: MergeSpec,
                  ) -> tuple[TransformerModel, MergeDiagnostics]:
     """Merge one window of feed-forwards and tie all members to the result.
 
-    ``acts`` must be an ff_pre_act capture of ``model`` covering the window.
-    Returns a new model (the input is untouched) whose window members alias
-    one merged parameter set, plus per-member alignment diagnostics.
+    ``acts`` must be an ff_pre_act capture of ``model``: one matrix per
+    layer, each of width d_ff. Returns a new model (the input is untouched)
+    whose window members alias one merged parameter set, plus per-member
+    alignment diagnostics.
 
     Each window layer is centered once (``alignment.centered``), before any
     assignment is solved. ``centered`` is an optional memo from layer index
@@ -126,9 +127,9 @@ def merge_window(model: TransformerModel, acts: ActivationSet, spec: MergeSpec,
         )
     if acts.tap != "ff_pre_act":
         raise ValueError(f"alignment needs the ff_pre_act tap, got {acts.tap!r}")
-    missing = [i for i in spec.layers if i not in acts.per_layer]
-    if missing:
-        raise ValueError(f"activation set is missing layers {missing}")
+    if len(acts.per_layer) != cfg.n_layers:
+        raise ValueError(f"activation set holds {len(acts.per_layer)} layers, "
+                         f"the model {cfg.n_layers}")
     if acts.width != cfg.d_ff:
         raise ValueError(
             f"activation width {acts.width} does not match d_ff {cfg.d_ff}"

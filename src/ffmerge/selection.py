@@ -85,15 +85,15 @@ def _sweep(model: TransformerModel, starts: list[int], build, eval_data, metric:
            ) -> tuple[tuple[WindowCandidate, ...], WindowCandidate, TransformerModel]:
     """Build and score the candidate at each start, keeping only the best
     model so far; a strict comparison keeps the smallest start on ties.
-    Every candidate resumes at its start, 0 too, from one prefix of ``model``
-    to max(starts), so a sweep checks and batches its eval set once."""
+    Every candidate resumes from one prefix of ``model`` to max(starts), at
+    its first changed layer, so a sweep checks and batches its eval set once."""
     prefix = residual_prefix(model, eval_data, max(starts))
     candidates: list[WindowCandidate] = []
     best, best_model = None, None
     for start in starts:
         candidate_model = build(start)
         cand = WindowCandidate(start=start, score=evaluate(
-            candidate_model, eval_data, metric, resume=(prefix, start)))
+            candidate_model, eval_data, metric, prefix=prefix))
         candidates.append(cand)
         if best is None or (cand.score > best.score if metric.higher_is_better
                             else cand.score < best.score):

@@ -200,10 +200,9 @@ class TestCkaMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_layer_named(self, bad):
         rng = np.random.default_rng(113)
-        per_layer = {layer: rng.normal(size=(10, 4)).astype(np.float32)
-                     for layer in (0, 2, 5)}
-        per_layer[2][3, 0] = bad
-        acts = ActivationSet(tap="ff_out", per_layer=per_layer)
+        per_layer = rng.normal(size=(3, 10, 4)).astype(np.float32)
+        per_layer[2, 3, 0] = bad
+        acts = ActivationSet(tap="ff_out", per_layer=tuple(per_layer))
         with pytest.raises(ValueError, match="^layer 2 Gram norm is nan"):
             cka_matrix(acts)
 
@@ -255,17 +254,14 @@ def captures(draw):
         values[layer] = values[layer, 0]
     for col in draw(st.sets(st.integers(0, width - 1), max_size=2)):
         values[:, :, col] = values[:, :1, col]
-    layers = draw(st.lists(st.integers(0, 40), min_size=n_layers,
-                           max_size=n_layers, unique=True))
-    return ActivationSet(tap="ff_out", per_layer=dict(zip(layers, values)))
+    return ActivationSet(tap="ff_out", per_layer=tuple(values))
 
 
 class TestCkaMatrixAgainstPairs:
     @settings(max_examples=150, deadline=None)
     @given(acts=captures())
     def test_matches_pairwise_cka(self, acts):
-        layers = acts.layers()
-        mats = [acts.per_layer[layer] for layer in layers]
+        mats = acts.per_layer
         values = cka_matrix(acts).values
         for i, x in enumerate(mats):
             norm = gram_norm(x)
@@ -280,9 +276,8 @@ class TestCkaMatrixAgainstPairs:
     def test_peak_memory_stays_below_three_layer_copies(self, n_layers):
         rows, width = 4096, 16
         rng = np.random.default_rng(114)
-        acts = ActivationSet(tap="ff_out", per_layer={
-            layer: rng.normal(size=(rows, width)).astype(np.float32)
-            for layer in range(n_layers)})
+        acts = ActivationSet(tap="ff_out", per_layer=tuple(
+            rng.normal(size=(rows, width)).astype(np.float32) for _ in range(n_layers)))
         tracemalloc.start()
         try:
             cka_matrix(acts)

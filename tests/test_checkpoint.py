@@ -609,6 +609,15 @@ class TestFileRoundTrip:
         assert path.read_bytes() == b"hello"
         assert os.listdir(tmp_path) == ["out.bin"]
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # a payload the file cannot take, then a rename onto a directory
+        with pytest.raises(TypeError):
+            atomic_write_bytes(tmp_path / "out.bin", object())
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(tmp_path / "dir", b"x")
+        assert os.listdir(tmp_path) == ["dir"] and not os.listdir(tmp_path / "dir")
+
     def test_write_into_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             atomic_write_bytes(tmp_path / "nope" / "out.bin", b"x")

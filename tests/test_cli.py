@@ -15,7 +15,8 @@ from ffmerge import cli as cli_mod
 from ffmerge.cli import _parse_window, main
 from ffmerge.config import ff_tensor_names
 from ffmerge.datasets import write_token_file
-from ffmerge.engine import TransformerModel, load_model, read_activations, save_model
+from ffmerge.engine import (TransformerModel, load_model, read_activations, save_model,
+                            write_activations)
 from ffmerge.fixtures import default_config, greedy_sequences, \
     permuted_copy_model, random_model, token_sequences, zeroed_layer_model
 from ffmerge.selection import SelectionReport, enumerate_windows
@@ -83,6 +84,15 @@ class TestCaptureCommand:
         else:
             assert captured.err == ""
 
+    def test_zero_max_samples_is_one_line_error(self, workdir, capsys):
+        out = workdir["dir"] / "zero.ffmc"
+        capsys.readouterr()
+        assert main(["capture", "--model", workdir["model"], "--data", workdir["capture_data"],
+                     "--tap", "ff-out", "--max-samples", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_samples must be >= 1" in err
+        assert not out.exists()
+
     def test_missing_model_file_is_io_error(self, workdir):
         rc = main(["capture", "--model", str(workdir["dir"] / "nope.ffmc"),
                    "--data", workdir["capture_data"], "--tap", "ff-out",
@@ -141,6 +151,47 @@ class TestMergeCommand:
                    "--acts", workdir["acts"], "--window", "banana",
                    "--out", str(workdir["dir"] / "x.ffmc")])
         assert rc == 1
+
+
+def one_line_error(capsys, argv, *needles) -> None:
+    """``main(argv)`` exits 1 with one stderr line holding every needle."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and all(needle in err for needle in needles), err
+
+
+@pytest.mark.parametrize("command", ["merge", "select"])
+class TestMismatchedCapture:
+    """A capture that does not belong to the model is refused before a merge."""
+
+    def argv(self, workdir, command, model, acts):
+        out = str(workdir["dir"] / "out.ffmc")
+        flags = (["--window", "0:2"] if command == "merge" else
+                 ["--k", "2", "--eval-data", workdir["eval_data"], "--metric", "xent",
+                  "--report", str(workdir["dir"] / "report.json")])
+        return [command, "--model", model, "--acts", acts, *flags, "--out", out]
+
+    @pytest.mark.parametrize("depth", [4, 12])
+    def test_capture_of_another_depth(self, workdir, capsys, command, depth):
+        acts = read_activations(workdir["acts"])
+        path = str(workdir["dir"] / "deep.ffmc")
+        write_activations(replace(acts, per_layer=(acts.per_layer * 2)[:depth]), path)
+        one_line_error(capsys, self.argv(workdir, command, workdir["model"], path),
+                       f"activation set holds {depth} layers, the model 6")
+        assert not (workdir["dir"] / "out.ffmc").exists()
+
+    def test_capture_of_another_width(self, workdir, capsys, command):
+        # the d_ff 64 capture against a d_ff 32 model of the same depth
+        cfg = default_config(n_layers=6, d_model=16, d_ff=32, ff_kind="relu")
+        model = str(workdir["dir"] / "narrow.ffmc")
+        save_model(random_model(cfg, seed=2), model)
+        one_line_error(capsys, self.argv(workdir, command, model, workdir["acts"]),
+                       "activation width 64 does not match d_ff 32")
+
+    def test_model_checkpoint_as_capture(self, workdir, capsys, command):
+        one_line_error(capsys, self.argv(workdir, command, workdir["model"], workdir["model"]),
+                       "is not an activation dump")
 
 
 class TestSelectCommand:
@@ -205,6 +256,28 @@ class TestSweepOutputDirs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "nodir" in err
         assert sorted(workdir["dir"].rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["select", "drop"])
+@pytest.mark.parametrize("spelling", ["same", "symlink"])
+def test_out_and_report_naming_one_file(workdir, capsys, monkeypatch, command, spelling):
+    # the report would overwrite the model just written; refused before any load
+    def boom(*args, **kwargs):
+        raise AssertionError("model loaded before the output check")
+
+    monkeypatch.setattr(cli_mod, "load_model", boom)
+    out = workdir["dir"] / "s.ffmc"
+    report = out
+    if spelling == "symlink":
+        report = workdir["dir"] / "link.json"
+        report.symlink_to(out)
+    flags = (["--acts", workdir["acts"], "--k", "3"] if command == "select"
+             else ["--count", "1"])
+    one_line_error(capsys, [command, "--model", workdir["model"], *flags,
+                            "--eval-data", workdir["eval_data"], "--metric", "xent",
+                            "--out", str(out), "--report", str(report)],
+                   "--out and --report name one file")
+    assert not out.exists()
 
 
 class TestTiedCheckpointSurgery:
@@ -343,6 +416,13 @@ class TestCkaCommand:
         np.testing.assert_allclose([rows[i][i] for i in (0, 2, 3)], 1.0,
                                    atol=1e-5)
 
+    def test_one_row_capture_is_one_line_error(self, workdir, capsys):
+        acts = str(workdir["dir"] / "one.ffmc")
+        assert main(["capture", "--model", workdir["model"], "--data", workdir["capture_data"],
+                     "--tap", "ff-out", "--max-samples", "1", "--out", acts]) == 0
+        one_line_error(capsys, ["cka", "--acts", acts, "--out", str(workdir["dir"] / "c.csv")],
+                       "need at least 2 rows")
+
 
 def write_dump(path, names, shape) -> str:
     store = ParameterStore({name: np.ones(shape, dtype=np.float32) for name in names})
@@ -369,14 +449,19 @@ class TestMalformedActivationDump:
         assert err.count("\n") == 1 and "2-D" in err
 
     @pytest.mark.parametrize("name", ["acts.layer01", "acts.layer+1",
-                                      "acts.layer-1", "acts.layer"])
+                                      "acts.layer-1", "acts.layer", "acts.layer3",
+                                      "acts.layer10"])
     def test_non_canonical_layer_name(self, tmp_path, capsys, name):
+        # the writer names layers 0..L-1 in order; the first other entry is named
         acts = write_dump(tmp_path / "dup.ffmc",
                           ["acts.layer0", "acts.layer1", name], (32, 4))
-        rc = main(["cka", "--acts", acts, "--out", str(tmp_path / "c.csv")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and repr(name) in err
+        one_line_error(capsys, ["cka", "--acts", acts, "--out", str(tmp_path / "c.csv")],
+                       repr(name), "expected 'acts.layer2'")
+
+    def test_layers_out_of_order(self, tmp_path, capsys):
+        acts = write_dump(tmp_path / "order.ffmc", ["acts.layer1", "acts.layer0"], (32, 4))
+        one_line_error(capsys, ["cka", "--acts", acts, "--out", str(tmp_path / "c.csv")],
+                       "'acts.layer1'", "expected 'acts.layer0'")
 
 
 class TestInfoCommand:
@@ -441,6 +526,25 @@ class TestInfoCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'junk.extra'" in captured.err
+
+    def test_tensor_of_the_wrong_shape_is_one_line_error(self, workdir, capsys):
+        model = load_model(workdir["model"])
+        store = model.store.copy(replace={"layer3.ff.b_in": np.zeros(63, np.float32)})
+        path = str(workdir["dir"] / "shape.ffmc")
+        write_container(store, model.config.to_dict(), path)
+        one_line_error(capsys, ["info", "--model", path],
+                       "tensor 'layer3.ff.b_in' has shape (63,), expected (64,)")
+
+    @pytest.mark.parametrize("edit,needle", [
+        ({"ff_kind": "tanh"}, "ff_kind must be one of"),
+        ({"pooling": "max"}, "pooling must be one of"),
+        (None, "model config must be a JSON object")])
+    def test_bad_config_value_is_one_line_error(self, workdir, capsys, edit, needle):
+        model = load_model(workdir["model"])
+        meta = [model.config.to_dict()] if edit is None else dict(model.config.to_dict(), **edit)
+        path = str(workdir["dir"] / "config.ffmc")
+        write_container(model.store, meta, path)
+        one_line_error(capsys, ["info", "--model", path], "__config__ is not a valid", needle)
 
     def test_huge_layer_claim_fails_at_first_missing_tensor(self, workdir, capsys):
         # a small file whose config claims 10**12 layers is refused at the

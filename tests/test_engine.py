@@ -360,10 +360,12 @@ class TestNoWritesIntoInputs:
         assert all(len(streams) == 3 and streams[0] is None
                    for *_, streams in prefix.batches)
         before = [[s.tobytes() for s in streams[1:]] for *_, streams in prefix.batches]
-        for start in (0, 1, 2):
-            assert (evaluate(model, data, EvalMetric("cross_entropy"),
-                             resume=(prefix, start))
-                    == evaluate(model, data, EvalMetric("cross_entropy")))
+        # the model resumes at 2, a copy changed in layer 1 or 0 resumes there
+        for name in (None, "layer1.ln1.bias", "layer0.ln1.bias"):
+            candidate = model if name is None else edited(
+                model, {name: model.store.get(name) + 1.0})
+            assert (evaluate(candidate, data, EvalMetric("cross_entropy"), prefix=prefix)
+                    == evaluate(candidate, data, EvalMetric("cross_entropy")))
         assert [[s.tobytes() for s in streams[1:]]
                 for *_, streams in prefix.batches] == before
 
@@ -573,7 +575,7 @@ class TestCapture:
         model = random_model(cfg, seed=30)
         data = token_sequences(cfg, 3, 10, seed=31)
         acts = capture_activations(model, data, "ff_out", max_samples=1)
-        assert all(m.shape == (1, cfg.d_model) for m in acts.per_layer.values())
+        assert [m.shape for m in acts.per_layer] == [(1, cfg.d_model)] * 2
 
     def test_swiglu_pre_act_tap_is_gated_product(self):
         cfg = default_config(n_layers=1, d_model=8, d_ff=16, ff_kind="swiglu")
@@ -628,9 +630,9 @@ class TestCapture:
         write_activations(acts, path)
         back = read_activations(path)
         assert back.tap == acts.tap and back.sample_count == acts.sample_count
-        for layer in acts.per_layer:
-            np.testing.assert_array_equal(back.per_layer[layer],
-                                          acts.per_layer[layer])
+        assert len(back.per_layer) == len(acts.per_layer) == 2
+        for got, want in zip(back.per_layer, acts.per_layer):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("count", [0, 11, 13])
     def test_header_count_must_match_rows(self, tmp_path, count):
@@ -642,15 +644,16 @@ class TestCapture:
             read_activations(path)
 
     def test_sample_count_is_the_row_count(self):
-        acts = ActivationSet(tap="ff_out", per_layer={3: np.zeros((5, 2)), 7: np.ones((5, 2))})
+        acts = ActivationSet(tap="ff_out", per_layer=(np.zeros((5, 2)), np.ones((5, 2))))
         assert acts.sample_count == 5 and acts.width == 2
 
     def test_activation_set_validation(self):
         with pytest.raises(ValueError, match="tap"):
-            ActivationSet(tap="nope", per_layer={0: np.zeros((2, 2))})
+            ActivationSet(tap="nope", per_layer=(np.zeros((2, 2)),))
+        with pytest.raises(ValueError, match="no layers"):
+            ActivationSet(tap="ff_out", per_layer=())
         with pytest.raises(ValueError, match="shapes"):
-            ActivationSet(tap="ff_out",
-                          per_layer={0: np.zeros((2, 2)), 1: np.zeros((3, 2))})
+            ActivationSet(tap="ff_out", per_layer=(np.zeros((2, 2)), np.zeros((3, 2))))
 
 
 class TestEvaluate:
@@ -693,7 +696,7 @@ class TestEvaluate:
     def test_greedy_data_scores_generator_well(self):
         cfg = default_config(n_layers=2, d_model=16, d_ff=32)
         model = random_model(cfg, seed=55)
-        greedy = greedy_sequences(model, 6, 20, seed=56, prompt_len=1)
+        greedy = greedy_sequences(model, 6, 20, seed=56)
         rand = token_sequences(cfg, 6, 20, seed=57)
         metric = EvalMetric("cross_entropy")
         assert evaluate(model, greedy, metric) < evaluate(model, rand, metric)
@@ -971,7 +974,7 @@ class TestBatchedForward:
         every = [len(seq) for seq in data.sequences]
         for call, expected in (
                 (lambda: evaluate(model, data, metric), every),
-                (lambda: evaluate(model, data, metric, resume=(prefix, 1)), []),
+                (lambda: evaluate(model, data, metric, prefix=prefix), []),
                 (lambda: engine.residual_prefix(model, data, 1), every),
                 (lambda: capture_activations(model, data, "ff_out", 1000), every)):
             checked.clear()

@@ -10,7 +10,7 @@ from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, solve_assignment)
 from ffmerge.datasets import write_token_file
 from ffmerge.engine import capture_activations, ff_params
-from ffmerge.fixtures import (FIXTURE_KINDS, default_config, duplicate_model,
+from ffmerge.fixtures import (FIXTURE_KINDS, PROMPT_LEN, default_config, duplicate_model,
                               gen_fixture, greedy_sequences,
                               noisy_permuted_pair, permuted_copy_model,
                               random_model, token_sequences,
@@ -163,15 +163,6 @@ class TestNoisyPermutedPair:
         rel = np.abs(noisy["w_in"] - moved["w_in"]).max() / moved["w_in"].std()
         assert 0.0 < rel < 0.1
 
-    def test_zero_noise_is_exact_permuted_copy(self):
-        cfg = default_config(n_layers=2, d_model=8, d_ff=16, ff_kind="relu")
-        base, noisy, perm = noisy_permuted_pair(cfg, seed=54,
-                                                noise_scale=0.0)
-        moved = apply_permutation(base, perm)
-        np.testing.assert_array_equal(noisy["w_in"], moved["w_in"])
-        np.testing.assert_array_equal(noisy["b_in"], moved["b_in"])
-        np.testing.assert_array_equal(noisy["w_out"], moved["w_out"])
-
 
 class TestTokenSequences:
     def test_avoids_separator_and_fits_vocab(self):
@@ -212,9 +203,9 @@ class TestGreedySequences:
     def test_continuations_are_argmax(self):
         cfg = default_config(n_layers=2, d_model=16, d_ff=32)
         model = random_model(cfg, seed=60)
-        data = greedy_sequences(model, 2, 8, seed=61, prompt_len=3)
+        data = greedy_sequences(model, 2, 8, seed=61)
         for seq in data.sequences:
-            for t in range(3, 8):
+            for t in range(PROMPT_LEN, 8):
                 logits = model.forward(seq[:t].astype(np.int64))
                 row = logits[-1].astype(np.float64)
                 row[cfg.separator_id] = -np.inf
@@ -223,12 +214,12 @@ class TestGreedySequences:
     def test_prompt_validation(self):
         cfg = default_config(n_layers=2, d_model=16, d_ff=32)
         model = random_model(cfg, seed=62)
-        with pytest.raises(ValueError):
-            greedy_sequences(model, 2, 8, seed=63, prompt_len=0)
-        with pytest.raises(ValueError):
-            greedy_sequences(model, 2, 8, seed=63, prompt_len=8)
-        with pytest.raises(ValueError):
-            greedy_sequences(model, 2, cfg.max_seq_len + 1, seed=63)
+        # each sequence needs at least one token past the prompt
+        for seq_len in (0, PROMPT_LEN, cfg.max_seq_len + 1):
+            with pytest.raises(ValueError, match=f"need {PROMPT_LEN} < seq_len"):
+                greedy_sequences(model, 2, seq_len, seed=63)
+        data = greedy_sequences(model, 2, PROMPT_LEN + 1, seed=63)
+        assert [len(seq) for seq in data.sequences] == [PROMPT_LEN + 1] * 2
 
     def test_classifier_refused(self):
         cfg = replace(default_config(n_layers=1, d_model=16, d_ff=32),

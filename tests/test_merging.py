@@ -317,11 +317,10 @@ class TestMergeWindow:
                                         max_samples=50)
         with pytest.raises(ValueError, match="tap"):
             merge_window(model, wrong_tap, MergeSpec(start=2, k=3))
-        partial = replace(acts,
-                          per_layer={0: acts.per_layer[0],
-                                     1: acts.per_layer[1]})
-        with pytest.raises(ValueError, match="layer"):
-            merge_window(model, partial, MergeSpec(start=2, k=3))
+        # a capture of another depth is refused, even where it covers the window
+        for per_layer in (acts.per_layer[:2], acts.per_layer[:5], acts.per_layer * 2):
+            with pytest.raises(ValueError, match=f"holds {len(per_layer)} layers, the model 6"):
+                merge_window(model, replace(acts, per_layer=per_layer), MergeSpec(start=0, k=2))
 
 
 def counting(monkeypatch, name: str) -> list:
@@ -367,10 +366,10 @@ class TestCenterOnce:
 
 
 def with_bad_value(acts: ActivationSet, layer: int, bad: float) -> ActivationSet:
-    per_layer = dict(acts.per_layer)
+    per_layer = list(acts.per_layer)
     per_layer[layer] = per_layer[layer].copy()
     per_layer[layer][3, 5] = bad
-    return replace(acts, per_layer=per_layer)
+    return replace(acts, per_layer=tuple(per_layer))
 
 
 class TestNonFiniteCapture:

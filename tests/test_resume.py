@@ -1,9 +1,13 @@
 """Resumed evaluation: a candidate that shares its first layers with a base
-model is scored from the base's residual stream at its first changed layer.
-A differential test holds every resumed sweep score to the standalone score
-bit for bit, and one test per guard shows each bad resume refused."""
+model is scored from the base's residual stream at its first changed layer,
+which ``evaluate`` finds itself. A differential test holds every resumed
+sweep score to the standalone score bit for bit and each candidate to its
+own start; an edited, reloaded or shortened model resumes earlier, not
+wrongly; and one test per guard shows each bad resume refused."""
 
+import contextlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +44,22 @@ def ragged(cfg, lengths, seed: int) -> Dataset:
     return Dataset(sequences=seqs, labels=labels)
 
 
+@contextlib.contextmanager
+def resumes():
+    """Yield the list of the layers every scoring ``_run`` (one handed a
+    stream) starts at; the prefix and capture runs are handed none."""
+    starts = []
+    run = engine._run
+
+    def recording(*args, **kwargs):
+        if "x" in kwargs:
+            starts.append(kwargs["start"])
+        return run(*args, **kwargs)
+
+    with mock.patch.object(engine, "_run", recording):
+        yield starts
+
+
 class TestResumeMatchesStandalone:
     @settings(max_examples=30, deadline=None)
     @given(ff_kind=st.sampled_from(["relu", "gelu", "swiglu"]),
@@ -56,22 +76,34 @@ class TestResumeMatchesStandalone:
         acts = capture_activations(model, data, "ff_pre_act", max_samples=1000)
         if tie is not None:  # sweep a checkpoint already tied over two layers
             model = merge_window(model, acts, MergeSpec(tie[0], 2, tie[1]))[0]
+        batches = len(residual_prefix(model, data, 0).batches)
         for k in range(2, N_LAYERS + 1):
-            report, _ = select_best_window(model, acts, k, data, XENT,
-                                           include_final_window=True)
+            with resumes() as starts:
+                report, _ = select_best_window(model, acts, k, data, XENT,
+                                               include_final_window=True)
+            # each candidate resumes at its own start, so no sweep work moves
+            assert starts == [c.start for c in report.candidates for _ in range(batches)]
             for cand in report.candidates:
                 direct = merge_window(model, acts, MergeSpec(cand.start, k))[0]
                 assert cand.score == evaluate(direct, data, XENT)
         for count in range(1, N_LAYERS):
-            report, _ = select_best_drop(model, count, data, XENT)
+            with resumes() as starts:
+                report, _ = select_best_drop(model, count, data, XENT)
+            assert starts == [c.start for c in report.candidates for _ in range(batches)]
             for cand in report.candidates:
                 direct = drop_layers(model, cand.start, count)
                 assert cand.score == evaluate(direct, data, XENT)
-        # a prefix through every layer resumes anywhere, the first and last too
+        # from a prefix through every layer, a model changed in layer i
+        # resumes at i, the first and last too, and the model itself at the head
         prefix = residual_prefix(model, data, N_LAYERS)
-        for start in range(N_LAYERS + 1):
-            assert (evaluate(model, data, XENT, resume=(prefix, start))
-                    == evaluate(model, data, XENT))
+        for layer in range(N_LAYERS + 1):
+            name = f"layer{layer}.ln2.bias"
+            candidate = model if layer == N_LAYERS else edited(
+                model, **{name: model.store.get(name) + 1.0})
+            with resumes() as starts:
+                score = evaluate(candidate, data, XENT, prefix=prefix)
+            assert starts == [layer] * batches
+            assert score == evaluate(candidate, data, XENT)
 
     @pytest.mark.parametrize("placement", ["pre_ln", "post_ln"])
     def test_lm_length_one_sequences(self, placement):
@@ -129,18 +161,23 @@ def edited(model: TransformerModel, **replace_tensors) -> TransformerModel:
 
 
 class TestResumeRefused:
+    """Only another dataset object or another config is refused. Every other
+    candidate resumes at its first layer that is not the prefix model's, so
+    one that shares less resumes earlier, and scores as it does alone."""
+
     def test_accepted_when_only_later_layers_change(self, base):
         model, data, prefix = base
         changed = edited(model, **{"layer1.attn.bq": np.ones(8), "head.b":
                                    np.ones(model.config.vocab_size)})
-        assert (evaluate(changed, data, XENT, resume=(prefix, 1))
-                == evaluate(changed, data, XENT))
+        with resumes() as starts:
+            score = evaluate(changed, data, XENT, prefix=prefix)
+        assert starts == [1] and score == evaluate(changed, data, XENT)
 
     def test_another_dataset_object(self, base):
         model, data, prefix = base
         same_tokens = Dataset(sequences=list(data.sequences))
         with pytest.raises(ValueError, match="another dataset"):
-            evaluate(model, same_tokens, XENT, resume=(prefix, 1))
+            evaluate(model, same_tokens, XENT, prefix=prefix)
 
     @pytest.mark.parametrize("edit", ["reverse", "retoken", "append", "remove"])
     def test_dataset_edited_after_the_prefix(self, base, edit):
@@ -160,8 +197,7 @@ class TestResumeRefused:
             else:
                 del seqs[3]
         assert [s.tolist() for s in data.sequences] == before
-        assert (evaluate(model, data, XENT, resume=(prefix, 1))
-                == evaluate(model, data, XENT))
+        assert evaluate(model, data, XENT, prefix=prefix) == evaluate(model, data, XENT)
 
     def test_trailing_token_zero_removed(self):
         # dropping it leaves the padded token matrix as it was and changes
@@ -175,8 +211,7 @@ class TestResumeRefused:
         with pytest.raises(TypeError):
             data.sequences[1] = data.sequences[1][:1]
         assert data.sequences[1].tolist() == [5, 0]
-        assert (evaluate(model, data, XENT, resume=(prefix, 1))
-                == evaluate(model, data, XENT))
+        assert evaluate(model, data, XENT, prefix=prefix) == evaluate(model, data, XENT)
 
     def test_callers_edits_after_the_prefix(self):
         # a classifier whose caller's list grows keeps its own sequences, so
@@ -191,44 +226,53 @@ class TestResumeRefused:
         labels[0] = 1
         assert [s.tolist() for s in data.sequences] == [[7, 3, 2, 9], [5, 1]]
         assert data.labels.tolist() == [0, 2]
-        assert (evaluate(model, data, XENT, resume=(prefix, 1))
-                == evaluate(model, data, XENT))
+        assert evaluate(model, data, XENT, prefix=prefix) == evaluate(model, data, XENT)
 
-    @pytest.mark.parametrize("start", [-1, 3])
-    def test_start_outside_the_prefix(self, base, start):
-        model, data, prefix = base
-        with pytest.raises(ValueError, match=r"prefix holds 0\.\.2"):
-            evaluate(model, data, XENT, resume=(prefix, start))
-        # 0 is inside: layer 0's stream is the embedding _run makes itself
-        assert evaluate(model, data, XENT, resume=(prefix, 0)) == evaluate(model, data, XENT)
+    @pytest.mark.parametrize("stop", [0, 2, N_LAYERS])
+    def test_unchanged_model_resumes_at_the_prefix_stop(self, base, stop):
+        # at 0 the stream is the embedding _run makes itself; at N_LAYERS
+        # only the head runs
+        model, data, _ = base
+        with resumes() as starts:
+            score = evaluate(model, data, XENT, prefix=residual_prefix(model, data, stop))
+        assert starts == [stop] and score == evaluate(model, data, XENT)
 
     def test_config_differs_beyond_n_layers(self, base):
         model, data, prefix = base
         other = TransformerModel(replace(model.config, separator_id=1), model.store)
         with pytest.raises(ValueError, match="config differs"):
-            evaluate(other, data, XENT, resume=(prefix, 1))
+            evaluate(other, data, XENT, prefix=prefix)
 
-    @pytest.mark.parametrize("name,start", [("embed.pos", 1), ("embed.tok", 2),
-                                            ("layer0.ff.w_out", 1),
-                                            ("layer1.ln2.gain", 2)])
-    def test_equal_but_not_shared_tensor_below_start(self, base, name, start):
-        model, data, prefix = base
+    @pytest.mark.parametrize("name,stop", [("embed.pos", 1), ("embed.tok", 2),
+                                           ("layer0.ff.w_out", 1),
+                                           ("layer1.ln2.gain", 2)])
+    def test_equal_but_not_shared_tensor_below_start(self, base, name, stop):
+        # an equal copy is another array: the candidate resumes at its layer
+        # (0 for an embedding) below the prefix's stop, never past it
+        model, data, _ = base
         other = edited(model, **{name: model.store.get(name).copy()})
-        with pytest.raises(ValueError, match=repr(name)):
-            evaluate(other, data, XENT, resume=(prefix, start))
+        with resumes() as starts:
+            score = evaluate(other, data, XENT, prefix=residual_prefix(model, data, stop))
+        assert starts == [int(name[5]) if name.startswith("layer") else 0]
+        assert score == evaluate(other, data, XENT)
 
     def test_reloaded_model_shares_nothing(self, base, tmp_path):
         model, data, prefix = base
         save_model(model, tmp_path / "m.ffmc")
-        with pytest.raises(ValueError, match="embed.tok"):
-            evaluate(load_model(tmp_path / "m.ffmc"), data, XENT,
-                     resume=(prefix, 1))
+        reloaded = load_model(tmp_path / "m.ffmc")
+        with resumes() as starts:
+            score = evaluate(reloaded, data, XENT, prefix=prefix)
+        assert starts == [0] and score == evaluate(reloaded, data, XENT)
 
     def test_candidate_with_fewer_layers_than_start(self, base):
+        # one layer left, fewer than the prefix's stop 2: a kept layer 0
+        # resumes at the head, layer 3 renamed layer 0 at layer 0
         model, data, prefix = base
-        short = drop_layers(model, 1, 3)  # one layer left
-        with pytest.raises(ValueError, match="layer1"):
-            evaluate(short, data, XENT, resume=(prefix, 2))
+        for drop_start, resumed in ((1, 1), (0, 0)):
+            short = drop_layers(model, drop_start, 3)
+            with resumes() as starts:
+                score = evaluate(short, data, XENT, prefix=prefix)
+            assert starts == [resumed] and score == evaluate(short, data, XENT)
 
 
 class TestReadOnlyPayloads:

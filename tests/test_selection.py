@@ -402,16 +402,16 @@ class TestWindowSweepMemory:
     def test_capture_left_unchanged(self):
         # float64 layers are where a centering that wrote in place would land
         cfg, fixture, acts, eval_data = selection_fixture()
-        acts64 = ActivationSet(tap=acts.tap, per_layer={
-            i: m.astype(np.float64) for i, m in acts.per_layer.items()})
+        acts64 = ActivationSet(tap=acts.tap, per_layer=tuple(
+            m.astype(np.float64) for m in acts.per_layer))
         for captured in (acts, acts64):
-            before = {i: m.copy() for i, m in captured.per_layer.items()}
+            before = [m.copy() for m in captured.per_layer]
             select_best_window(fixture.model, captured, 3, eval_data,
                                EvalMetric("cross_entropy"), include_final_window=True)
-            assert sorted(captured.per_layer) == sorted(before)
-            for i, m in before.items():
-                assert captured.per_layer[i].dtype == m.dtype
-                np.testing.assert_array_equal(captured.per_layer[i], m)
+            assert len(captured.per_layer) == len(before)
+            for got, m in zip(captured.per_layer, before):
+                assert got.dtype == m.dtype
+                np.testing.assert_array_equal(got, m)
 
     def test_peak_stays_below_k_plus_two_layer_copies(self, monkeypatch):
         # The sweep keeps at most k centered float64 layers, plus one being
@@ -425,9 +425,8 @@ class TestWindowSweepMemory:
         model = random_model(cfg, seed=120)
         eval_data = token_sequences(cfg, 2, 8, seed=121)
         rng = np.random.default_rng(122)
-        acts = ActivationSet(tap="ff_pre_act", per_layer={
-            layer: rng.normal(size=(rows, cfg.d_ff)).astype(np.float32)
-            for layer in range(n_layers)})
+        acts = ActivationSet(tap="ff_pre_act", per_layer=tuple(
+            rng.normal(size=(rows, cfg.d_ff)).astype(np.float32) for _ in range(n_layers)))
         monkeypatch.setattr(selection_mod, "evaluate", lambda *args, **kwargs: 0.5)
         tracemalloc.start()
         try:

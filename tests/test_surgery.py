@@ -23,7 +23,7 @@ def build(ff_kind: str, biases: bool, seed: int):
                                  ff_kind=ff_kind), has_ff_biases=biases)
     model = random_model(cfg, seed)
     data = token_sequences(cfg, 4, 6, seed=seed + 1)
-    # one capture serves every later step: windows index the original layers
+    # one capture serves every later step; a drop drops its layers' matrices
     return model, capture_activations(model, data, "ff_pre_act", max_samples=24)
 
 
@@ -90,6 +90,7 @@ def test_random_merges_and_drops(kind, seed, data):
             kept = [name for name in model_tensor_names(cfg)
                     if not name.startswith(dropped)]
             check_kept(model, out, dict(zip(model_tensor_names(out.config), kept)))
+            acts = replace(acts, per_layer=acts.per_layer[:start] + acts.per_layer[start + count:])
         check_well_formed(out)
         model = out
 

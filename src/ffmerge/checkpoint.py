@@ -60,14 +60,20 @@ class TruncatedFileError(CheckpointFormatError):
     pass
 
 
+def sealed(values, dtype=None) -> np.ndarray:
+    """``values`` as an aligned, C-contiguous, read-only array: the input itself
+    if it is one, else a new array, so no writable handle reaches what is kept."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if not arr.flags.aligned or arr.flags.writeable and (arr is values or not arr.flags.owndata):
+        arr = arr.copy()  # a view at an odd offset, or a caller's writable array
+    arr.flags.writeable = False  # a new array's flag, or one already clear
+    return arr
+
+
 def _check_tensor(name: str, array) -> np.ndarray:
-    """A finite, read-only C-contiguous float32 ``array``, taken over if it is one."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)  # at least 1-D
-    if not arr.flags.aligned:  # a view at an odd offset of a file image
-        arr = arr.copy()
+    arr = sealed(np.atleast_1d(array), np.float32)  # finite float32, at least 1-D
     if not np.isfinite(arr).all():
         raise ValueError(f"tensor {name!r} contains NaN or Inf")
-    arr.flags.writeable = False
     return arr
 
 
@@ -75,8 +81,9 @@ class ParameterStore:
     """One ordered table of tensor entries, in header order.
 
     ``ParameterStore(entries)`` takes ``{name: payload or owner name}``: a
-    payload becomes a finite, read-only float32 array (a C-contiguous
-    float32 array is taken over, not copied), and a ``str`` value makes
+    payload is kept as a finite float32 array by ``sealed``, the one rule
+    for every array the package keeps (a read-only, aligned, C-contiguous
+    array is shared, any other input copied), and a ``str`` value makes
     ``name`` an alias of that owner, resolving to its very array. An alias
     may not name itself, another alias or a missing entry. Payloads are
     never rebound, so stores share them: an edited model is a ``copy``. A
@@ -171,7 +178,7 @@ class ParameterStore:
             if owner != new:
                 table[new] = owner
             elif new in replace:
-                table[new] = _check_tensor(new, np.array(replace[new], dtype=np.float32))
+                table[new] = _check_tensor(new, replace[new])
             else:
                 table[new] = self.get(root)
         return ParameterStore._of(table)
@@ -269,11 +276,9 @@ def parse_container(data) -> tuple[ParameterStore, dict]:
     is decoded, each owner's data is sliced by its shape in header order,
     the store is built (refusing non-finite payloads and bad aliases), and
     the header is then compared with the canonical one. Each payload is a
-    read-only view into ``data``; a writable input is copied once first.
+    read-only view into ``data`` if that is read-only, else a copy.
     """
     data = memoryview(data).cast("B")
-    if not data.readonly:  # later edits of the input must not reach a payload
-        data = memoryview(bytes(data))
     if len(data) < 16:
         raise TruncatedFileError("file shorter than the fixed 16-byte prefix",
                                  offset=len(data))

@@ -15,34 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_write_bytes
+from .checkpoint import atomic_write_bytes, sealed
 
 TOKENS_MAGIC = b"FFMTOKS1"
 LABELS_MAGIC = b"FFMLBLS1"
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values)  # a copy, which no later edit of ``values`` reaches
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Token sequences, with per-sequence labels in classifier settings, frozen
-    once built: a tuple of read-only copies of the sequences (each 1-D) and a
-    read-only copy of the labels (a 1-D integer array, one per sequence), which
-    no later edit of the caller's list or arrays reaches."""
+    once built: a tuple of 1-D sequences and the labels (a 1-D integer array,
+    one per sequence), each kept by ``checkpoint.sealed``, so no later edit of
+    the caller's list or arrays reaches them."""
 
     sequences: tuple[np.ndarray, ...]
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sequences", tuple(map(_frozen, self.sequences)))
+        object.__setattr__(self, "sequences", tuple(map(sealed, self.sequences)))
         for i, seq in enumerate(self.sequences):
             if seq.ndim != 1:
                 raise ValueError(f"sequence {i} must be 1-D, got {seq.ndim}-D")
-        labels = None if self.labels is None else _frozen(self.labels)
+        labels = None if self.labels is None else sealed(self.labels)
         if labels is not None and (labels.ndim != 1 or labels.dtype.kind not in "iu"):
             raise ValueError(f"labels must be a 1-D integer array, got {labels.ndim}-D "
                              f"dtype {labels.dtype}")
@@ -76,7 +70,9 @@ def _read_u32_file(path, magic: bytes) -> np.ndarray:
     (count,) = struct.unpack("<Q", data[8:16])
     if len(data) != 16 + 4 * count:
         raise ValueError(f"{path}: expected {count} u32 values, file size is off")
-    return np.frombuffer(data, dtype="<u4", offset=16).astype(np.int64)
+    values = np.frombuffer(data, dtype="<u4", offset=16).astype(np.int64)
+    values.flags.writeable = False  # so a Dataset shares it, uncopied
+    return values
 
 
 def write_token_file(path, sequences: list[np.ndarray], separator_id: int) -> None:
@@ -93,8 +89,8 @@ def write_token_file(path, sequences: list[np.ndarray], separator_id: int) -> No
 
 
 def read_token_file(path, separator_id: int) -> list[np.ndarray]:
-    """The token stream split at the separator id, as views of one array;
-    empty segments are dropped."""
+    """The token stream split at the separator id, as read-only views of one
+    array; empty segments are dropped."""
     flat = _read_u32_file(path, TOKENS_MAGIC)
     ends = np.flatnonzero(flat == separator_id)
     return [flat[a:b] for a, b in zip(np.r_[0, ends + 1], np.r_[ends, flat.size]) if b > a]

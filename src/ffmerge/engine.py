@@ -342,8 +342,8 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
     """Run the model over the dataset and collect per-position features.
 
     Rows are collected in dataset order at every layer simultaneously,
-    then truncated to ``max_samples``. For swiglu models the ff_pre_act
-    tap captures the gated product.
+    then truncated to ``max_samples``, each matrix read-only. For swiglu
+    models the ff_pre_act tap captures the gated product.
     """
     if tap not in TAPS:
         raise ValueError(f"tap must be one of {TAPS}, got {tap!r}")
@@ -356,14 +356,17 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
     prefix = dataset.sequences[:np.searchsorted(rows, max_samples) + 1]
     parts = [[None] * len(prefix) for _ in range(model.config.n_layers)]
     for idx, lens, toks in _batches(model, prefix):
-        taps = _run(model, toks, tap, lens=lens)[1]
+        taps = _run(model, toks, tap, stop=model.config.n_layers, lens=lens)[1]
         while taps:  # each layer's float64 batch tap is dropped once cast
             i, mats = taps.popitem()
             for j, n, mat in zip(idx, lens, mats):
                 parts[i][j] = mat[:n].astype(np.float32)
-    # each layer's pieces are dropped once joined
-    per_layer = tuple(np.concatenate(parts.pop(0))[:max_samples] for _ in range(len(parts)))
-    return ActivationSet(tap=tap, per_layer=per_layer)
+    per_layer = []
+    while parts:  # each layer's pieces are dropped once joined
+        joined = np.concatenate(parts.pop(0))
+        joined.flags.writeable = False  # before the cut, so a store shares the rows
+        per_layer.append(joined[:max_samples])
+    return ActivationSet(tap=tap, per_layer=tuple(per_layer))
 
 
 def write_activations(acts: ActivationSet, path) -> None:

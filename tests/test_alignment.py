@@ -118,6 +118,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(np.array([0.5, 1.5]))
 
+    def test_equality(self):
+        # another type takes the NotImplemented path, so == falls back to identity
+        p = Permutation.identity(3)
+        assert p == Permutation(np.arange(3)) and p != Permutation(np.array([1, 0, 2]))
+        assert p.__eq__(object()) is NotImplemented and p != object()
+
 
 class TestCentered:
     def test_float64_input_untouched(self):

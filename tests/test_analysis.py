@@ -190,6 +190,11 @@ class TestCkaMatrix:
         with pytest.raises(ValueError):
             CkaMatrix(values=np.array([[1.0, 1.5], [1.5, 1.0]]), tap="ff_out")
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 1, 1)])
+    def test_non_square_refused(self, shape):
+        with pytest.raises(ValueError, match=r"must be square, got \("):
+            CkaMatrix(values=np.ones(shape), tap="ff_out")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_refused(self, bad):
         with pytest.raises(ValueError, match="NaN or Inf"):

@@ -19,6 +19,7 @@ from ffmerge.checkpoint import (MAGIC, BadMagicError, CheckpointFormatError,
                                 read_container, serialize_container,
                                 tie_report, write_container)
 from ffmerge.config import ModelConfig
+from ffmerge.datasets import Dataset
 from ffmerge.engine import load_model, save_model
 from ffmerge.fixtures import default_config, random_model
 
@@ -66,16 +67,28 @@ class TestParameterStore:
         assert store.get("v") is store.get("w")
         np.testing.assert_array_equal(store.get("v"), np.ones(3))
 
-    def test_add_takes_a_float32_array_over(self):
-        # the constructor takes a C-contiguous float32 payload over, uncopied
+    def test_add_shares_only_a_read_only_float32_array(self):
+        # a read-only float32 payload is kept uncopied; a writable one, or
+        # one of another dtype, is copied and keeps the caller's flag
+        shared = np.ones(3, dtype=np.float32)
+        shared.flags.writeable = False
         mine = np.ones(3, dtype=np.float32)
         converted = np.ones(3)  # float64: stored as a float32 copy
-        store = ParameterStore({"w": mine, "v": converted})
-        assert store.get("w") is mine
-        with pytest.raises(ValueError, match="read-only"):
-            mine[:] = 0.0
+        store = ParameterStore({"s": shared, "w": mine, "v": converted})
+        assert store.get("s") is shared
+        assert mine.flags.writeable and converted.flags.writeable
+        mine[:] = 0.0
         converted[:] = 0.0
-        np.testing.assert_array_equal(store.get("v"), np.ones(3))
+        for name in ("w", "v"):
+            np.testing.assert_array_equal(store.get(name), np.ones(3))
+
+    def test_a_view_of_a_writable_array_is_copied(self):
+        # a write through the view's writable base must not reach a payload
+        # that is flagged read-only
+        base = np.ones(8, dtype=np.float32)
+        store = ParameterStore({"a": base[:4]})
+        base[0] = 5.0
+        assert store.get("a").tolist() == [1.0] * 4
 
     def test_alias_chain_rejected(self):
         with pytest.raises(ValueError, match="depth 1"):
@@ -122,6 +135,67 @@ class TestParameterStore:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             ParameterStore({"w": np.array([np.nan], dtype=np.float32)})
+
+
+def kept_input(kind: str, values: list, dtype):
+    """An input of ``kind`` holding ``values`` as ``dtype`` (float64 and list
+    kinds aside), and every writable array that reaches its memory."""
+    arr = np.array(values, dtype=dtype)
+    if kind == "owned":
+        return arr, [arr]
+    if kind == "slice":
+        owner = np.concatenate([arr, arr])
+        return owner[:len(values)], [owner]
+    if kind == "reshape":
+        owner = arr[None]
+        return owner.reshape(-1), [owner]
+    if kind == "fortran":
+        owner = np.asfortranarray(np.stack([arr, arr]))
+        return owner, [owner]
+    if kind == "bytes":  # one byte in, so never aligned
+        return np.frombuffer(b"\0" + arr.tobytes(), dtype=dtype, offset=1), []
+    if kind == "read-only":
+        arr.flags.writeable = False
+        return arr, []
+    if kind == "float64":
+        return arr.astype(np.float64), []
+    return list(values), []
+
+
+KEEPERS = {  # how each consumer keeps one input
+    "store": lambda x: ParameterStore({"w": x}).get("w"),
+    "sequence": lambda x: Dataset(sequences=[x]).sequences[0],
+    "labels": lambda x: Dataset(sequences=[np.ones(1)] * len(x), labels=x).labels,
+}
+
+
+class TestOneKeepRule:
+    """Every array a store or dataset keeps is read-only, aligned and
+    C-contiguous; it is the input itself only if that was read-only, and no
+    write through a handle the caller holds reaches it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["owned", "slice", "reshape", "fortran", "bytes",
+                                 "read-only", "float64", "list"]),
+           keeper=st.sampled_from(sorted(KEEPERS)),
+           values=st.lists(st.integers(0, 100), min_size=1, max_size=12))
+    def test_kept_array_is_sealed_and_cut_off(self, kind, keeper, values):
+        if keeper != "store" and kind == "fortran":
+            return  # a dataset keeps 1-D arrays only
+        if keeper == "labels" and kind == "float64":
+            return  # refused: labels are integers
+        x, handles = kept_input(kind, values, np.float32 if keeper == "store" else np.int64)
+        flag = x.flags.writeable if isinstance(x, np.ndarray) else None
+        kept = KEEPERS[keeper](x)
+        assert not kept.flags.writeable
+        assert kept.flags.aligned and kept.flags.c_contiguous
+        if isinstance(x, np.ndarray):
+            assert x.flags.writeable == flag
+            assert not np.shares_memory(kept, x) or not flag
+        assert (kept is x) == (kind == "read-only")
+        for handle in handles:
+            handle[...] = 101  # outside the drawn values
+        assert (kept == np.array(values)).all()  # both rows of a fortran input
 
 
 def tied_store() -> ParameterStore:
@@ -292,6 +366,15 @@ class TestContainerFormat:
         assert store.get("b") is store.get("a")
         again, _ = parse_container(serialize_container(store, {}))
         assert again.names == ["b", "a"]
+
+    def test_serialize_rechecks_finiteness(self):
+        # a store-owned payload flipped back to writable can take a NaN
+        store = ParameterStore({"w": np.ones(3, dtype=np.float32)})
+        payload = store.get("w")
+        payload.flags.writeable = True
+        payload[1] = np.nan
+        with pytest.raises(ValueError, match="'w' contains NaN or Inf"):
+            serialize_container(store, {})
 
     def test_header_order_preserved(self):
         store = ParameterStore({"z": np.ones(1, dtype=np.float32),

@@ -213,6 +213,25 @@ class TestSelectCommand:
         load_model(out)
 
 
+    def test_no_window_error_names_the_flag(self, tmp_path, capsys):
+        # k = n_layers fits only the full-width window, which the default
+        # bound leaves out; the message names the flag that lets it in
+        cfg = default_config(n_layers=3, d_model=8, d_ff=16, ff_kind="relu")
+        model = str(tmp_path / "m.ffmc")
+        save_model(random_model(cfg, 0), model)
+        data = str(tmp_path / "d.toks")
+        write_token_file(data, token_sequences(cfg, 3, 8, seed=1).sequences, cfg.separator_id)
+        acts = str(tmp_path / "a.ffmc")
+        assert main(["capture", "--model", model, "--data", data, "--tap", "ff-pre-act",
+                     "--max-samples", "20", "--out", acts]) == 0
+        capsys.readouterr()
+        rc = main(["select", "--model", model, "--acts", acts, "--k", "3",
+                   "--eval-data", data, "--metric", "xent",
+                   "--out", str(tmp_path / "o.ffmc"), "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "pass --include-final-window" in capsys.readouterr().err
+
+
 class TestDropCommand:
     def test_drop_sweep(self, workdir, capsys):
         out = str(workdir["dir"] / "pruned.ffmc")

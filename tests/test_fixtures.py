@@ -174,6 +174,12 @@ class TestTokenSequences:
             assert cfg.separator_id not in seq
             assert seq.max() < cfg.vocab_size
 
+    @pytest.mark.parametrize("seq_len", [0, 65])
+    def test_seq_len_outside_the_positions_refused(self, seq_len):
+        cfg = default_config(n_layers=2, d_model=8, d_ff=16)  # max_seq_len 64
+        with pytest.raises(ValueError, match=r"seq_len must be in \[1, 64\]"):
+            token_sequences(cfg, 2, seq_len, seed=0)
+
     def test_writable_as_token_file(self, tmp_path):
         cfg = default_config(n_layers=2, d_model=8, d_ff=16)
         data = token_sequences(cfg, 5, 9, seed=56)

@@ -1,6 +1,6 @@
-"""Every module under src/ffmerge, benchmarks/, demos/ and tests/ uses each
-name it imports, and something in src/ffmerge reads each module-level
-private name.
+"""Every module under src/ffmerge, benchmarks/, demos/, tests/ and tools/
+uses each name it imports, and something in src/ffmerge reads each
+module-level private name.
 
 No linter ships with the project, so these AST walks are the check. They
 catch the import a deleted helper leaves behind, and the private helper a
@@ -18,7 +18,7 @@ ROOT = pathlib.Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "ffmerge"
 # {test id: path}; package modules keep their bare stem as id
 MODULES = ({p.stem: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
-           | {f"{folder}/{p.stem}": p for folder in ("benchmarks", "demos", "tests")
+           | {f"{folder}/{p.stem}": p for folder in ("benchmarks", "demos", "tests", "tools")
               for p in sorted((ROOT / folder).glob("*.py"))})
 
 

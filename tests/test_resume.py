@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffmerge import engine
+from ffmerge.checkpoint import ParameterStore
 from ffmerge.datasets import Dataset
 from ffmerge.engine import (EvalMetric, TransformerModel, capture_activations,
                             evaluate, ff_params, load_model, residual_prefix,
                             save_model)
-from ffmerge.fixtures import default_config, random_model
+from ffmerge.fixtures import default_config, random_model, token_sequences
 from ffmerge.merging import ANCHOR_POSITIONS, MergeSpec, merge_window
 from ffmerge.selection import drop_layers, select_best_drop, select_best_window
 
@@ -286,6 +287,32 @@ class TestReadOnlyPayloads:
         loaded = load_model(tmp_path / "m.ffmc")
         with pytest.raises(ValueError, match="read-only"):
             loaded.store.get("embed.tok")[0, 0] = 1.0
+
+    def test_writes_through_a_callers_buffer_do_not_stale_a_resume(self):
+        # every tensor is built as a view into one writable buffer; an edit
+        # of the buffer must reach neither the model nor its resumed score
+        cfg = default_config(4, 16, 32)
+        model = random_model(cfg, 0)
+        data = token_sequences(cfg, 4, 16, 1)
+        buffer = np.concatenate([model.store.get(n).ravel() for n in model.store.names])
+        views, end = {}, 0
+        for name in model.store.names:
+            shape = model.store.get(name).shape
+            views[name] = buffer[end:end + np.prod(shape)].reshape(shape)
+            end += views[name].size
+        built = TransformerModel(cfg, ParameterStore(views))
+        prefix = residual_prefix(built, data, 3)
+        buffer *= 1.5
+        score = evaluate(model, data, XENT)
+        assert evaluate(built, data, XENT, prefix=prefix) == score
+        assert evaluate(built, data, XENT) == score
+
+    def test_capture_is_read_only_and_stored_uncopied(self, base):
+        model, data, _ = base
+        acts = capture_activations(model, data, "ff_out", max_samples=9)
+        for m in acts.per_layer:
+            assert not m.flags.writeable and m.shape[0] == 9
+            assert ParameterStore({"a": m}).get("a") is m
 
     def test_merge_shares_untouched_tensors(self, base):
         model, data, _ = base

@@ -21,9 +21,8 @@ from .engine import (ActivationSet, EvalMetric, FFParams, TransformerModel,
                      load_model, read_activations, save_model,
                      write_activations)
 from .fixtures import (PermutedCopyFixture, default_config, duplicate_model,
-                       gen_fixture, greedy_sequences, noisy_permuted_pair,
-                       permuted_copy_model, random_model, token_sequences,
-                       zeroed_layer_model)
+                       gen_fixture, greedy_sequences, permuted_copy_model,
+                       random_model, token_sequences, zeroed_layer_model)
 from .merging import MergeDiagnostics, MergeSpec, merge_ff, merge_window
 from .selection import (SelectionReport, WindowCandidate, drop_layers,
                         enumerate_drop_starts, enumerate_windows,
@@ -42,7 +41,7 @@ __all__ = [
     "enumerate_windows", "evaluate", "ff_forward", "ff_params", "gen_fixture",
     "greedy_sequences", "linear_cka", "load_dataset", "load_model",
     "matched_score", "merge_ff", "merge_window",
-    "noisy_permuted_pair", "permuted_copy_model", "random_model",
+    "permuted_copy_model", "random_model",
     "read_activations", "read_container", "read_label_file",
     "read_token_file", "save_model", "select_best_drop",
     "select_best_window", "solve_assignment", "tie_report",

@@ -45,24 +45,16 @@ MAGIC = b"FFMCKPT1"
 
 
 class CheckpointFormatError(ValueError):
-    """A malformed checkpoint file; ``offset`` is the byte position of the defect."""
+    """Any defect of a checkpoint file; ``offset`` is the byte position of the defect."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
 
-class BadMagicError(CheckpointFormatError):
-    pass
-
-
-class TruncatedFileError(CheckpointFormatError):
-    pass
-
-
 def sealed(values, dtype=None) -> np.ndarray:
-    """``values`` as an aligned, C-contiguous, read-only array: the input itself
-    if it is one, else a new array, so no writable handle reaches what is kept."""
+    """``values`` as an aligned, C-contiguous, read-only array: the input itself if
+    it is one, else a new array, so no writable handle reaches it and no caller's flag changes."""
     arr = np.asarray(values, dtype=dtype, order="C")
     if not arr.flags.aligned or arr.flags.writeable and (arr is values or not arr.flags.owndata):
         arr = arr.copy()  # a view at an odd offset, or a caller's writable array
@@ -224,11 +216,6 @@ def atomic_write_bytes(path, payload) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write UTF-8 text to ``path`` via a temp file plus rename."""
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _header(store: ParameterStore, meta: dict) -> bytes:
     """The canonical header: compact JSON, ``__config__`` first, then every
     entry in store order, owners at packed offsets."""
@@ -280,14 +267,14 @@ def parse_container(data) -> tuple[ParameterStore, dict]:
     """
     data = memoryview(data).cast("B")
     if len(data) < 16:
-        raise TruncatedFileError("file shorter than the fixed 16-byte prefix",
-                                 offset=len(data))
+        raise CheckpointFormatError("file shorter than the fixed 16-byte prefix",
+                                    offset=len(data))
     if data[:8] != MAGIC:
-        raise BadMagicError(f"bad magic {bytes(data[:8])!r}, expected {MAGIC!r}", offset=0)
+        raise CheckpointFormatError(f"bad magic {bytes(data[:8])!r}, expected {MAGIC!r}", offset=0)
     (header_len,) = struct.unpack("<Q", data[8:16])
     data_start = 16 + header_len
     if data_start > len(data):
-        raise TruncatedFileError(
+        raise CheckpointFormatError(
             f"header claims {header_len} bytes but file ends early", offset=16)
     found = bytes(data[16:data_start])
     try:
@@ -318,7 +305,7 @@ def parse_container(data) -> tuple[ParameterStore, dict]:
                                         offset=16)
         count = math.prod(shape)
         if end + 4 * count > len(data):
-            raise TruncatedFileError(
+            raise CheckpointFormatError(
                 f"entry {name!r} data region [{end}, {end + 4 * count}) exceeds "
                 f"file size {len(data)}", offset=end)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=end)

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .analysis import cka_matrix
-from .checkpoint import atomic_write_text, tie_report
+from .checkpoint import atomic_write_bytes, tie_report
 from .datasets import label_path_for, load_dataset
 from .config import FF_KINDS
 from .engine import (METRIC_ALIASES, TAPS, EvalMetric, TransformerModel, capture_activations,
@@ -119,7 +119,7 @@ def _cmd_merge(args) -> int:
 
 def _finish_sweep(args, report: SelectionReport, best: TransformerModel) -> int:
     save_model(best, args.out)
-    atomic_write_text(args.report, report.to_json())
+    atomic_write_bytes(args.report, report.to_json().encode("utf-8"))
     print(format_report(report))
     print(f"wrote {args.out} and {args.report}")
     return 0
@@ -156,7 +156,7 @@ def _cmd_cka(args) -> int:
     acts = read_activations(args.acts)
     matrix = cka_matrix(acts)
     text = matrix.to_json() if args.format == "json" else matrix.to_csv()
-    atomic_write_text(args.out, text)
+    atomic_write_bytes(args.out, text.encode("utf-8"))
     print(f"wrote {matrix.size}x{matrix.size} CKA matrix ({args.format}) "
           f"-> {args.out}")
     return 0

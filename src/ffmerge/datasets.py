@@ -76,10 +76,12 @@ def _read_u32_file(path, magic: bytes) -> np.ndarray:
 
 
 def write_token_file(path, sequences: list[np.ndarray], separator_id: int) -> None:
-    """Flatten sequences into one token stream, separator-delimited."""
+    """Flatten 1-D, non-empty sequences into one token stream, separator-delimited."""
     parts = []
     for i, seq in enumerate(sequences):
         seq = _u32(seq, f"sequence {i}: token")
+        if seq.ndim != 1 or not seq.size:
+            raise ValueError(f"sequence {i} must be 1-D and non-empty, got shape {seq.shape}")
         if (seq == separator_id).any():
             raise ValueError("sequence contains the reserved separator id")
         parts.append(seq)
@@ -97,6 +99,8 @@ def read_token_file(path, separator_id: int) -> list[np.ndarray]:
 
 
 def write_label_file(path, labels: np.ndarray) -> None:
+    if np.ndim(labels) != 1:
+        raise ValueError(f"labels must be 1-D, got {np.ndim(labels)}-D")
     _write_u32_file(path, LABELS_MAGIC, _u32(labels, "label"))
 
 

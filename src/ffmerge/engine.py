@@ -10,6 +10,8 @@ generation machinery.
 A forward takes one token sequence or a batch of equal-length ones;
 ``evaluate`` and ``capture_activations`` run a dataset as right-padded
 batches, longest first, and put per-sequence results back in dataset order.
+The elementwise kernels work in one fresh buffer, never in their input, with
+the operations of their plain expressions, bit for bit.
 
 GELU is pinned to the tanh approximation
 ``0.5*z*(1 + tanh(sqrt(2/pi)*(z + 0.044715*(z*z*z))))`` so snapshots stay
@@ -109,7 +111,7 @@ def _ff_apply(params: FFParams, x64: np.ndarray, kind: str):
     return hidden, y
 
 
-def ff_forward(params: FFParams, x, kind: str = "gelu"):
+def ff_forward(params: FFParams, x, kind: str):
     """Run one relu, gelu or swiglu feed-forward sublayer; returns (hidden
     tap, output) as float32.
 
@@ -341,9 +343,9 @@ def capture_activations(model: TransformerModel, dataset: Dataset, tap: str,
                         max_samples: int) -> ActivationSet:
     """Run the model over the dataset and collect per-position features.
 
-    Rows are collected in dataset order at every layer simultaneously,
-    then truncated to ``max_samples``, each matrix read-only. For swiglu
-    models the ff_pre_act tap captures the gated product.
+    Rows are taken in dataset order at every layer at once, cast to float32
+    per batch, cut to ``max_samples`` and made read-only; the pass stops
+    before the head. The swiglu ff_pre_act tap is the gated product.
     """
     if tap not in TAPS:
         raise ValueError(f"tap must be one of {TAPS}, got {tap!r}")
@@ -521,6 +523,7 @@ def save_model(model: TransformerModel, path) -> None:
 
 
 def load_model(path) -> TransformerModel:
+    """Read a model; an invalid ``__config__`` raises ``CheckpointFormatError``."""
     store, meta = read_container(path)
     try:
         config = ModelConfig.from_dict(meta)

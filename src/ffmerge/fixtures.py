@@ -30,7 +30,6 @@ from .datasets import Dataset
 from .engine import FFParams, TransformerModel
 
 FIXTURE_KINDS = ("duplicate", "permuted-copy", "random")
-NOISE_SCALE = 0.01  # noisy_permuted_pair's noise, as a share of each tensor's scale
 PROMPT_LEN = 2  # random tokens that start each greedy_sequences sequence
 
 
@@ -215,28 +214,6 @@ def zeroed_layer_model(cfg: ModelConfig, zero_layer: int,
              for name in layer_tensor_names(cfg, zero_layer)
              if ".attn." in name or ".ff." in name}
     return TransformerModel(cfg, random_model(cfg, seed).store.copy(replace=zeros))
-
-
-def noisy_permuted_pair(cfg: ModelConfig, seed: int):
-    """A feed-forward plus a hidden-permuted copy with gaussian noise added
-    at ``NOISE_SCALE`` of each tensor's own scale.
-
-    Returns (base, noisy copy, planted permutation).
-    """
-    rng = np.random.default_rng(seed)
-    base = _random_ff(cfg, rng)
-    perm = Permutation(rng.permutation(cfg.d_ff).astype(np.int64))
-
-    def jitter(arr: np.ndarray) -> np.ndarray:
-        scale = float(arr.std())
-        noise = rng.normal(0.0, NOISE_SCALE * scale, arr.shape)
-        return (arr.astype(np.float64) + noise).astype(np.float32)
-
-    # jitter every drawn tensor so the noise does not depend on has_ff_biases
-    noisy = {b: jitter(arr) for b, arr in apply_permutation(base, perm).items()}
-    kept = ff_param_basenames(cfg)
-    return (FFParams({b: base[b] for b in kept}),
-            FFParams({b: noisy[b] for b in kept}), perm)
 
 
 def token_sequences(cfg: ModelConfig, n_sequences: int, seq_len: int,

@@ -17,16 +17,18 @@ from ffmerge.alignment import (Permutation, apply_permutation, centered,
 from ffmerge.analysis import cka_matrix, linear_cka
 from ffmerge.checkpoint import (ParameterStore, parse_container,
                                 serialize_container, tie_report)
-from ffmerge.config import ff_tensor_names
+from ffmerge.config import ff_param_basenames, ff_tensor_names
 from ffmerge.engine import (EvalMetric, FFParams, capture_activations,
                             evaluate, ff_forward, ff_params)
-from ffmerge.fixtures import (default_config, duplicate_model,
-                              greedy_sequences, noisy_permuted_pair,
-                              permuted_copy_model, token_sequences,
-                              zeroed_layer_model)
+from ffmerge.fixtures import (_random_ff, default_config, duplicate_model,
+                              greedy_sequences, permuted_copy_model,
+                              token_sequences, zeroed_layer_model)
 from ffmerge.merging import MergeSpec, merge_ff, merge_window
 from ffmerge.selection import (enumerate_windows, select_best_drop,
                                select_best_window)
+
+
+NOISE_SCALE = 0.01  # noisy_permuted_pair's noise, as a share of each tensor's scale
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -48,6 +50,28 @@ def random_ff_params(rng, d_model, d_ff, kind, biases):
     if not biases:
         del params["b_in"], params["b_out"]
     return params
+
+
+def noisy_permuted_pair(cfg, seed: int):
+    """A feed-forward plus a hidden-permuted copy with gaussian noise added
+    at ``NOISE_SCALE`` of each tensor's own scale.
+
+    Returns (base, noisy copy, planted permutation).
+    """
+    rng = np.random.default_rng(seed)
+    base = _random_ff(cfg, rng)
+    perm = Permutation(rng.permutation(cfg.d_ff).astype(np.int64))
+
+    def jitter(arr: np.ndarray) -> np.ndarray:
+        scale = float(arr.std())
+        noise = rng.normal(0.0, NOISE_SCALE * scale, arr.shape)
+        return (arr.astype(np.float64) + noise).astype(np.float32)
+
+    # jitter every drawn tensor so the noise does not depend on has_ff_biases
+    noisy = {b: jitter(arr) for b, arr in apply_permutation(base, perm).items()}
+    kept = ff_param_basenames(cfg)
+    return (FFParams({b: base[b] for b in kept}),
+            FFParams({b: noisy[b] for b in kept}), perm)
 
 
 class TestAcceptance:

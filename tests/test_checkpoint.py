@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffmerge.checkpoint import (MAGIC, BadMagicError, CheckpointFormatError,
-                                ParameterStore, TruncatedFileError,
+from ffmerge.checkpoint import (MAGIC, CheckpointFormatError, ParameterStore,
                                 atomic_write_bytes, parse_container,
                                 read_container, serialize_container,
                                 tie_report, write_container)
@@ -383,23 +382,23 @@ class TestContainerFormat:
         assert parsed.names == ["z", "a"]
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError) as err:
+        with pytest.raises(CheckpointFormatError, match="bad magic") as err:
             parse_container(b"NOTMAGIC" + b"\0" * 16)
         assert err.value.offset == 0
 
     def test_truncated_prefix(self):
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(CheckpointFormatError, match="shorter than the fixed 16-byte prefix"):
             parse_container(b"FFMC")
 
     def test_truncated_header(self):
         data = MAGIC + struct.pack("<Q", 100) + b"{}"
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(CheckpointFormatError, match="header claims 100 bytes"):
             parse_container(data)
 
     def test_truncated_data_region(self):
         store = ParameterStore({"w": np.ones(4, dtype=np.float32)})
         data = serialize_container(store, {})
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(CheckpointFormatError, match="exceeds file size"):
             parse_container(data[:-4])
 
     def test_invalid_json_header(self):
@@ -433,7 +432,7 @@ class TestContainerFormat:
         hj = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data = MAGIC + struct.pack("<Q", len(hj)) + hj + b"\0" * 8
         # the shape, not the length, sizes the data: 16 bytes are missing 8
-        with pytest.raises(TruncatedFileError) as err:
+        with pytest.raises(CheckpointFormatError, match="exceeds file size") as err:
             parse_container(data)
         assert err.value.offset == 16 + len(hj)
         # with the 16 bytes the shape asks for, the length is not canonical
@@ -505,7 +504,7 @@ class TestContainerFormat:
                   "a": {"dtype": "f32", "shape": [2], "offset": 0, "length": 8},
                   "b": {"dtype": "f32", "shape": [2], "offset": 4, "length": 8}}
         data = build_container(header, b"\0" * 12)
-        with pytest.raises(TruncatedFileError) as err:
+        with pytest.raises(CheckpointFormatError, match="exceeds file size") as err:
             parse_container(data)
         assert err.value.offset == len(data) - 4
 
@@ -786,12 +785,14 @@ class TestReadViews:
         data = aliased_container()
         (header_len,) = struct.unpack("<Q", data[8:16])
         path = tmp_path / "cut.ffmc"
+        # the messages of the three ways a file can end too early
+        truncated = "shorter than the fixed 16-byte prefix|file ends early|exceeds file size"
         for cut in (0, 7, 15, 16, 17 + header_len // 2, 16 + header_len,
                     len(data) - 13, len(data) - 1):
             path.write_bytes(data[:cut])
-            with pytest.raises(TruncatedFileError) as from_bytes:
+            with pytest.raises(CheckpointFormatError, match=truncated) as from_bytes:
                 parse_container(data[:cut])
-            with pytest.raises(TruncatedFileError) as from_file:
+            with pytest.raises(CheckpointFormatError, match=truncated) as from_file:
                 read_container(path)
             assert str(from_file.value) == str(from_bytes.value)
             assert from_file.value.offset == from_bytes.value.offset

@@ -1,10 +1,13 @@
 """Token and label file round trips and error handling."""
 
 import struct
+import tempfile
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffmerge.datasets import (LABELS_MAGIC, TOKENS_MAGIC, Dataset,
                               label_path_for, load_dataset, read_label_file,
@@ -69,6 +72,29 @@ class TestTokenFiles:
             write_token_file(tmp_path / "d.toks", seqs([1, 0, 2]),
                              separator_id=0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), separator=st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_every_sequence(self, data, separator):
+        token = st.integers(0, 2**32 - 1).filter(lambda t: t != separator)
+        sequences = data.draw(st.lists(st.lists(token, min_size=1, max_size=6), max_size=6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/d.toks"
+            write_token_file(path, [np.array(s, dtype=np.int64) for s in sequences], separator)
+            back = read_token_file(path, separator)
+        assert [s.tolist() for s in back] == sequences
+
+    @pytest.mark.parametrize("seq,shape", [
+        (np.array([], dtype=np.int64), r"\(0,\)"),
+        (np.array([[1, 2]]), r"\(1, 2\)"),
+        (np.array(5), r"\(\)"),
+    ], ids=["empty", "2-D", "0-D"])
+    def test_empty_or_non_1d_sequence_refused(self, tmp_path, seq, shape):
+        # an empty one would read back as no sequence at all, shifting the labels
+        path = tmp_path / "d.toks"
+        with pytest.raises(ValueError, match=f"sequence 1 must be 1-D and non-empty, got shape {shape}"):
+            write_token_file(path, [np.array([7]), seq, np.array([8])], separator_id=0)
+        assert not path.exists()
+
     def test_empty_segments_dropped(self, tmp_path):
         path = tmp_path / "d.toks"
         write_token_file(path, seqs([1], [2]), separator_id=9)
@@ -127,6 +153,13 @@ class TestLabelFiles:
         path = tmp_path / "d.lbls"
         with pytest.raises(ValueError, match=message):
             write_label_file(path, labels)
+        assert not path.exists()
+
+    def test_non_1d_labels_refused(self, tmp_path):
+        # they would be written flattened, one label per entry
+        path = tmp_path / "d.lbls"
+        with pytest.raises(ValueError, match="labels must be 1-D, got 2-D"):
+            write_label_file(path, np.array([[0, 1], [1, 0]]))
         assert not path.exists()
 
     def test_label_path_convention(self):

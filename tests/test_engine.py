@@ -147,6 +147,12 @@ class TestFFForward:
         gated, y = ff_forward(random_swiglu(rng), np.zeros(6), "swiglu")
         assert gated.shape == (10,) and y.shape == (6,)
 
+    def test_kind_is_required(self):
+        # no default kind: gelu on relu weights would run without complaint
+        rng = np.random.default_rng(14)
+        with pytest.raises(TypeError, match="kind"):
+            ff_forward(random_ff(rng), np.zeros(6))
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["relu", "gelu", "swiglu"]), biases=st.booleans(),
            d_model=st.integers(1, 6), d_ff=st.integers(1, 8),

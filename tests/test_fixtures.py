@@ -11,10 +11,8 @@ from ffmerge.alignment import (Permutation, apply_permutation, centered,
 from ffmerge.datasets import write_token_file
 from ffmerge.engine import capture_activations, ff_params
 from ffmerge.fixtures import (FIXTURE_KINDS, PROMPT_LEN, default_config, duplicate_model,
-                              gen_fixture, greedy_sequences,
-                              noisy_permuted_pair, permuted_copy_model,
-                              random_model, token_sequences,
-                              zeroed_layer_model)
+                              gen_fixture, greedy_sequences, permuted_copy_model,
+                              random_model, token_sequences, zeroed_layer_model)
 
 
 def stores_equal(a, b) -> bool:
@@ -152,16 +150,6 @@ class TestZeroedLayerModel:
         cfg = default_config(n_layers=4, d_model=8, d_ff=16)
         with pytest.raises(ValueError, match="range"):
             zeroed_layer_model(cfg, zero_layer=4, seed=52)
-
-
-class TestNoisyPermutedPair:
-    def test_structure(self):
-        cfg = default_config(n_layers=2, d_model=8, d_ff=16, ff_kind="relu")
-        base, noisy, perm = noisy_permuted_pair(cfg, seed=53)
-        assert perm.size == cfg.d_ff
-        moved = apply_permutation(base, perm)
-        rel = np.abs(noisy["w_in"] - moved["w_in"]).max() / moved["w_in"].std()
-        assert 0.0 < rel < 0.1
 
 
 class TestTokenSequences:

@@ -1,18 +1,22 @@
 """Every module under src/ffmerge, benchmarks/, demos/, tests/ and tools/
-uses each name it imports, and something in src/ffmerge reads each
-module-level private name.
+uses each name it imports, something in src/ffmerge reads each
+module-level private name, and something outside tests/ reads each name
+in ``ffmerge.__all__``.
 
 No linter ships with the project, so these AST walks are the check. They
-catch the import a deleted helper leaves behind, and the private helper a
-refactor stops calling. ``src/ffmerge/__init__.py`` is skipped for imports:
-it imports names to re-export them. An import kept for its side effect
-says so with ``# noqa: F401`` on its line.
+catch the import a deleted helper leaves behind, the private helper a
+refactor stops calling, and the public helper only tests call.
+``src/ffmerge/__init__.py`` is skipped for imports and as a reader: it
+imports names to re-export them. An import kept for its side effect says
+so with ``# noqa: F401`` on its line.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+import ffmerge
 
 ROOT = pathlib.Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "ffmerge"
@@ -60,13 +64,38 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
+# {test id: parsed module}: one parse per module for the two reader rules below
+TREES = {module: ast.parse(path.read_text()) for module, path in MODULES.items()}
+
+# A public name that has no reader yet, and why it stays in the package.
+UNREAD_PUBLIC_EXEMPT = {
+    "write_label_file": "the only writer of the .lbls label sidecar that eval, select "
+                        "and drop read for a classifier; without it users could not "
+                        "make that file; a classifier demo that writes labels would give "
+                        "it a reader and end this exemption",
+}
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads: a loaded name, an attribute, or the name
+    an import statement brings in."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """Module-level ``_x`` names, not dunders, that a def, class or
-    assignment in one of ``sources`` ({module: source}) binds and that none
-    of them reads, as a name, an attribute or an imported name."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    assignment in one of ``trees`` ({module: tree}) binds and that none of
+    them reads."""
+    defined = []
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.lineno, node.name))
@@ -74,24 +103,43 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(module, node.lineno, t.id) for t in targets
                             if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+    read = set().union(*map(names_read, trees.values()))
     return [f"{module} line {line}: {name}" for module, line, name in defined
             if name[:1] == "_" and name[:2] != "__" and name not in read]
+
+
+def unread_public_names(public: list[str], trees: dict[str, ast.Module]) -> list[str]:
+    """The names in ``public`` that none of ``trees`` reads, sorted."""
+    read = set().union(*map(names_read, trees.values()))
+    return sorted(name for name in public if name not in read)
 
 
 def test_finds_an_unread_private_name():
     sources = {"a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _B\n"
                     "def _g(): pass\nclass _C: pass\ndef pub(): pass\n_h = 0\n",
                "b": "from .a import _f\nfrom . import a\na._C()\n"}
-    assert unread_private_names(sources) == ["a line 1: _A", "a line 6: _g", "a line 9: _h"]
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    assert unread_private_names(trees) == ["a line 1: _A", "a line 6: _g", "a line 9: _h"]
 
 
 def test_package_has_no_unread_private_name():
-    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unread_private_names(sources) == []
+    package = {module: tree for module, tree in TREES.items() if "/" not in module}
+    assert unread_private_names(package) == []
+
+
+def test_finds_an_unread_public_name():
+    sources = {"a": "from pkg import read_by_import\nimport pkg.mod\npkg.by_attribute()\n",
+               "b": "by_name()\nonly_stored = 1\ndef only_defined(): pass\n"}
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    public = ["read_by_import", "pkg.mod", "by_attribute", "by_name", "only_stored",
+              "only_defined", "nowhere"]
+    assert unread_public_names(public, trees) == ["nowhere", "only_defined", "only_stored"]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """A name in ``ffmerge.__all__`` is read in src/ffmerge (not counting
+    ``__init__.py``), benchmarks/, demos/ or tools/; a name only tests
+    read belongs in the tests. Exempt names must still be unread."""
+    readers = {module: tree for module, tree in TREES.items()
+               if not module.startswith("tests/")}
+    assert unread_public_names(ffmerge.__all__, readers) == sorted(UNREAD_PUBLIC_EXEMPT)

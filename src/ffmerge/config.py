@@ -25,6 +25,8 @@ FF_HIDDEN_AXIS = {"w_in": 0, "b_in": 0, "w_up": 0, "v_gate": 0,
                   "w_out": 1, "w_down": 1, "b_out": None}
 
 _SIZE_FIELDS = ("n_layers", "d_model", "d_ff", "n_heads", "vocab_size", "max_seq_len")
+_CHOICE_FIELDS = {"mode": MODES, "norm_placement": NORM_PLACEMENTS, "ff_kind": FF_KINDS,
+                  "pooling": POOLINGS}
 
 
 @dataclass(frozen=True)
@@ -59,17 +61,10 @@ class ModelConfig:
         if not isinstance(self.has_ff_biases, bool):
             raise ValueError(
                 f"has_ff_biases must be a boolean, got {self.has_ff_biases!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.norm_placement not in NORM_PLACEMENTS:
-            raise ValueError(
-                f"norm_placement must be one of {NORM_PLACEMENTS}, "
-                f"got {self.norm_placement!r}"
-            )
-        if self.ff_kind not in FF_KINDS:
-            raise ValueError(f"ff_kind must be one of {FF_KINDS}, got {self.ff_kind!r}")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
+        for field, choices in _CHOICE_FIELDS.items():
+            value = getattr(self, field)
+            if value not in choices:
+                raise ValueError(f"{field} must be one of {choices}, got {value!r}")
         for field in _SIZE_FIELDS:
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")

@@ -35,30 +35,24 @@ def enumerate_windows(n_layers: int, k: int,
 
 @dataclass(frozen=True)
 class WindowCandidate:
-    """One scored candidate: the window start and its evaluation score,
-    finite or +inf (an overflowing perplexity); NaN and -inf are refused."""
+    """One scored candidate, as ``_sweep`` builds it: the window start and
+    its ``evaluate`` score, finite, or +inf for an overflowing perplexity."""
 
     start: int
     score: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.score) or self.score == np.inf):
-            raise ValueError(f"candidate score must be finite or +inf, got {self.score}")
-
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """All candidate scores plus the winner."""
+    """All candidate scores plus the winner, as the select and drop sweeps
+    build it: ``best`` is one of ``candidates``. Written with ``to_json``
+    and not read back."""
 
     k: int
     anchor_position: str | None
     use_permutation: bool
     candidates: tuple[WindowCandidate, ...]
     best: WindowCandidate
-
-    def __post_init__(self):
-        if self.best not in self.candidates:
-            raise ValueError("best candidate is not in the candidate list")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -69,16 +63,6 @@ class SelectionReport:
                            for c in self.candidates],
             "best": {"start": self.best.start, "score": self.best.score},
         }, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SelectionReport":
-        doc = json.loads(text)
-        candidates = tuple(WindowCandidate(int(c["start"]), float(c["score"]))
-                           for c in doc["candidates"])
-        best = WindowCandidate(int(doc["best"]["start"]), float(doc["best"]["score"]))
-        return cls(k=int(doc["k"]), anchor_position=doc["anchor"],
-                   use_permutation=bool(doc["use_permutation"]),
-                   candidates=candidates, best=best)
 
 
 def _sweep(model: TransformerModel, starts: list[int], build, eval_data, metric: EvalMetric,

@@ -19,7 +19,7 @@ from ffmerge.engine import (TransformerModel, load_model, read_activations, save
                             write_activations)
 from ffmerge.fixtures import default_config, greedy_sequences, \
     permuted_copy_model, random_model, token_sequences, zeroed_layer_model
-from ffmerge.selection import SelectionReport, enumerate_windows
+from ffmerge.selection import enumerate_windows
 
 
 @pytest.fixture
@@ -203,9 +203,9 @@ class TestSelectCommand:
                    "--eval-data", workdir["eval_data"], "--metric", "xent",
                    "--out", out, "--report", str(report_path)])
         assert rc == 0
-        report = SelectionReport.from_json(report_path.read_text())
-        assert len(report.candidates) == len(enumerate_windows(6, 3))
-        assert report.best.start == 2
+        report = json.loads(report_path.read_text())
+        assert len(report["candidates"]) == len(enumerate_windows(6, 3))
+        assert report["best"]["start"] == 2
         printed = capsys.readouterr().out
         assert "layers 2-4" in printed
         assert printed.startswith("merge selection: k=3 anchor=first permutation=on\n")
@@ -240,9 +240,9 @@ class TestDropCommand:
                    "--eval-data", workdir["eval_data"], "--metric", "xent",
                    "--out", out, "--report", str(report_path)])
         assert rc == 0
-        report = SelectionReport.from_json(report_path.read_text())
-        assert len(report.candidates) == 6
-        assert report.anchor_position is None
+        report = json.loads(report_path.read_text())
+        assert len(report["candidates"]) == 6
+        assert report["anchor"] is None
         printed = capsys.readouterr().out
         assert printed.startswith("drop selection: count=1\ncandidates:\n")
         assert "note:" not in printed
@@ -370,9 +370,9 @@ class TestEvalCommand:
                  else ["--count", "1"])
         assert main(argv) == 0
         assert "score inf" in capsys.readouterr().out
-        report = SelectionReport.from_json(report_path.read_text())
-        assert all(c.score == float("inf") for c in report.candidates)
-        assert report.best == report.candidates[0]
+        report = json.loads(report_path.read_text())
+        assert all(c["score"] == float("inf") for c in report["candidates"])
+        assert report["best"] == report["candidates"][0]
 
 
 def overflowing_model(workdir) -> str:

@@ -741,6 +741,31 @@ class TestEvaluate:
         assert EvalMetric.from_name("acc").higher_is_better
 
 
+class TestEvaluateOnHugeWeights:
+    """What a sweep ranks is finite, or +inf for an overflowing perplexity,
+    however large the float32 weights: a score is never NaN or -inf."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["relu", "gelu", "swiglu"]),
+           placement=st.sampled_from(["pre_ln", "post_ln"]),
+           mode=st.sampled_from(["lm", "classifier"]), metric=st.sampled_from(METRIC_KINDS),
+           exponent=st.floats(0.0, 38.52), seed=st.integers(0, 2**16))
+    def test_score_is_finite_or_overflowing_perplexity(self, kind, placement, mode, metric,
+                                                       exponent, seed):
+        cfg = replace(default_config(n_layers=2, d_model=8, d_ff=16, ff_kind=kind),
+                      norm_placement=placement, mode=mode,
+                      n_classes=3 if mode == "classifier" else None)
+        model = random_model(cfg, seed)
+        scaled = {name: np.clip(model.store.get(name).astype(np.float64) * 10.0 ** exponent,
+                                -3.3e38, 3.3e38).astype(np.float32)
+                  for name in model.store.names}
+        tokens = token_sequences(cfg, 4, 10, seed=seed + 1)
+        data = Dataset(tokens.sequences, np.arange(4) % 3 if mode == "classifier" else None)
+        with np.errstate(over="ignore"):  # the forward overflows on the way
+            score = evaluate(edited(model, scaled), data, EvalMetric(metric))
+        assert math.isfinite(score) or (metric == "perplexity" and score == math.inf)
+
+
 class TestModelCheckpointRoundTrip:
     def test_save_load(self, tmp_path):
         cfg = default_config(n_layers=2, d_model=16, d_ff=32, ff_kind="swiglu")

@@ -1,11 +1,12 @@
 """Every module under src/ffmerge, benchmarks/, demos/, tests/ and tools/
 uses each name it imports, something in src/ffmerge reads each
 module-level private name, and something outside tests/ reads each name
-in ``ffmerge.__all__``.
+in ``ffmerge.__all__`` and each public method and property of a public
+class in src/ffmerge.
 
 No linter ships with the project, so these AST walks are the check. They
 catch the import a deleted helper leaves behind, the private helper a
-refactor stops calling, and the public helper only tests call.
+refactor stops calling, and the public helper or method only tests call.
 ``src/ffmerge/__init__.py`` is skipped for imports and as a reader: it
 imports names to re-export them. An import kept for its side effect says
 so with ``# noqa: F401`` on its line.
@@ -66,6 +67,9 @@ def test_module_has_no_unused_import(path):
 
 # {test id: parsed module}: one parse per module for the two reader rules below
 TREES = {module: ast.parse(path.read_text()) for module, path in MODULES.items()}
+
+# the modules whose reads count for the public-name and public-member rules
+READERS = {module: tree for module, tree in TREES.items() if not module.startswith("tests/")}
 
 # A public name that has no reader yet, and why it stays in the package.
 UNREAD_PUBLIC_EXEMPT = {
@@ -140,6 +144,38 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     """A name in ``ffmerge.__all__`` is read in src/ffmerge (not counting
     ``__init__.py``), benchmarks/, demos/ or tools/; a name only tests
     read belongs in the tests. Exempt names must still be unread."""
-    readers = {module: tree for module, tree in TREES.items()
-               if not module.startswith("tests/")}
-    assert unread_public_names(ffmerge.__all__, readers) == sorted(UNREAD_PUBLIC_EXEMPT)
+    assert unread_public_names(ffmerge.__all__, READERS) == sorted(UNREAD_PUBLIC_EXEMPT)
+
+
+def unread_public_members(classes: dict[str, ast.Module],
+                          readers: dict[str, ast.Module]) -> list[str]:
+    """``module line n: Class.member`` for each method or property, not
+    private or a dunder, of each public module-level class in ``classes``
+    whose name no attribute in ``readers`` reads. Like the other rules it
+    matches by name only: a read of ``x.size`` counts for every ``size``."""
+    read = {node.attr for tree in readers.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [f"{module} line {member.lineno}: {cls.name}.{member.name}"
+            for module, tree in classes.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name[:1] != "_"
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef)
+            and member.name[:1] != "_" and member.name not in read]
+
+
+def test_finds_an_unread_public_member():
+    sources = {"a": "class A:\n    def read(self): pass\n    @property\n    def size(self): pass\n"
+                    "    @classmethod\n    def unread(cls): pass\n    def _private(self): pass\n"
+                    "    def __len__(self): return 0\n"
+                    "class _Hidden:\n    def unread(self): pass\n"
+                    "def f(x):\n    return x.read()\n",
+               "b": "def g(a):\n    size = 1\n    return a.unread_elsewhere\n"}
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    assert unread_public_members(trees, trees) == ["a line 4: A.size", "a line 6: A.unread"]
+
+
+def test_every_public_member_has_a_reader_outside_the_tests():
+    """A public method or property of a public class in src/ffmerge is read,
+    as an attribute, in src/ffmerge, benchmarks/, demos/ or tools/."""
+    package = {module: tree for module, tree in TREES.items() if "/" not in module}
+    assert unread_public_members(package, READERS) == []

@@ -65,29 +65,6 @@ class TestSelectionReport:
                                      {"start": 1, "score": 1.2}]
         assert doc["best"] == {"start": 1, "score": 1.2}
 
-    def test_round_trip(self):
-        report = self.make_report()
-        assert SelectionReport.from_json(report.to_json()) == report
-
-    def test_reads_report_with_baseline_key(self):
-        # reports written before the baseline field was removed still load
-        report = self.make_report()
-        doc = json.loads(report.to_json())
-        doc["baseline"] = [{"start": 2, "score": 1.9}]
-        assert SelectionReport.from_json(json.dumps(doc)) == report
-
-    def test_best_must_be_a_candidate(self):
-        cands = (WindowCandidate(0, 1.5),)
-        with pytest.raises(ValueError):
-            SelectionReport(k=3, anchor_position="first",
-                            use_permutation=True, candidates=cands,
-                            best=WindowCandidate(4, 0.1))
-
-    def test_candidate_score_must_be_finite(self):
-        for bad in (float("nan"), float("-inf")):
-            with pytest.raises(ValueError, match="finite or \\+inf"):
-                WindowCandidate(0, bad)
-
     def test_infinite_scores_round_trip(self):
         # an overflowing perplexity is +inf; JSON writes it as Infinity
         cands = (WindowCandidate(0, float("inf")), WindowCandidate(1, 2.5),
@@ -95,8 +72,13 @@ class TestSelectionReport:
         report = SelectionReport(k=2, anchor_position=None, use_permutation=False,
                                  candidates=cands, best=cands[1])
         text = report.to_json()
-        assert '"score": Infinity' in text
-        assert SelectionReport.from_json(text) == report
+        assert text.count('"score": Infinity') == 2
+        assert json.loads(text) == {
+            "k": 2, "anchor": None, "use_permutation": False,
+            "candidates": [{"start": 0, "score": float("inf")},
+                           {"start": 1, "score": 2.5},
+                           {"start": 2, "score": float("inf")}],
+            "best": {"start": 1, "score": 2.5}}
 
 
 def selection_fixture():
@@ -371,14 +353,6 @@ class TestSweep:
         assert len(report.candidates) > 1
         assert report.best == report.candidates[0] == WindowCandidate(0, 0.5)
         assert store_bytes(best) == store_bytes(build(fixture.model, acts, 0))
-
-    def test_non_finite_score_fails(self, kind, monkeypatch):
-        cfg, fixture, acts, eval_data = selection_fixture()
-        sweep, _ = SWEEPS[kind]
-        monkeypatch.setattr(selection_mod, "evaluate",
-                            lambda *args, **kwargs: float("nan"))
-        with pytest.raises(ValueError, match="candidate score must be finite"):
-            sweep(fixture.model, acts, eval_data, EvalMetric("cross_entropy"))
 
     def test_infinite_scores_rank_and_tie(self, kind, monkeypatch):
         # every candidate but the last overflows to +inf: the finite one

@@ -43,8 +43,8 @@ with tempfile.TemporaryDirectory(prefix="ffmerge-demo-") as workdir:
     print(f"wrote {os.path.getsize(path)} bytes -> {path}")
     print(f"meta round-tripped: {meta}")
     for name in back.names:
-        kind = f"alias of {back.alias_target(name)}" if back.is_alias(name) \
-            else str(back.get(name).shape)
+        target = back.alias_target(name)
+        kind = str(back.get(name).shape) if target is None else f"alias of {target}"
         print(f"  {name:<10s} {kind}")
         assert np.array_equal(back.get(name), store.get(name))
 

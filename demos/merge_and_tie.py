@@ -37,7 +37,7 @@ toks = np.array([3, 9, 4, 12, 1, 6], dtype=np.int64)
 delta = np.abs(merged.forward(toks) - model.forward(toks)).max()
 print(f"max logit change after merging: {delta:.2e}")
 
-# member layers now alias the anchor's tensors
+# later member layers now alias the merged tensors, owned by the window's first layer
 for name in ("layer3.ff.w_in", "layer4.ff.w_out"):
     print(f"  {name} -> {merged.store.alias_target(name)}")
 

@@ -54,12 +54,24 @@ class CheckpointFormatError(ValueError):
 
 def sealed(values, dtype=None) -> np.ndarray:
     """``values`` as an aligned, C-contiguous, read-only array: the input itself if
-    it is one, else a new array, so no writable handle reaches it and no caller's flag changes."""
+    it is one that no writable handle reaches, else a new array; no caller's flag changes."""
     arr = np.asarray(values, dtype=dtype, order="C")
-    if not arr.flags.aligned or arr.flags.writeable and (arr is values or not arr.flags.owndata):
-        arr = arr.copy()  # a view at an odd offset, or a caller's writable array
+    fresh = arr is not values and arr.flags.owndata  # made here, so no one else holds it
+    if not arr.flags.aligned or not fresh and _written_elsewhere(arr):
+        arr = arr.copy()  # a view at an odd offset, or memory a caller can write
     arr.flags.writeable = False  # a new array's flag, or one already clear
     return arr
+
+
+def _written_elsewhere(arr: np.ndarray) -> bool:
+    """Whether a writable array or buffer reaches ``arr``'s memory: one on its
+    base chain, or a buffer that chain ends in other than ``bytes``."""
+    base = arr
+    while isinstance(base, (np.ndarray, memoryview)):
+        if base.flags.writeable if isinstance(base, np.ndarray) else not base.readonly:
+            return True
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    return not (base is None or isinstance(base, bytes))
 
 
 def _check_tensor(name: str, array) -> np.ndarray:
@@ -74,13 +86,12 @@ class ParameterStore:
 
     ``ParameterStore(entries)`` takes ``{name: payload or owner name}``: a
     payload is kept as a finite float32 array by ``sealed``, the one rule
-    for every array the package keeps (a read-only, aligned, C-contiguous
-    array is shared, any other input copied), and a ``str`` value makes
-    ``name`` an alias of that owner, resolving to its very array. An alias
-    may not name itself, another alias or a missing entry. Payloads are
-    never rebound, so stores share them: an edited model is a ``copy``. A
-    store read from a file holds views into that file's one buffer, which
-    stays alive while any of its tensors does.
+    for every array the package keeps, and a ``str`` value makes ``name``
+    an alias of that owner, resolving to its very array. An alias may not
+    name itself, another alias or a missing entry, but may precede its
+    owner. Payloads are never rebound, so stores share them: an edited
+    model is a ``copy``. A store read from a file holds views into that
+    file's one buffer, which stays alive while any of its tensors does.
     """
 
     def __init__(self, entries: dict):
@@ -98,13 +109,6 @@ class ParameterStore:
                 raise ValueError(f"alias {name!r} points at missing entry {target!r}")
         self._table = table
 
-    @classmethod
-    def _of(cls, table: dict) -> "ParameterStore":
-        """A store over ``table``, whose payloads and aliases are already checked."""
-        store = cls.__new__(cls)
-        store._table = table
-        return store
-
     # -- access ----------------------------------------------------------
 
     @property
@@ -116,9 +120,6 @@ class ParameterStore:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def is_alias(self, name: str) -> bool:
-        return isinstance(self._table.get(name), str)
 
     def alias_target(self, name: str) -> str | None:
         target = self._table.get(name)
@@ -132,48 +133,26 @@ class ParameterStore:
             raise KeyError(f"unknown tensor {name!r}") from None
         return self._table[value] if isinstance(value, str) else value
 
-    def copy(self, layout=None, replace=None) -> "ParameterStore":
-        """A new store, sharing every payload it keeps; the one way to edit a model.
+    def copy(self, entries: dict) -> "ParameterStore":
+        """A new store of ``entries``, ``{name: array}`` in header order; the
+        one way to edit a model.
 
-        ``layout`` lists ``(new name, source entry)`` pairs in header order
-        (default: every entry under its own name) and ``replace`` maps a new
-        name to a new payload. Entries whose sources share an old tie group
-        stay tied, and one rule picks each group's owner: a name with a new
-        payload owns it, and every entry listing the same source aliases
-        it; otherwise the old owner keeps ownership if it is listed,
-        possibly renamed; otherwise the group's first listed member owns the
-        old payload itself, shared and not copied. A name that leaves a
-        group never changes the payload of the members that stay.
+        An array this store holds is shared, not checked again; any other is
+        kept once by ``_check_tensor``, however many names give it. Names
+        that give one array are tied, and the first of them owns it.
         """
-        # entry -> the owner of its tie group (itself, for an owner)
-        roots = {name: value if isinstance(value, str) else name
-                 for name, value in self._table.items()}
-        layout = [(name, name) for name in roots] if layout is None else list(layout)
-        replace = replace or {}
-        # a replaced name's source ties to it, not to its old group
-        claimed = {src: new for new, src in layout if new in replace}
-        if len(claimed) != len(replace):
-            raise ValueError("each replaced name must be listed, with a source of its own")
-        # old group root -> new owner: the old owner if listed (first listing
-        # wins), else the group's first listed member
-        owner_of = {src: new for new, src in reversed(layout)
-                    if roots.get(src) == src and src not in claimed}
-        for new, src in layout:
-            if src not in claimed:
-                owner_of.setdefault(roots.get(src, src), new)
+        held = {id(value) for value in self._table.values() if not isinstance(value, str)}
+        first = {}  # id of a given array -> the first name giving it
         table: dict[str, np.ndarray | str] = {}
-        for new, src in layout:
-            if new in table:
-                raise ValueError(f"layout lists {new!r} twice")
-            root = roots.get(src, src)
-            owner = claimed[src] if src in claimed else owner_of[root]
-            if owner != new:
-                table[new] = owner
-            elif new in replace:
-                table[new] = _check_tensor(new, replace[new])
+        for name, array in entries.items():
+            owner = first.setdefault(id(array), name)
+            if owner != name:
+                table[name] = owner
             else:
-                table[new] = self.get(root)
-        return ParameterStore._of(table)
+                table[name] = array if id(array) in held else _check_tensor(name, array)
+        store = ParameterStore.__new__(ParameterStore)  # its table is checked already
+        store._table = table
+        return store
 
 
 @dataclass(frozen=True)
@@ -188,7 +167,7 @@ class TieReport:
 def tie_report(store: ParameterStore) -> TieReport:
     """Count every entry, aliases included, and every owned payload once."""
     total = sum(store.get(name).size for name in store.names)
-    unique = sum(store.get(name).size for name in store.names if not store.is_alias(name))
+    unique = sum(store.get(n).size for n in store.names if store.alias_target(n) is None)
     ratio = 0.0 if total == 0 else 1.0 - unique / total
     return TieReport(total_parameters=total, unique_parameters=unique,
                      reduction_ratio=ratio)
@@ -223,7 +202,7 @@ def _header(store: ParameterStore, meta: dict) -> bytes:
     offset = 0
     for name in store.names:
         shape = list(store.get(name).shape)
-        if store.is_alias(name):
+        if store.alias_target(name) is not None:
             header[name] = {"alias_of": store.alias_target(name), "shape": shape}
             continue
         length = 4 * math.prod(shape)
@@ -237,7 +216,7 @@ def serialize_container(store: ParameterStore, meta: dict) -> bytearray:
     """Encode a store plus metadata object as FFMC-v1 bytes: the file image
     is allocated once and each owned payload copied into it once."""
     header = _header(store, meta)
-    owners = {name: store.get(name) for name in store.names if not store.is_alias(name)}
+    owners = {n: store.get(n) for n in store.names if store.alias_target(n) is None}
     end = 16 + len(header)
     out = bytearray(end + sum(arr.nbytes for arr in owners.values()))
     with memoryview(out) as image:  # slice-assigning ``out`` itself copies the source
@@ -263,7 +242,7 @@ def parse_container(data) -> tuple[ParameterStore, dict]:
     is decoded, each owner's data is sliced by its shape in header order,
     the store is built (refusing non-finite payloads and bad aliases), and
     the header is then compared with the canonical one. Each payload is a
-    read-only view into ``data`` if that is read-only, else a copy.
+    read-only view into ``data`` if nothing can write ``data``, else a copy.
     """
     data = memoryview(data).cast("B")
     if len(data) < 16:
@@ -346,7 +325,8 @@ def read_container(path) -> tuple[ParameterStore, dict]:
             start = -(raw.ctypes.data + 16 + struct.unpack("<Q", data[8:])[0]) % 64
             buf = raw[start:start + len(raw) - 64]
             buf[:16] = np.frombuffer(data, dtype=np.uint8)
-            data = buf[:16 + fh.readinto(buf[16:])]
-            data.flags.writeable = False
+            end = start + 16 + fh.readinto(buf[16:])
+            raw.flags.writeable = False  # so no writable array reaches a payload
+            data = raw[start:end]
         rest = fh.read()  # a pipe, or a file longer than fstat said: read on to EOF
     return parse_container(bytes(data) + rest if rest else data)

@@ -172,7 +172,7 @@ def _cmd_info(args) -> int:
     print(f"parameters: total {report.total_parameters}, "
           f"unique {report.unique_parameters}, "
           f"reduction {report.reduction_ratio:.4f}")
-    tied = [n for n in model.store.names if model.store.is_alias(n)]
+    tied = [n for n in model.store.names if model.store.alias_target(n) is not None]
     if tied:
         print(f"tied tensors: {len(tied)}")
     for owner in model.store.names:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .alignment import Permutation, apply_permutation
 from .checkpoint import ParameterStore
-from .config import (ModelConfig, expected_shapes, ff_param_basenames, ff_shapes,
-                     layer_tensor_names, model_tensor_names)
+from .config import ModelConfig, ff_param_basenames, ff_shapes, model_tensor_names
 from .datasets import Dataset
 from .engine import FFParams, TransformerModel
 
@@ -209,11 +208,11 @@ def zeroed_layer_model(cfg: ModelConfig, zero_layer: int,
         raise ValueError("a zeroed layer is only an identity under pre_ln")
     if not 0 <= zero_layer < cfg.n_layers:
         raise ValueError(f"zero_layer {zero_layer} out of range")
-    shapes = expected_shapes(cfg)
-    zeros = {name: np.zeros(shapes[name], dtype=np.float32)
-             for name in layer_tensor_names(cfg, zero_layer)
-             if ".attn." in name or ".ff." in name}
-    return TransformerModel(cfg, random_model(cfg, seed).store.copy(replace=zeros))
+    store = random_model(cfg, seed).store
+    zeroed = (f"layer{zero_layer}.attn.", f"layer{zero_layer}.ff.")
+    return TransformerModel(cfg, store.copy(
+        {name: np.zeros_like(store.get(name)) if name.startswith(zeroed) else store.get(name)
+         for name in store.names}))
 
 
 def token_sequences(cfg: ModelConfig, n_sequences: int, seq_len: int,

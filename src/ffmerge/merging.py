@@ -2,8 +2,9 @@
 
 One window member is the anchor; every other member is permutation-aligned
 to it, the aligned parameter sets are averaged, and all members' tensors are
-re-pointed at the single merged copy. The result keeps the layer count and
-the per-layer residual structure but stores k feed-forwards as one.
+re-pointed at the single merged copy, owned by the window's first layer. The
+result keeps the layer count and the per-layer residual structure but stores
+k feed-forwards as one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .alignment import (Permutation, apply_permutation, centered as center_layer,
                         cross_correlation, matched_score, solve_assignment)
-from .config import ff_param_basenames, ff_tensor_names
 from .engine import ActivationSet, FFParams, TransformerModel, ff_params
 
 ANCHOR_POSITIONS = ("first", "middle", "last")
@@ -150,12 +150,8 @@ def merge_window(model: TransformerModel, acts: ActivationSet, spec: MergeSpec,
                                        mean_matched_correlation=mean_corr))
     merged = merge_ff(ff_params(model, anchor_layer),
                       [ff_params(model, i) for i in other_layers], perms)
-    anchor_names = ff_tensor_names(cfg, anchor_layer)
-    # the anchor's names own the merged tensors; other members list them
-    source = {name: target for i in other_layers
-              for name, target in zip(ff_tensor_names(cfg, i), anchor_names)}
-    store = model.store.copy(
-        [(name, source.get(name, name)) for name in model.store.names],
-        replace={name: merged[base]
-                 for name, base in zip(anchor_names, ff_param_basenames(cfg))})
+    # every member's names give the merged tensors, so the window's first layer owns them
+    tied = {f"layer{i}.ff.{base}": arr for i in spec.layers for base, arr in merged.items()}
+    store = model.store.copy({name: tied.get(name, model.store.get(name))
+                              for name in model.store.names})
     return TransformerModel(cfg, store), MergeDiagnostics(spec, tuple(members))

@@ -137,8 +137,7 @@ def enumerate_drop_starts(n_layers: int, count: int) -> list[int]:
 def drop_layers(model: TransformerModel, start: int, count: int) -> TransformerModel:
     """Remove whole transformer layers [start, start+count) and reindex.
 
-    Tied groups survive: a kept owner stays the owner under its new name;
-    if the owner was dropped, the first kept member owns the group.
+    Tied groups survive, each owned by its first kept member.
     """
     cfg = model.config
     if count < 0 or start < 0 or start + count > cfg.n_layers:
@@ -151,7 +150,8 @@ def drop_layers(model: TransformerModel, start: int, count: int) -> TransformerM
     new_cfg = replace(cfg, n_layers=cfg.n_layers - count)
     dropped = tuple(f"layer{i}." for i in range(start, start + count))
     old_names = [n for n in model_tensor_names(cfg) if not n.startswith(dropped)]
-    store = model.store.copy(zip(model_tensor_names(new_cfg), old_names))
+    store = model.store.copy({new: model.store.get(old)
+                              for new, old in zip(model_tensor_names(new_cfg), old_names)})
     return TransformerModel(new_cfg, store)
 
 

@@ -17,10 +17,11 @@ from ffmerge.checkpoint import (MAGIC, CheckpointFormatError, ParameterStore,
                                 atomic_write_bytes, parse_container,
                                 read_container, serialize_container,
                                 tie_report, write_container)
-from ffmerge.config import ModelConfig
-from ffmerge.datasets import Dataset
-from ffmerge.engine import load_model, save_model
-from ffmerge.fixtures import default_config, random_model
+from ffmerge.config import ModelConfig, ff_tensor_names
+from ffmerge.datasets import Dataset, read_token_file, write_token_file
+from ffmerge.engine import TransformerModel, capture_activations, load_model, save_model
+from ffmerge.fixtures import default_config, random_model, token_sequences
+from ffmerge.selection import drop_layers
 
 
 def random_table(rng, with_aliases: bool) -> dict:
@@ -41,6 +42,11 @@ def random_table(rng, with_aliases: bool) -> dict:
 
 def random_store(rng, with_aliases: bool) -> ParameterStore:
     return ParameterStore(random_table(rng, with_aliases))
+
+
+def entries(store: ParameterStore) -> dict:
+    """``store`` as the ``{name: array}`` table ``copy`` takes."""
+    return {name: store.get(name) for name in store.names}
 
 
 ONES2 = np.ones(2, dtype=np.float32)
@@ -107,8 +113,7 @@ class TestParameterStore:
         store = ParameterStore({"b": "a", "a": np.ones(2, dtype=np.float32)})
         assert store.names == ["b", "a"]
         assert store.get("b") is store.get("a")
-        assert store.is_alias("b") and store.alias_target("b") == "a"
-        assert not store.is_alias("a") and store.alias_target("a") is None
+        assert store.alias_target("b") == "a" and store.alias_target("a") is None
 
     def test_from_entries_checks_order_and_aliases(self):
         # an entries table is taken in its own order, an alias may come
@@ -122,14 +127,14 @@ class TestParameterStore:
             ParameterStore({"b": "c", "a": ONES2, "c": "a"})
 
     def test_copy_preserves_structure_with_fresh_arrays(self):
-        # a copy shares every payload it keeps
+        # a copy shares every payload it keeps; aliases follow their owners
         rng = np.random.default_rng(0)
         store = random_store(rng, with_aliases=True)
-        dup = store.copy()
+        dup = store.copy(entries(store))
         assert dup.names == store.names
         for name in store.names:
             assert dup.get(name) is store.get(name)
-            assert dup.is_alias(name) == store.is_alias(name)
+            assert dup.alias_target(name) == store.alias_target(name)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -156,6 +161,11 @@ def kept_input(kind: str, values: list, dtype):
     if kind == "read-only":
         arr.flags.writeable = False
         return arr, []
+    if kind == "read-only view":  # the read-only flag is the view's, not its owner's
+        owner = np.concatenate([arr, arr])
+        view = owner[:len(values)]
+        view.flags.writeable = False
+        return view, [owner]
     if kind == "float64":
         return arr.astype(np.float64), []
     return list(values), []
@@ -175,7 +185,7 @@ class TestOneKeepRule:
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["owned", "slice", "reshape", "fortran", "bytes",
-                                 "read-only", "float64", "list"]),
+                                 "read-only", "read-only view", "float64", "list"]),
            keeper=st.sampled_from(sorted(KEEPERS)),
            values=st.lists(st.integers(0, 100), min_size=1, max_size=12))
     def test_kept_array_is_sealed_and_cut_off(self, kind, keeper, values):
@@ -196,6 +206,20 @@ class TestOneKeepRule:
             handle[...] = 101  # outside the drawn values
         assert (kept == np.array(values)).all()  # both rows of a fortran input
 
+    def test_what_a_reader_or_capture_made_is_shared(self, tmp_path):
+        # read-only down to memory no one else holds, so kept uncopied
+        cfg = default_config(n_layers=2, d_model=8, d_ff=16)
+        model = random_model(cfg, seed=0)
+        data = token_sequences(cfg, 3, 5, seed=1)
+        save_model(model, tmp_path / "m.ffmc")
+        write_token_file(tmp_path / "t.toks", data.sequences, cfg.separator_id)
+        stored = load_model(tmp_path / "m.ffmc").store.get("layer0.ff.w_in")
+        rows = capture_activations(model, data, "ff_pre_act", max_samples=7).per_layer[0]
+        for array in (stored, rows):
+            assert ParameterStore({"w": array}).get("w") is array
+        views = read_token_file(tmp_path / "t.toks", cfg.separator_id)
+        assert all(a is b for a, b in zip(Dataset(views).sequences, views, strict=True))
+
 
 def tied_store() -> ParameterStore:
     """Owner ``a`` with aliases ``b`` and ``c``, and an untied ``d``."""
@@ -208,68 +232,65 @@ def structure(store: ParameterStore) -> list:
 
 
 class TestStoreCopy:
-    """The one tie-ownership rule of ``ParameterStore.copy``."""
+    """The one rule of ``ParameterStore.copy``: an array the store holds is
+    shared, any other kept once, and the names giving one array are tied,
+    the first of them in header order owning it."""
+
+    def test_held_array_stays_tied_and_its_first_name_owns_it(self):
+        store = tied_store()
+        dup = store.copy({"x": store.get("c"), "y": store.get("a"), "z": store.get("d")})
+        assert structure(dup) == [("x", None, [1, 1]), ("y", "x", [1, 1]),
+                                  ("z", None, [0, 0])]
+        assert dup.get("x") is store.get("a") and dup.get("z") is store.get("d")
 
     def test_copy_layout_ties_owner(self):
         store = tied_store()
-        dup = store.copy([("a", "a"), ("d", "a")])
+        dup = store.copy({"a": store.get("a"), "d": store.get("a")})
         assert structure(dup) == [("a", None, [1, 1]), ("d", "a", [1, 1])]
-        assert dup.get("a") is store.get("a")
+        assert dup.get("d") is store.get("a")
 
     def test_copy_replace_promotes_alias(self):
         store = tied_store()
         seven = np.full(2, 7.0, dtype=np.float32)
-        dup = store.copy(replace={"b": seven})
+        dup = store.copy(entries(store) | {"b": seven})
         assert structure(dup) == [("a", None, [1, 1]), ("b", None, [7, 7]),
                                   ("c", "a", [1, 1]), ("d", None, [0, 0])]
-        seven[:] = 0.0  # the store holds its own copy
+        seven[:] = 0.0  # a writable array is copied: the store holds its own
         assert dup.get("b").tolist() == [7, 7]
 
     def test_replaced_name_owns_and_listed_source_aliases_it(self):
-        # the merge shape: b gets a new payload, c and d list b as source
-        dup = tied_store().copy([("a", "a"), ("b", "b"), ("c", "b"), ("d", "b")],
-                                replace={"b": np.full(2, 5.0, dtype=np.float32)})
+        # the merge shape: b, c and d give one new array, kept once, b owning it
+        store = tied_store()
+        five = np.full(2, 5.0, dtype=np.float32)
+        dup = store.copy({"a": store.get("a"), "b": five, "c": five, "d": five})
         assert structure(dup) == [("a", None, [1, 1]), ("b", None, [5, 5]),
                                   ("c", "b", [5, 5]), ("d", "b", [5, 5])]
+        assert dup.get("c") is dup.get("b") is not five
 
     def test_copy_layout_reties_owner_with_dependents(self):
-        # the owner leaves its group, whose first member left owns the old
-        # payload; of two names listing one owner, the first owns
-        dup = tied_store().copy([("a", "d"), ("b", "b"), ("c", "c"), ("d", "d")])
+        # the owner leaves its group for d's array: b, the first member
+        # left, owns the old payload, and d, after a, is a's alias
+        store = tied_store()
+        dup = store.copy(entries(store) | {"a": store.get("d")})
         assert structure(dup) == [("a", None, [0, 0]), ("b", None, [1, 1]),
                                   ("c", "b", [1, 1]), ("d", "a", [0, 0])]
 
-    def test_renamed_owner_keeps_ownership(self):
-        dup = tied_store().copy([("x", "c"), ("y", "a"), ("z", "d")])
-        assert structure(dup) == [("x", "y", [1, 1]), ("y", None, [1, 1]),
-                                  ("z", None, [0, 0])]
-
     def test_first_listed_member_owns_when_owner_is_gone(self):
-        dup = tied_store().copy([("c", "c"), ("b", "b")])
+        store = tied_store()
+        dup = store.copy({"c": store.get("c"), "b": store.get("b")})
         assert structure(dup) == [("c", None, [1, 1]), ("b", "c", [1, 1])]
 
     def test_replacing_the_owner_leaves_members_their_payload(self):
-        dup = tied_store().copy(replace={"a": np.full(2, 3.0, dtype=np.float32)})
+        store = tied_store()
+        dup = store.copy(entries(store) | {"a": np.full(2, 3.0, dtype=np.float32)})
         assert structure(dup) == [("a", None, [3, 3]), ("b", None, [1, 1]),
                                   ("c", "b", [1, 1]), ("d", None, [0, 0])]
+        assert dup.get("b") is store.get("a")
 
-    def test_bad_layout_or_replace_rejected(self):
+    def test_non_finite_new_array_refused(self):
         store = tied_store()
-        one = np.ones(2, dtype=np.float32)
-        with pytest.raises(ValueError, match="replaced name"):
-            store.copy([("a", "a")], replace={"z": one})
-        with pytest.raises(ValueError, match="replaced name"):
-            store.copy([("a", "a"), ("b", "a")], replace={"a": one, "b": one})
-        # a table keeps one entry a name, so a second listing is refused, not
-        # left to replace the first
-        with pytest.raises(ValueError, match="'a' twice"):
-            store.copy([("a", "a"), ("a", "d")])
-        with pytest.raises(ValueError, match="'x' twice"):
-            store.copy([("a", "a"), ("x", "d"), ("x", "b")])
-        with pytest.raises(KeyError, match="unknown"):
-            store.copy([("z", "z")])
-        with pytest.raises(ValueError, match="NaN"):
-            store.copy(replace={"d": np.array([np.nan, 0.0])})
+        with pytest.raises(ValueError, match="'d' contains NaN"):
+            store.copy(entries(store) | {"d": np.array([np.nan, 0.0])})
 
 
 class TestTieReport:
@@ -298,7 +319,7 @@ class TestTieReport:
         store = ParameterStore({"a": np.ones(4, dtype=np.float32),
                                 "b": np.ones(4, dtype=np.float32)})
         before = tie_report(store).unique_parameters
-        tied = store.copy([("a", "a"), ("b", "a")])
+        tied = store.copy({"a": store.get("a"), "b": store.get("a")})
         after = tie_report(tied).unique_parameters
         assert after < before
         assert tie_report(tied).total_parameters == 8
@@ -365,6 +386,28 @@ class TestContainerFormat:
         assert store.get("b") is store.get("a")
         again, _ = parse_container(serialize_container(store, {}))
         assert again.names == ["b", "a"]
+
+    def test_owner_listed_after_its_aliases_is_kept_until_an_edit(self, tmp_path):
+        # a file may name a later entry as owner, here layer 2 for a tied
+        # window 1..3: it round-trips, and an edit gives the group to its
+        # first member left
+        cfg = default_config(n_layers=4, d_model=8, d_ff=16)
+        store = random_model(cfg, seed=3).store
+        owners = dict(zip(ff_tensor_names(cfg, 1) + ff_tensor_names(cfg, 3),
+                          ff_tensor_names(cfg, 2) * 2))
+        path = tmp_path / "mid.ffmc"
+        save_model(TransformerModel(cfg, ParameterStore(
+            {name: owners.get(name) or store.get(name) for name in store.names})), path)
+        data = path.read_bytes()
+        model = load_model(path)
+        assert model.store.alias_target("layer1.ff.w_in") == "layer2.ff.w_in"
+        save_model(model, tmp_path / "again.ffmc")
+        assert (tmp_path / "again.ffmc").read_bytes() == data
+        for start, first in ((3, 1), (0, 0)):
+            dropped = drop_layers(model, start, 1)
+            group = [f"layer{i}.ff.w_in" for i in range(first, first + 2)]
+            assert [dropped.store.alias_target(name) for name in group] == [None, group[0]]
+            assert dropped.store.get(group[0]) is model.store.get("layer2.ff.w_in")
 
     def test_serialize_rechecks_finiteness(self):
         # a store-owned payload flipped back to writable can take a NaN

@@ -113,7 +113,6 @@ class TestMergeCommand:
         toks = np.array([3, 9, 4, 12], dtype=np.int64)
         assert np.abs(merged.forward(toks) - base.forward(toks)).max() <= 1e-4
         store = merged.store
-        assert store.is_alias("layer3.ff.w_in")
         assert store.alias_target("layer3.ff.w_in") == "layer2.ff.w_in"
         p = 64 * 16 + 64 + 16 * 64 + 16
         report = tie_report(store)
@@ -126,9 +125,12 @@ class TestMergeCommand:
                    "--anchor", "middle", "--out", out])
         assert rc == 0
         merged = load_model(out)
-        assert merged.store.is_alias("layer2.ff.w_in")
-        assert merged.store.alias_target("layer2.ff.w_in") == \
-            "layer3.ff.w_in"
+        # the window's first layer owns the merge, whatever the anchor
+        for layer in (3, 4):
+            assert merged.store.alias_target(f"layer{layer}.ff.w_in") == "layer2.ff.w_in"
+        assert merged.store.alias_target("layer2.ff.w_in") is None
+        save_model(merged, str(workdir["dir"] / "again.ffmc"))
+        assert (workdir["dir"] / "again.ffmc").read_bytes() == (workdir["dir"] / "mid.ffmc").read_bytes()
 
     def test_deterministic_output_bytes(self, workdir):
         a = workdir["dir"] / "a.ffmc"
@@ -375,11 +377,16 @@ class TestEvalCommand:
         assert report["best"] == report["candidates"][0]
 
 
+def entries(store: ParameterStore) -> dict:
+    """``store`` as the ``{name: array}`` table ``copy`` takes."""
+    return {name: store.get(name) for name in store.names}
+
+
 def overflowing_model(workdir) -> str:
     """The workdir model with head.w scaled so cross-entropy passes the
     ~709.78 nats at which exp overflows a float."""
     model = load_model(workdir["model"])
-    store = model.store.copy(replace={"head.w": model.store.get("head.w") * 1e4})
+    store = model.store.copy(entries(model.store) | {"head.w": model.store.get("head.w") * 1e4})
     path = str(workdir["dir"] / "overflow.ffmc")
     save_model(TransformerModel(model.config, store), path)
     return path
@@ -536,8 +543,8 @@ class TestInfoCommand:
     def test_tensor_outside_the_config_is_one_line_error(self, workdir, capsys):
         # an entry the config does not define is refused, not counted
         model = load_model(workdir["model"])
-        store = model.store.copy([(n, n) for n in model.store.names]
-                                 + [("junk.extra", "embed.tok")])
+        store = model.store.copy(entries(model.store)
+                                 | {"junk.extra": model.store.get("embed.tok")})
         path = str(workdir["dir"] / "junk.ffmc")
         write_container(store, model.config.to_dict(), path)
         capsys.readouterr()
@@ -548,7 +555,8 @@ class TestInfoCommand:
 
     def test_tensor_of_the_wrong_shape_is_one_line_error(self, workdir, capsys):
         model = load_model(workdir["model"])
-        store = model.store.copy(replace={"layer3.ff.b_in": np.zeros(63, np.float32)})
+        store = model.store.copy(entries(model.store)
+                                 | {"layer3.ff.b_in": np.zeros(63, np.float32)})
         path = str(workdir["dir"] / "shape.ffmc")
         write_container(store, model.config.to_dict(), path)
         one_line_error(capsys, ["info", "--model", path],
@@ -598,8 +606,7 @@ class TestInfoCommand:
         cfg = default_config(n_layers=2, d_model=8, d_ff=16)
         model = random_model(cfg, seed=5)
         owner, alias = ff_tensor_names(cfg, 0)[0], ff_tensor_names(cfg, 1)[0]
-        store = model.store.copy([(n, owner if n == alias else n)
-                                  for n in model.store.names])
+        store = model.store.copy(entries(model.store) | {alias: model.store.get(owner)})
         path = tmp_path / "tied.ffmc"
         save_model(TransformerModel(cfg, store), str(path))
         data = path.read_bytes()

@@ -394,7 +394,9 @@ class TestNoWritesIntoInputs:
 
 def edited(model: TransformerModel, tensors: dict) -> TransformerModel:
     """The model with the named tensors replaced."""
-    return TransformerModel(model.config, model.store.copy(replace=tensors))
+    store = model.store
+    return TransformerModel(model.config, store.copy(
+        {name: store.get(name) for name in store.names} | tensors))
 
 
 def zero_attention(model: TransformerModel) -> TransformerModel:
@@ -537,15 +539,15 @@ class TestForward:
 
     def test_tensor_outside_the_config_rejected(self):
         model = random_model(default_config(n_layers=1, d_model=8, d_ff=16), seed=28)
-        store = model.store.copy([(n, n) for n in model.store.names]
-                                 + [("junk.extra", "embed.tok")])
+        store = model.store.copy({name: model.store.get(name) for name in model.store.names}
+                                 | {"junk.extra": model.store.get("embed.tok")})
         with pytest.raises(ValueError, match="'junk.extra'"):
             TransformerModel(model.config, store)
 
     def test_model_is_frozen(self):
         model = random_model(default_config(n_layers=1, d_model=8, d_ff=16), seed=28)
         with pytest.raises(FrozenInstanceError):
-            model.store = model.store.copy()
+            model.store = ParameterStore({})
         with pytest.raises(FrozenInstanceError):
             model.config = replace(model.config, separator_id=1)
 

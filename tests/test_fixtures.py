@@ -45,7 +45,7 @@ class TestDuplicateModel:
         w0 = model.store.get("layer0.ff.w_in")
         for layer in range(1, 4):
             name = f"layer{layer}.ff.w_in"
-            assert not model.store.is_alias(name)
+            assert model.store.alias_target(name) is None
             np.testing.assert_array_equal(model.store.get(name), w0)
             assert model.store.get(name) is not w0
 

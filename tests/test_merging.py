@@ -176,9 +176,9 @@ class TestMergeWindow:
         for layer in spec.layers:
             for base in ff_tensor_names(cfg, layer):
                 if layer == anchor:
-                    assert not merged.store.is_alias(base)
+                    assert merged.store.alias_target(base) is None
                 else:
-                    assert merged.store.is_alias(base)
+                    assert merged.store.alias_target(base) is not None
                     target = merged.store.alias_target(base)
                     assert target == base.replace(f"layer{layer}.",
                                                   f"layer{anchor}.")
@@ -223,7 +223,7 @@ class TestMergeWindow:
         assert report.total_parameters == tie_report(model.store).total_parameters
         assert report.unique_parameters == report.total_parameters - 4 * p
         tied = sum(1 for name in merged.store.names
-                   if merged.store.is_alias(name))
+                   if merged.store.alias_target(name) is not None)
         assert tied == 4 * len(ff_tensor_names(cfg, 0))
         assert report.reduction_ratio == pytest.approx(
             1.0 - report.unique_parameters / report.total_parameters)
@@ -305,7 +305,7 @@ class TestMergeWindow:
         merge_window(fixture.model, acts, spec)
         for name, arr in before.items():
             np.testing.assert_array_equal(fixture.model.store.get(name), arr)
-        assert not any(fixture.model.store.is_alias(n)
+        assert not any(fixture.model.store.alias_target(n) is not None
                        for n in fixture.model.store.names)
 
     def test_errors(self):
@@ -415,9 +415,10 @@ def permute_hidden(model: TransformerModel, layer: int, mapping) -> TransformerM
     same function, up to round-off in the sum over hidden units."""
     permuted = apply_permutation(ff_params(model, layer), Permutation(np.array(mapping)))
     cfg = model.config
-    return TransformerModel(cfg, model.store.copy(replace={
-        name: permuted[base]
-        for name, base in zip(ff_tensor_names(cfg, layer), ff_param_basenames(cfg))}))
+    return TransformerModel(cfg, model.store.copy(
+        {name: model.store.get(name) for name in model.store.names}
+        | {name: permuted[base] for name, base
+           in zip(ff_tensor_names(cfg, layer), ff_param_basenames(cfg))}))
 
 
 def merged_with_capture(model: TransformerModel, data: Dataset, spec: MergeSpec):

@@ -157,8 +157,10 @@ def base():
     return model, data, residual_prefix(model, data, 2)
 
 
-def edited(model: TransformerModel, **replace_tensors) -> TransformerModel:
-    return TransformerModel(model.config, model.store.copy(replace=replace_tensors))
+def edited(model: TransformerModel, **tensors) -> TransformerModel:
+    store = model.store
+    return TransformerModel(model.config, store.copy(
+        {name: store.get(name) for name in store.names} | tensors))
 
 
 class TestResumeRefused:

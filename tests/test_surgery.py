@@ -1,6 +1,7 @@
 """Property tests of tie surgery: random sequences of window merges and
 layer drops on small relu, gelu and swiglu models keep every untouched
-tensor's bytes, keep tie groups well formed, and serialize canonically."""
+tensor's bytes, keep tie groups well formed and owned by their first
+members, and serialize canonically."""
 
 from dataclasses import replace
 
@@ -33,14 +34,15 @@ def root(store, name: str) -> str:
 
 def check_well_formed(model) -> None:
     store = model.store
+    position = {name: i for i, name in enumerate(store.names)}
     for name in store.names:
         target = store.alias_target(name)
         if target is not None:
-            # depth 1, and the group's one owner holds the payload
-            assert not store.is_alias(target)
+            # depth 1, and the group's one owner, its first member, holds the payload
+            assert store.alias_target(target) is None and position[target] < position[name]
             assert store.get(name) is store.get(target)
             assert name.rsplit(".", 1)[1] == target.rsplit(".", 1)[1]
-    owners = [n for n in store.names if not store.is_alias(n)]
+    owners = [n for n in store.names if store.alias_target(n) is None]
     assert len({id(store.get(n)) for n in owners}) == len(owners)
     data = serialize_container(store, model.config.to_dict())
     back, meta = parse_container(data)

@@ -10,6 +10,11 @@ judge a checkout older than the tool. Prints one JSON line: the stage
 checks' problems, and the sha256 of every file the run wrote, of its score
 record, and of each stage's stdout with the run directory masked. Two
 checkouts compute the same numbers when their lines are equal.
+
+The BLAS thread count can change the last bits of a product, so each of
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` is set
+to 1 before numpy loads unless the caller has set it, and the line reports
+all three: lines compare across machines only at equal thread counts.
 """
 
 import argparse
@@ -21,6 +26,8 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stdout
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(data: bytes) -> str:
@@ -65,7 +72,8 @@ def digest(root: str, name: str, seed: int) -> dict:
     record = json.dumps(run.record, sort_keys=True).encode()
     return {"workload": name, "seed": seed, "problems": problems,
             "files": dict(sorted(files.items())), "record": _sha256(record),
-            "stdout": stdout}
+            "stdout": stdout,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREADS}}
 
 
 def main(argv=None) -> int:
@@ -74,6 +82,8 @@ def main(argv=None) -> int:
     p.add_argument("workload")
     p.add_argument("seed", type=int)
     args = p.parse_args(argv)
+    for var in BLAS_THREADS:  # before the workloads import numpy
+        os.environ.setdefault(var, "1")
     print(json.dumps(digest(os.path.abspath(args.root), args.workload, args.seed)))
     return 0
 

@@ -122,14 +122,14 @@ def apply_permutation(params: FFParams, perm: Permutation) -> FFParams:
     Every tensor is gathered along its hidden axis (``FF_HIDDEN_AXIS``), so
     the rows that make each hidden unit move together with the matching
     columns of the output matrix, which undoes the reordering; b_out has no
-    hidden axis and is copied unchanged.
+    hidden axis and is copied unchanged. A tensor whose hidden axis is not
+    ``perm.size`` long raises ``ValueError`` naming it.
     """
-    if perm.size != params.d_ff:
-        raise ValueError(
-            f"permutation size {perm.size} does not match d_ff {params.d_ff}"
-        )
-    gathered = FFParams()
+    gathered = {}
     for base, arr in params.items():
         axis = FF_HIDDEN_AXIS[base]
+        if axis is not None and arr.shape[axis] != perm.size:
+            raise ValueError(f"permutation size {perm.size} does not match {base}'s "
+                             f"hidden width {arr.shape[axis]}")
         gathered[base] = arr.copy() if axis is None else np.take(arr, perm.mapping, axis=axis)
     return gathered

@@ -102,13 +102,11 @@ def cka_matrix(acts: ActivationSet) -> CkaMatrix:
     exactly: 1.0 for a live layer, 0.0 for a dead one. Each pair above the
     diagonal is one ``linear_cka`` call given both norms, and is mirrored,
     so the result is symmetric by construction. A layer whose Gram norm is
-    not finite is refused by name, as is a pair that ``linear_cka`` refuses.
+    not finite is refused by name, and ``linear_cka`` refuses the rest.
     """
     mats = acts.per_layer
     if len(mats) < 2:
         raise ValueError("need at least 2 layers to compare")
-    if acts.sample_count < 2:
-        raise ValueError("need at least 2 rows")
     norms = [_gram_norm(center(m), f"layer {i} Gram norm") for i, m in enumerate(mats)]
     values = np.diag([1.0 if norm > 0.0 else 0.0 for norm in norms])
     for i in range(len(mats)):

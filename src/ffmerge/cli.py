@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    """start:end, inclusive of start, exclusive of end; k = end - start."""
+    """START:END as (start, k = END - START); ``MergeSpec`` bounds both."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"window must look like START:END, got {text!r}")
@@ -43,10 +43,6 @@ def _parse_window(text: str) -> tuple[int, int]:
         start, end = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"window bounds must be integers, got {text!r}") from None
-    if start < 0 or end - start < 2:
-        raise ValueError(
-            f"window {text!r} must satisfy 0 <= start and end - start >= 2"
-        )
     return start, end - start
 
 

@@ -10,7 +10,7 @@ of width `in` to `x @ W.T + b`.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass
 
 MODES = ("lm", "classifier")
 NORM_PLACEMENTS = ("pre_ln", "post_ln")
@@ -35,6 +35,10 @@ class ModelConfig:
 
     ``separator_id`` is the reserved token id that delimits sequences in
     token dataset files; it is part of the model's vocabulary.
+
+    A checkpoint's ``__config__`` is ``asdict`` of one, read back by
+    ``ModelConfig(**config)``: a missing or unknown field or a non-mapping
+    raises ``TypeError``, a value the checks below refuse ``ValueError``.
     """
 
     mode: str
@@ -83,22 +87,6 @@ class ModelConfig:
     @property
     def head_width(self) -> int:
         return self.vocab_size if self.mode == "lm" else int(self.n_classes)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        if not isinstance(d, dict):
-            raise ValueError("model config must be a JSON object")
-        required = {f.name for f in fields(cls) if f.default is MISSING}
-        missing = required - d.keys()
-        if missing:
-            raise ValueError(f"model config missing fields: {sorted(missing)}")
-        unknown = d.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"model config has unknown fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 def ff_param_basenames(config: ModelConfig) -> tuple[str, ...]:

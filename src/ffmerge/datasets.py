@@ -5,6 +5,8 @@ count) followed by that many little-endian u32 token ids. Sequences are
 delimited by the reserved separator id recorded in the model config; the
 separator itself belongs to no sequence. Classifier datasets add a parallel
 label file (magic ``FFMLBLS1``, same layout, one label per sequence).
+The writers refuse a non-integer dtype, and a value outside [0, 2**32) by
+value and position, rather than wrap it into another id.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ LABELS_MAGIC = b"FFMLBLS1"
 class Dataset:
     """Token sequences, with per-sequence labels in classifier settings, frozen
     once built: a tuple of 1-D sequences and the labels (a 1-D integer array,
-    one per sequence), each kept by ``checkpoint.sealed``, so no later edit of
-    the caller's list or arrays reaches them."""
+    not bool, one per sequence), each kept by ``checkpoint.sealed``, so no
+    later edit of the caller's list or arrays reaches them."""
 
     sequences: tuple[np.ndarray, ...]
     labels: np.ndarray | None = None

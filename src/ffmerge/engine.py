@@ -21,13 +21,13 @@ stable; the cube is two multiplies, far cheaper than ``z**3``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .checkpoint import (CheckpointFormatError, ParameterStore, read_container,
                          write_container)
-from .config import (FF_HIDDEN_AXIS, FF_KINDS, ModelConfig, expected_shapes,
+from .config import (FF_KINDS, ModelConfig, expected_shapes,
                      ff_param_basenames, layer_tensor_names)
 from .datasets import Dataset
 
@@ -44,22 +44,10 @@ MAX_BATCH_TOKENS = 2048
 # -- feed-forward parameter tables -------------------------------------------
 
 
-class FFParams(dict):
-    """One feed-forward sublayer as {basename: array}, holding exactly the
-    tensors the layer has (``config.ff_param_basenames``).
-
-    relu/gelu: y = W_out phi(W_in x + b_in) + b_out, each bias optional.
-    swiglu: y = W_down (Swish1(W_up x) * V_gate x).
-    """
-
-    @property
-    def d_ff(self) -> int:
-        base = next(b for b in self if FF_HIDDEN_AXIS[b] is not None)
-        return self[base].shape[FF_HIDDEN_AXIS[base]]
-
-
-# a second name for the one table, kept for the benchmark harness
-SwigluFFParams = FFParams
+# One feed-forward sublayer as {basename: array} over ``config.ff_param_basenames``.
+# relu/gelu: y = W_out phi(W_in x + b_in) + b_out, each bias optional; swiglu:
+# y = W_down (Swish1(W_up x) * V_gate x). The benchmark harness uses both names.
+FFParams = SwigluFFParams = dict
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -519,14 +507,14 @@ def evaluate(model: TransformerModel, dataset: Dataset, metric: EvalMetric, *,
 
 
 def save_model(model: TransformerModel, path) -> None:
-    write_container(model.store, model.config.to_dict(), path)
+    write_container(model.store, asdict(model.config), path)
 
 
 def load_model(path) -> TransformerModel:
     """Read a model; an invalid ``__config__`` raises ``CheckpointFormatError``."""
     store, meta = read_container(path)
     try:
-        config = ModelConfig.from_dict(meta)
+        config = ModelConfig(**meta)
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(
             f"__config__ is not a valid model config: {exc}", offset=16) from exc

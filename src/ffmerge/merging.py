@@ -26,7 +26,7 @@ class MergeSpec:
 
     The window covers layers start..start+k-1 inclusive. ``middle`` anchors
     at start + (k-1)//2. With use_permutation False the members are averaged
-    in their stored unit order.
+    in their stored unit order. It alone refuses start < 0 or k < 2.
     """
 
     start: int
@@ -110,9 +110,10 @@ def merge_window(model: TransformerModel, acts: ActivationSet, spec: MergeSpec,
     """Merge one window of feed-forwards and tie all members to the result.
 
     ``acts`` must be an ff_pre_act capture of ``model``: one matrix per
-    layer, each of width d_ff. Returns a new model (the input is untouched)
-    whose window members alias one merged parameter set, plus per-member
-    alignment diagnostics.
+    layer, each of width d_ff, or it is refused before any merge. Returns a
+    new model (the input is untouched) whose window members, and no other
+    name of a tie group they were in, alias one merged parameter set, owned
+    by the window's first layer whatever the anchor, plus diagnostics.
 
     Each window layer is centered once (``alignment.centered``), before any
     assignment is solved. ``centered`` is an optional memo from layer index

@@ -335,8 +335,16 @@ class TestApplyPermutation:
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(81)
-        with pytest.raises(ValueError, match="d_ff"):
+        with pytest.raises(ValueError,
+                           match="permutation size 6 does not match w_in's hidden width 8"):
             apply_permutation(random_ff(rng, d_ff=8), Permutation.identity(6))
+
+    def test_every_hidden_axis_is_checked(self):
+        # w_in fits the permutation, w_out's hidden axis is one shorter
+        params = FFParams(w_in=np.ones((6, 4), np.float32), w_out=np.ones((4, 5), np.float32))
+        with pytest.raises(ValueError,
+                           match="permutation size 6 does not match w_out's hidden width 5"):
+            apply_permutation(params, Permutation(np.arange(6)))
 
     def test_swiglu_function_preserved(self):
         rng = np.random.default_rng(82)

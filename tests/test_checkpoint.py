@@ -7,6 +7,7 @@ import struct
 import tempfile
 import threading
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -714,14 +715,14 @@ class TestFileRoundTrip:
         path = tmp_path / "m.ffmc"
         save_model(model, path)
         assert load_model(path).config == model.config
-        assert read_container(path)[1] == model.config.to_dict()
+        assert read_container(path)[1] == asdict(model.config)
 
     def test_bad_config_in_checkpoint(self, tmp_path):
         store = ParameterStore({"w": np.ones(2, dtype=np.float32)})
         path = tmp_path / "m.ffmc"
-        good = ModelConfig(mode="lm", n_layers=1, d_model=4, d_ff=8, n_heads=1,
-                           vocab_size=8, max_seq_len=8, norm_placement="pre_ln",
-                           ff_kind="relu").to_dict()
+        good = asdict(ModelConfig(mode="lm", n_layers=1, d_model=4, d_ff=8, n_heads=1,
+                                  vocab_size=8, max_seq_len=8, norm_placement="pre_ln",
+                                  ff_kind="relu"))
         for meta in ({"mode": "lm"}, dict(good, n_layers=4.0),
                      dict(good, n_layers=True), dict(good, has_ff_biases=1)):
             write_container(store, meta, path)

@@ -5,7 +5,7 @@ import json
 import os
 import stat
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -53,8 +53,9 @@ class TestParseWindow:
         assert _parse_window("0:2") == (0, 2)
 
     def test_rejects(self):
-        for bad in ("2", "2:5:7", "a:b", "-1:2", "3:4", "5:5"):
-            with pytest.raises(ValueError):
+        # only the shape and the integers; MergeSpec bounds the window
+        for bad, needle in (("2", "START:END"), ("1:2:3", "START:END"), ("a:b", "integers")):
+            with pytest.raises(ValueError, match=needle):
                 _parse_window(bad)
 
 
@@ -153,6 +154,15 @@ class TestMergeCommand:
                    "--acts", workdir["acts"], "--window", "banana",
                    "--out", str(workdir["dir"] / "x.ffmc")])
         assert rc == 1
+
+    @pytest.mark.parametrize("window,needle", [
+        ("3:1", "merge window needs k >= 2, got -2"),
+        ("-1:2", "window start must be >= 0, got -1"),
+        ("0:1", "merge window needs k >= 2, got 1")])
+    def test_window_out_of_bounds_is_one_line_error(self, workdir, capsys, window, needle):
+        one_line_error(capsys, ["merge", "--model", workdir["model"], "--acts", workdir["acts"],
+                                f"--window={window}", "--out", str(workdir["dir"] / "x.ffmc")],
+                       f"ffmerge: error: {needle}\n")
 
 
 def one_line_error(capsys, argv, *needles) -> None:
@@ -546,7 +556,7 @@ class TestInfoCommand:
         store = model.store.copy(entries(model.store)
                                  | {"junk.extra": model.store.get("embed.tok")})
         path = str(workdir["dir"] / "junk.ffmc")
-        write_container(store, model.config.to_dict(), path)
+        write_container(store, asdict(model.config), path)
         capsys.readouterr()
         assert main(["info", "--model", path]) == 1
         captured = capsys.readouterr()
@@ -558,27 +568,37 @@ class TestInfoCommand:
         store = model.store.copy(entries(model.store)
                                  | {"layer3.ff.b_in": np.zeros(63, np.float32)})
         path = str(workdir["dir"] / "shape.ffmc")
-        write_container(store, model.config.to_dict(), path)
+        write_container(store, asdict(model.config), path)
         one_line_error(capsys, ["info", "--model", path],
                        "tensor 'layer3.ff.b_in' has shape (63,), expected (64,)")
 
+    # edit: fields to set, one field to delete, or None to wrap the config in a list
     @pytest.mark.parametrize("edit,needle", [
         ({"ff_kind": "tanh"}, "ff_kind must be one of"),
         ({"pooling": "max"}, "pooling must be one of"),
-        (None, "model config must be a JSON object")])
+        ({"dropout": 0.1}, "unexpected keyword argument 'dropout'"),
+        ("mode", "missing 1 required positional argument: 'mode'"),
+        (None, "argument after ** must be a mapping, not list")])
     def test_bad_config_value_is_one_line_error(self, workdir, capsys, edit, needle):
         model = load_model(workdir["model"])
-        meta = [model.config.to_dict()] if edit is None else dict(model.config.to_dict(), **edit)
+        config = asdict(model.config)
+        if edit is None:
+            meta = [config]
+        elif isinstance(edit, str):
+            meta = {k: v for k, v in config.items() if k != edit}
+        else:
+            meta = dict(config, **edit)
         path = str(workdir["dir"] / "config.ffmc")
         write_container(model.store, meta, path)
-        one_line_error(capsys, ["info", "--model", path], "__config__ is not a valid", needle)
+        one_line_error(capsys, ["info", "--model", path], "__config__ is not a valid", needle,
+                       "(byte offset 16)")
 
     def test_huge_layer_claim_fails_at_first_missing_tensor(self, workdir, capsys):
         # a small file whose config claims 10**12 layers is refused at the
         # first tensor it lacks, with no table entry built per claimed layer
         model = load_model(workdir["model"])
         path = str(workdir["dir"] / "huge.ffmc")
-        write_container(model.store, dict(model.config.to_dict(), n_layers=10**12), path)
+        write_container(model.store, dict(asdict(model.config), n_layers=10**12), path)
         capsys.readouterr()
         assert main(["info", "--model", path]) == 1
         captured = capsys.readouterr()
@@ -588,7 +608,7 @@ class TestInfoCommand:
 
     def test_malformed_container_is_one_line_error(self, tmp_path, capsys):
         entry = {"dtype": "f32", "shape": [1], "offset": 0, "length": 4}
-        config = default_config(n_layers=4).to_dict()
+        config = asdict(default_config(n_layers=4))
         path = tmp_path / "bad.ffmc"
         for header in ({"__config__": {}, "w": dict(entry, offset=0.0)},
                        {"__config__": dict(config, n_layers=4.0), "w": entry},

@@ -1,5 +1,7 @@
 """Model configuration validation, serialization, and tensor naming."""
 
+from dataclasses import asdict
+
 import pytest
 
 from ffmerge.config import (ModelConfig, expected_shapes, ff_param_basenames,
@@ -57,19 +59,19 @@ class TestSerialization:
         lm_config(norm_placement="post_ln"),
     ])
     def test_round_trip(self, cfg):
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
 
     def test_missing_field_rejected(self):
-        d = lm_config().to_dict()
+        d = asdict(lm_config())
         del d["n_layers"]
-        with pytest.raises(ValueError):
-            ModelConfig.from_dict(d)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'n_layers'"):
+            ModelConfig(**d)
 
     def test_unknown_field_rejected(self):
-        d = lm_config().to_dict()
+        d = asdict(lm_config())
         d["dropout"] = 0.1
-        with pytest.raises(ValueError):
-            ModelConfig.from_dict(d)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'dropout'"):
+            ModelConfig(**d)
 
     @pytest.mark.parametrize("field,value", [
         ("n_layers", 4.0), ("n_layers", True), ("d_model", "16"),
@@ -78,10 +80,10 @@ class TestSerialization:
         ("n_classes", True), ("has_ff_biases", 1), ("has_ff_biases", "yes"),
     ])
     def test_mistyped_field_rejected(self, field, value):
-        d = lm_config(mode="classifier", n_classes=3).to_dict()
+        d = asdict(lm_config(mode="classifier", n_classes=3))
         d[field] = value
         with pytest.raises(ValueError, match=field):
-            ModelConfig.from_dict(d)
+            ModelConfig(**d)
 
 
 class TestTensorNames:

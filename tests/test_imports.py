@@ -1,8 +1,8 @@
 """Every module under src/ffmerge, benchmarks/, demos/, tests/ and tools/
 uses each name it imports, something in src/ffmerge reads each
-module-level private name, and something outside tests/ reads each name
-in ``ffmerge.__all__`` and each public method and property of a public
-class in src/ffmerge.
+module-level private name, and something outside tests/ reads each
+module-level public name of src/ffmerge (which covers ``ffmerge.__all__``)
+and each public method and property of a public class there.
 
 No linter ships with the project, so these AST walks are the check. They
 catch the import a deleted helper leaves behind, the private helper a
@@ -70,6 +70,8 @@ TREES = {module: ast.parse(path.read_text()) for module, path in MODULES.items()
 
 # the modules whose reads count for the public-name and public-member rules
 READERS = {module: tree for module, tree in TREES.items() if not module.startswith("tests/")}
+# the package's own modules, whose names and members those rules check
+PACKAGE_TREES = {module: tree for module, tree in TREES.items() if "/" not in module}
 
 # A public name that has no reader yet, and why it stays in the package.
 UNREAD_PUBLIC_EXEMPT = {
@@ -94,10 +96,9 @@ def names_read(tree: ast.AST) -> set[str]:
     return read
 
 
-def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level ``_x`` names, not dunders, that a def, class or
-    assignment in one of ``trees`` ({module: tree}) binds and that none of
-    them reads."""
+def module_level_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each name that a module-level def, class or
+    assignment in one of ``trees`` ({module: tree}) binds."""
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -107,15 +108,24 @@ def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(module, node.lineno, t.id) for t in targets
                             if isinstance(t, ast.Name)]
+    return defined
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_x`` names, not dunders, bound in one of ``trees``
+    and read in none of them."""
     read = set().union(*map(names_read, trees.values()))
-    return [f"{module} line {line}: {name}" for module, line, name in defined
+    return [f"{module} line {line}: {name}" for module, line, name in module_level_names(trees)
             if name[:1] == "_" and name[:2] != "__" and name not in read]
 
 
-def unread_public_names(public: list[str], trees: dict[str, ast.Module]) -> list[str]:
-    """The names in ``public`` that none of ``trees`` reads, sorted."""
-    read = set().union(*map(names_read, trees.values()))
-    return sorted(name for name in public if name not in read)
+def unread_public_names(trees: dict[str, ast.Module],
+                        readers: dict[str, ast.Module]) -> list[str]:
+    """Module-level names not starting with ``_``, bound in one of ``trees``
+    and read in none of ``readers``, sorted."""
+    read = set().union(*map(names_read, readers.values()))
+    return sorted(name for _, _, name in module_level_names(trees)
+                  if name[:1] != "_" and name not in read)
 
 
 def test_finds_an_unread_private_name():
@@ -127,24 +137,28 @@ def test_finds_an_unread_private_name():
 
 
 def test_package_has_no_unread_private_name():
-    package = {module: tree for module, tree in TREES.items() if "/" not in module}
-    assert unread_private_names(package) == []
+    assert unread_private_names(PACKAGE_TREES) == []
 
 
 def test_finds_an_unread_public_name():
-    sources = {"a": "from pkg import read_by_import\nimport pkg.mod\npkg.by_attribute()\n",
-               "b": "by_name()\nonly_stored = 1\ndef only_defined(): pass\n"}
+    sources = {"a": "def read_here(): pass\ndef read_by_name(): pass\nclass ByImport: pass\n"
+                    "BY_ATTRIBUTE = 1\nonly_stored: int = 2\ndef only_defined(): pass\n"
+                    "def _private(): pass\nTABLE = ALIAS = {'f': read_here}\n",
+               "b": "from a import ByImport\nimport a\na.BY_ATTRIBUTE\nALIAS\n"
+                    "read_by_name()\ndef not_checked(): pass\n"}
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    public = ["read_by_import", "pkg.mod", "by_attribute", "by_name", "only_stored",
-              "only_defined", "nowhere"]
-    assert unread_public_names(public, trees) == ["nowhere", "only_defined", "only_stored"]
+    assert unread_public_names({"a": trees["a"]}, trees) == ["TABLE", "only_defined",
+                                                             "only_stored"]
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
-    """A name in ``ffmerge.__all__`` is read in src/ffmerge (not counting
-    ``__init__.py``), benchmarks/, demos/ or tools/; a name only tests
-    read belongs in the tests. Exempt names must still be unread."""
-    assert unread_public_names(ffmerge.__all__, READERS) == sorted(UNREAD_PUBLIC_EXEMPT)
+    """A module-level public name of src/ffmerge is read in src/ffmerge
+    (its own module counts, ``__init__.py`` does not), benchmarks/, demos/
+    or tools/; a name only tests read belongs in the tests. Exempt names
+    must still be unread. Every name in ``ffmerge.__all__`` is one of them."""
+    public = {name for _, _, name in module_level_names(PACKAGE_TREES) if name[:1] != "_"}
+    assert set(ffmerge.__all__) <= public
+    assert unread_public_names(PACKAGE_TREES, READERS) == sorted(UNREAD_PUBLIC_EXEMPT)
 
 
 def unread_public_members(classes: dict[str, ast.Module],
@@ -177,5 +191,4 @@ def test_finds_an_unread_public_member():
 def test_every_public_member_has_a_reader_outside_the_tests():
     """A public method or property of a public class in src/ffmerge is read,
     as an attribute, in src/ffmerge, benchmarks/, demos/ or tools/."""
-    package = {module: tree for module, tree in TREES.items() if "/" not in module}
-    assert unread_public_members(package, READERS) == []
+    assert unread_public_members(PACKAGE_TREES, READERS) == []

@@ -3,7 +3,7 @@ oracles, whole-model window merging with alias tying, centering each
 window layer once, refusing a capture that holds NaN or Inf, and the
 merge's indifference to how each member's hidden units are ordered."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -427,7 +427,7 @@ def merged_with_capture(model: TransformerModel, data: Dataset, spec: MergeSpec)
 
 
 def store_bytes(model: TransformerModel) -> bytes:
-    return serialize_container(model.store, model.config.to_dict())
+    return serialize_container(model.store, asdict(model.config))
 
 
 class TestMergeIgnoresHiddenUnitOrder:

@@ -4,7 +4,7 @@ sweep scores that do not depend on how hidden units are ordered."""
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -301,7 +301,7 @@ class TestMatchedDropCount:
 
 
 def store_bytes(model) -> bytes:
-    return serialize_container(model.store, model.config.to_dict())
+    return serialize_container(model.store, asdict(model.config))
 
 
 def merge_sweep(**options):

@@ -3,7 +3,7 @@ layer drops on small relu, gelu and swiglu models keep every untouched
 tensor's bytes, keep tie groups well formed and owned by their first
 members, and serialize canonically."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +44,7 @@ def check_well_formed(model) -> None:
             assert name.rsplit(".", 1)[1] == target.rsplit(".", 1)[1]
     owners = [n for n in store.names if store.alias_target(n) is None]
     assert len({id(store.get(n)) for n in owners}) == len(owners)
-    data = serialize_container(store, model.config.to_dict())
+    data = serialize_container(store, asdict(model.config))
     back, meta = parse_container(data)
     assert serialize_container(back, meta) == data
 

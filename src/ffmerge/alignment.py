@@ -10,7 +10,11 @@ reorders its hidden units without changing its input-output function.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -93,19 +97,37 @@ def cross_correlation(ref: tuple[np.ndarray, np.ndarray],
     return corr
 
 
+def _linear_sum_assignment():
+    """scipy's solver from its compiled ``optimize/_lsap`` extension alone,
+    registered so that ``import scipy.optimize`` reuses it; else the public one."""
+    name = "scipy.optimize._lsap"
+    if name not in sys.modules:
+        try:
+            base = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                                "optimize", "_lsap")
+            spec = importlib.util.spec_from_file_location(
+                name, next(base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (AttributeError, StopIteration, ImportError, OSError):
+            from scipy.optimize import linear_sum_assignment
+            return linear_sum_assignment
+        sys.modules[name] = module
+    return sys.modules[name].linear_sum_assignment
+
+
 def solve_assignment(values: np.ndarray) -> Permutation:
     """Maximize the summed matched correlation over all permutations.
 
-    Solved exactly with the Jonker-Volgonant solver behind
-    scipy's ``linear_sum_assignment``.
+    Solved exactly by the Jonker-Volgonant solver in scipy's compiled ``_lsap``
+    extension, loaded alone; the public ``scipy.optimize`` import is the fallback.
     """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"assignment needs a square matrix, got {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("assignment matrix contains non-finite values")
-    from scipy.optimize import linear_sum_assignment  # deferred: slow to import
-    rows, cols = linear_sum_assignment(values, maximize=True)
+    rows, cols = _linear_sum_assignment()(values, maximize=True)
     mapping = np.empty(values.shape[0], dtype=np.int64)
     mapping[rows] = cols
     return Permutation(mapping)

@@ -8,8 +8,8 @@ which is what makes some windows merge losslessly and others not.
 Layers are centered by ``linalg.center``, as alignment centers them. A
 matrix over L layers costs L Gram products (one per layer, for its norm)
 and L(L-1)/2 cross products, one per layer pair. Layers are centered again
-for every pair rather than cached, so memory stays at about two float64
-copies of one layer however many layers there are.
+for every pair rather than cached, into the same two float64 buffers,
+allocated once per matrix, however many layers there are.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ def _gram_norm(a: np.ndarray, what: str) -> float:
     return norm
 
 
-def linear_cka(x, y, *, norms: tuple[float, float] | None = None) -> float:
+def linear_cka(x, y, *, norms: tuple[float, float] | None = None,
+               out: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Linear CKA between two feature matrices with matching rows.
 
     With column-centered X and Y this is ||Y^T X||_F^2 divided by
@@ -47,7 +48,8 @@ def linear_cka(x, y, *, norms: tuple[float, float] | None = None) -> float:
     compute, the score is the same to the bit. A Gram norm that is not
     finite, computed or passed (NaN or Inf features, or float64 overflow),
     raises ``ValueError``, and so does a score above 1 + 1e-6 or NaN: the
-    features were too small or too large for float64 to score.
+    features were too small or too large for float64 to score. ``out`` is a
+    pair of separate ``linalg.center`` buffers for ``x`` and ``y``, same score.
     """
     if np.ndim(x) != 2 or np.ndim(y) != 2:
         raise ValueError("linear_cka needs 2-D feature matrices")
@@ -56,7 +58,7 @@ def linear_cka(x, y, *, norms: tuple[float, float] | None = None) -> float:
         raise ValueError(f"row counts differ: {rows[0]} vs {rows[1]}")
     if rows[0] < 2:
         raise ValueError("need at least 2 rows")
-    a, b = center(x), center(y)
+    a, b = (center(x), center(y)) if out is None else (center(x, out[0]), center(y, out[1]))
     if norms is None:
         da, db = _gram_norm(a, "Gram norm of x"), _gram_norm(b, "Gram norm of y")
     else:
@@ -107,10 +109,11 @@ def cka_matrix(acts: ActivationSet) -> CkaMatrix:
     mats = acts.per_layer
     if len(mats) < 2:
         raise ValueError("need at least 2 layers to compare")
-    norms = [_gram_norm(center(m), f"layer {i} Gram norm") for i, m in enumerate(mats)]
+    out = (np.empty(mats[0].shape), np.empty(mats[0].shape))
+    norms = [_gram_norm(center(m, out[0]), f"layer {i} Gram norm") for i, m in enumerate(mats)]
     values = np.diag([1.0 if norm > 0.0 else 0.0 for norm in norms])
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             values[i, j] = values[j, i] = linear_cka(
-                mats[i], mats[j], norms=(norms[i], norms[j]))
+                mats[i], mats[j], norms=(norms[i], norms[j]), out=out)
     return CkaMatrix(values=values, tap=acts.tap)

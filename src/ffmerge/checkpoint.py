@@ -17,7 +17,8 @@ File layout (all integers little-endian):
                       {"dtype":"f32","shape":[...],"offset":o,"length":l}
                     or {"alias_of":"<name>","shape":[...]}
     bytes 16+H..  data region; offsets are relative to its start; tensors
-                  are row-major little-endian float32, packed, no padding
+                  are row-major little-endian float32, packed, no padding;
+                  a zero-size tensor of any shape has a zero-length payload
 
 There is one canonical form, built by ``_header``: compact JSON with
 ``__config__`` first, then every entry in store order, owners at packed
@@ -224,7 +225,8 @@ def serialize_container(store: ParameterStore, meta: dict) -> bytearray:
         for name, arr in owners.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"tensor {name!r} contains NaN or Inf")
-            image[end:end + arr.nbytes] = memoryview(np.ascontiguousarray(arr, "<f4")).cast("B")
+            image[end:end + arr.nbytes] = memoryview(
+                np.ascontiguousarray(arr, "<f4").reshape(-1)).cast("B")  # cast refuses 0 extents
             end += arr.nbytes
     return out
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ffmerge
+from ffmerge import alignment
 from ffmerge.alignment import (Permutation, apply_permutation, centered,
                                cross_correlation, matched_score,
                                solve_assignment)
@@ -35,6 +37,19 @@ def pearson_oracle(a, b) -> float:
     if va == 0.0 or vb == 0.0:
         return 0.0
     return cov / math.sqrt(va * vb)
+
+
+def hide_solver_extension(monkeypatch):
+    """Make ``solve_assignment`` find no ``_lsap`` file and forget any it loaded."""
+    monkeypatch.setattr(alignment, "EXTENSION_SUFFIXES", [])
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+
+
+def run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's ffmerge."""
+    src = os.path.dirname(os.path.dirname(ffmerge.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def uncentered_cross_correlation(ref, other) -> np.ndarray:
@@ -246,6 +261,56 @@ class TestSolveAssignment:
         code = "import ffmerge, sys; assert 'scipy' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=src))
+
+    def test_one_solve_loads_only_the_compiled_solver(self):
+        run_python(
+            "import sys, numpy as np\n"
+            "from ffmerge.alignment import solve_assignment\n"
+            "solve_assignment(np.random.default_rng(0).normal(size=(64, 64)))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert loaded == ['scipy.optimize._lsap'], loaded\n")
+
+    def test_later_scipy_optimize_import_reuses_the_solver(self):
+        run_python(
+            "import sys, numpy as np\n"
+            "from ffmerge.alignment import solve_assignment\n"
+            "values = np.random.default_rng(1).normal(size=(64, 64))\n"
+            "perm = solve_assignment(values)\n"
+            "lsap = sys.modules['scipy.optimize._lsap']\n"
+            "import scipy.optimize\n"
+            "assert sys.modules['scipy.optimize._lsap'] is lsap\n"
+            "rows, cols = scipy.optimize.linear_sum_assignment(values, maximize=True)\n"
+            "assert rows.tolist() == list(range(64))\n"
+            "assert cols.tolist() == perm.mapping.tolist()\n")
+
+    def test_hidden_extension_falls_back_to_the_public_import(self, monkeypatch):
+        values = np.random.default_rng(8).normal(size=(32, 32))
+        fast = solve_assignment(values)
+        solver, calls = alignment._linear_sum_assignment(), []
+        public = types.ModuleType("scipy.optimize")
+        public.linear_sum_assignment = lambda *a, **kw: calls.append(kw) or solver(*a, **kw)
+        hide_solver_extension(monkeypatch)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", public)
+        assert solve_assignment(values) == fast
+        assert calls == [{"maximize": True}]
+        assert "scipy.optimize._lsap" not in sys.modules
+
+    def test_fast_path_fallback_and_public_solver_agree(self, monkeypatch):
+        # half the matrices hold entries rounded to one decimal: full of ties
+        from scipy.optimize import linear_sum_assignment
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            if trial % 2:
+                values = np.round(rng.uniform(-1.0, 1.0, size=(512, 512)), 1)
+            else:
+                values = rng.normal(size=(512, 512))
+            fast = solve_assignment(values)
+            with monkeypatch.context() as patch:
+                hide_solver_extension(patch)
+                fallback = solve_assignment(values)
+            rows, cols = linear_sum_assignment(values, maximize=True)
+            np.testing.assert_array_equal(rows, np.arange(512))
+            assert fast == fallback == Permutation(cols), trial
 
     def test_two_by_two_identity_case(self):
         corr = np.array([[0.9, 0.1], [0.2, 0.8]])

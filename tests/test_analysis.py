@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ffmerge import analysis
 from ffmerge.analysis import CkaMatrix, cka_matrix, linear_cka
 from ffmerge.engine import ActivationSet, capture_activations
 from ffmerge.fixtures import default_config, duplicate_model, random_model, \
@@ -279,6 +280,24 @@ class TestCkaMatrixAgainstPairs:
                 plain = linear_cka(x, y)
                 assert values[i, j] == values[j, i] == plain
                 assert linear_cka(x, y, norms=(norm, gram_norm(y))) == plain
+
+    def test_every_pair_centers_into_the_same_two_buffers(self, monkeypatch):
+        rng = np.random.default_rng(115)
+        acts = ActivationSet(tap="ff_out", per_layer=tuple(
+            rng.normal(size=(40, 6)).astype(np.float32) for _ in range(5)))
+        want = cka_matrix(acts).values
+        buffers = []
+
+        def recording(x, y, **kwargs):
+            buffers.append(kwargs["out"])
+            return linear_cka(x, y, **kwargs)
+
+        monkeypatch.setattr(analysis, "linear_cka", recording)
+        np.testing.assert_array_equal(cka_matrix(acts).values, want)
+        assert len(buffers) == 10
+        a, b = buffers[0]
+        assert a is not b
+        assert all(pair[0] is a and pair[1] is b for pair in buffers)
 
     @pytest.mark.parametrize("n_layers", [3, 6])
     def test_peak_memory_stays_below_three_layer_copies(self, n_layers):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ffmerge.checkpoint import (MAGIC, CheckpointFormatError, ParameterStore,
                                 atomic_write_bytes, parse_container,
@@ -20,7 +21,8 @@ from ffmerge.checkpoint import (MAGIC, CheckpointFormatError, ParameterStore,
                                 tie_report, write_container)
 from ffmerge.config import ModelConfig, ff_tensor_names
 from ffmerge.datasets import Dataset, read_token_file, write_token_file
-from ffmerge.engine import TransformerModel, capture_activations, load_model, save_model
+from ffmerge.engine import (ActivationSet, TransformerModel, capture_activations, load_model,
+                            read_activations, save_model, write_activations)
 from ffmerge.fixtures import default_config, random_model, token_sequences
 from ffmerge.selection import drop_layers
 
@@ -697,6 +699,41 @@ class TestContainerFuzz:
         else:
             with pytest.raises(CheckpointFormatError, match="not canonical"):
                 parse_container(reencoded)
+
+
+class TestAnyShapeRoundTrips:
+    """Whatever float32 shape a store accepts, zero extents included, it
+    writes, reads back equal and writes again to the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes=st.lists(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+                           min_size=1, max_size=4),
+           tie=st.booleans(), seed=st.integers(0, 2**16))
+    def test_serialize_parse_serialize(self, shapes, tie, seed):
+        rng = np.random.default_rng(seed)
+        table = {f"t{i}": rng.normal(size=shape).astype(np.float32)
+                 for i, shape in enumerate(shapes)}
+        if tie:
+            table["tied"] = "t0"
+        data = serialize_container(ParameterStore(table), {"seed": seed})
+        parsed, meta = parse_container(bytes(data))
+        assert meta == {"seed": seed}
+        assert parsed.names == list(table)
+        for name, value in table.items():
+            if isinstance(value, str):
+                assert parsed.get(name) is parsed.get(value)
+            else:
+                assert parsed.get(name).shape == value.shape
+                np.testing.assert_array_equal(parsed.get(name), value)
+        assert serialize_container(parsed, meta) == data
+
+    def test_zero_row_activation_set(self, tmp_path):
+        acts = ActivationSet(tap="ff_pre_act", per_layer=tuple(
+            np.ones((0, 3), np.float32) for _ in range(3)))
+        write_activations(acts, tmp_path / "acts.ffmc")
+        back = read_activations(tmp_path / "acts.ffmc")
+        assert back.tap == "ff_pre_act" and back.sample_count == 0
+        assert [m.shape for m in back.per_layer] == [(0, 3)] * 3
 
 
 class TestFileRoundTrip:

@@ -141,11 +141,17 @@ class TestMemoryOrder:
     @settings(max_examples=100, deadline=None)
     @given(x=matrices())
     def test_layout_does_not_change_bits(self, x):
+        # also when centered into a buffer, and x is never written
         c64 = np.array(x, dtype=np.float64, order="C")
         for layout, arr in layouts(x).items():
+            before = arr.copy()
             xc, stds = centered(arr)
             assert xc.tobytes() == (c64 - c64.mean(axis=0)).tobytes(), layout
             assert stds.tobytes() == c64.std(axis=0).tobytes(), layout
+            buf = np.full(arr.shape, np.nan)
+            assert center(arr, out=buf) is buf
+            assert buf.tobytes() == xc.tobytes(), layout
+            assert arr.tobytes() == before.tobytes(), layout
 
     def test_tall_float32_layouts_agree(self):
         x = np.random.default_rng(7).normal(size=(300, 40)).astype(np.float32)
@@ -165,17 +171,42 @@ class TestMemoryOrder:
                 _, stds = centered(arr)
             assert stds.tolist() == [np.inf, 0.0], layout
 
+
+class TestCenterInto:
+    """``center(x, out=buf)`` takes only a buffer it can fill like the fresh
+    copy; ``TestMemoryOrder`` checks that it gets the same bits."""
+
+    @pytest.mark.parametrize("make", [
+        lambda x: np.empty((4, 3)), lambda x: np.empty((3, 4)),
+        lambda x: np.empty(x.shape, np.float32),
+        lambda x: np.empty(x.shape[::-1]).T, lambda x: np.empty((5, 6))[:, ::2],
+        lambda x: x, lambda x: np.zeros(x.shape).tolist(),
+    ], ids=["rows", "transposed-shape", "float32", "fortran", "strided", "x-itself", "list"])
+    def test_any_other_out_refused(self, make):
+        x = np.arange(15.0).reshape(5, 3)
+        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+            center(x, out=make(x))
+        assert x.tolist() == np.arange(15.0).reshape(5, 3).tolist()
+
+
 def test_alignment_and_cka_center_the_same_bits(monkeypatch):
-    # CKA centers through the same routine as alignment, not a copy of it
+    # CKA centers through the same routine as alignment, not a copy of it,
+    # with or without its buffers
     rng = np.random.default_rng(6)
     x = (rng.normal(size=(64, 12)) * 3.0 + 1.5).astype(np.float32)
     seen = []
 
-    def recording(a):
-        seen.append(center(a))
+    def recording(a, out=None):
+        seen.append(center(a, out))
         return seen[-1]
 
     monkeypatch.setattr(analysis, "center", recording)
     analysis.linear_cka(x, x[:, ::-1])
     assert len(seen) == 2
     assert seen[0].tobytes() == centered(x)[0].tobytes()
+    out = (np.empty(x.shape), np.empty(x.shape))
+    analysis.linear_cka(x, x[:, ::-1], out=out)
+    assert len(seen) == 4
+    assert seen[2] is out[0] and seen[3] is out[1]
+    assert seen[2].tobytes() == centered(x)[0].tobytes()
+    assert seen[3].tobytes() == seen[1].tobytes()

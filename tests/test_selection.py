@@ -392,8 +392,6 @@ class TestWindowSweepMemory:
         # centered and column_stats' variance temporary. Caching every
         # layer would hold all 8. The parent, which centered both sides of
         # every pair, read 4.09 copies here; this reads 4.09 too.
-        # the first assignment solve imports scipy; keep that out of the peak
-        import scipy.optimize  # noqa: F401
         n_layers, k, rows = 8, 3, 8192
         cfg = default_config(n_layers=n_layers, d_model=8, d_ff=16)
         model = random_model(cfg, seed=120)
